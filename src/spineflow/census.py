@@ -40,6 +40,7 @@ from .fatgraph import (Spine, enumerate_spines, is_bipartite,
                        iter_isomorphisms, surface_invariants)
 from .model import (GluingMatrix, ModelFlowSpec, propagate_orientations,
                     unsurgered_piece, validate_spec)
+from .walks import reachable
 
 STANDARD_GLUING = GluingMatrix(0, 1, 1, 0)
 
@@ -115,8 +116,6 @@ def _specs_for(spines: list[Spine]) -> list[ModelFlowSpec]:
 
 def _weakly_connected(spec: ModelFlowSpec) -> bool:
     """The glued tori must hang together through the pieces."""
-    if len(spec.pairing) <= 1:
-        return True
     # two tori are linked when one piece has boundary on both
     links: dict[int, set[int]] = {k: set() for k in range(len(spec.pairing))}
     torus_of: dict = {}
@@ -128,15 +127,7 @@ def _weakly_connected(spec: ModelFlowSpec) -> bool:
         for a, b in zip(ks, ks[1:]):
             links[a].add(b)
             links[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        for j in links[k]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(spec.pairing)
+    return len(reachable(0, links)) == len(spec.pairing)
 
 
 def spec_census(max_pieces: int, max_edges: int,

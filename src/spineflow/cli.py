@@ -38,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for f in files:
             p.add_argument(f, help=f"path to {f}")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved for scripted reproducibility; unused")
         return p
 
     add("validate", "check a specification against all conditions",

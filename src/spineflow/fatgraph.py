@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import CapacityError, InputError, OrientabilityError, StructureError
 from .report import ValidationReport
+from .walks import two_color
 
 ENTRANCE = "ENTRANCE"
 EXIT = "EXIT"
@@ -140,6 +141,16 @@ class FatGraph:
     def face_of(self) -> dict[int, int]:
         return {d: i for i, c in enumerate(self.boundary_cycles()) for d in c}
 
+    def vertex_neighbors(self) -> dict[int, list[int]]:
+        """Vertex adjacency lists, one entry per edge end in edge order;
+        a loop lists its vertex twice among its own neighbors."""
+        neighbors: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
+        for a, b in self.edges:
+            va, vb = self.vertex_of[a], self.vertex_of[b]
+            neighbors[va].append(vb)
+            neighbors[vb].append(va)
+        return neighbors
+
     def relabeled(self, mapping: dict[int, int]) -> "FatGraph":
         """Copy of the graph with every dart ``d`` renamed ``mapping[d]``."""
         if sorted(mapping) != list(self.darts):
@@ -177,9 +188,6 @@ class Spine:
 
     graph: FatGraph
     colors: dict[int, str]
-
-    def color_of_dart(self, d: int) -> str:
-        return self.colors[self.graph.face_of()[d]]
 
     def boundary_ids(self, color: str) -> list[int]:
         return [i for i in sorted(self.colors) if self.colors[i] == color]
@@ -288,26 +296,15 @@ def is_bipartite(graph: FatGraph) -> bool:
     """True when the vertex graph admits a proper 2-coloring.  The spine
     conditions do not force this, so it is checked separately wherever
     orientations must propagate."""
-    side: dict[int, int] = {}
-    for start in range(graph.vertex_count):
-        if start in side:
+    neighbors = graph.vertex_neighbors()
+    covered: set[int] = set()
+    for root in range(graph.vertex_count):
+        if root in covered:
             continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for a, b in graph.edges:
-                ends = (graph.vertex_of[a], graph.vertex_of[b])
-                if v not in ends:
-                    continue
-                w = ends[0] if ends[1] == v else ends[1]
-                if w == v:
-                    return False
-                if w not in side:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return False
+        sides, odd_cycle = two_color(root, neighbors)
+        if odd_cycle is not None:
+            return False
+        covered.update(sides)
     return True
 
 
@@ -464,19 +461,11 @@ def _proper_colorings(graph: FatGraph) -> list[dict[int, str]]:
     for root in range(len(faces)):
         if root in assignment:
             continue
-        comp = [root]
-        assignment[root] = 0
-        queue = [root]
-        while queue:
-            f = queue.pop()
-            for g in adjacency[f]:
-                if g not in assignment:
-                    assignment[g] = 1 - assignment[f]
-                    comp.append(g)
-                    queue.append(g)
-                elif assignment[g] == assignment[f]:
-                    return []
-        components.append(sorted(comp))
+        sides, odd_cycle = two_color(root, adjacency)
+        if odd_cycle is not None:
+            return []
+        assignment.update(sides)
+        components.append(sorted(sides))
 
     colorings = []
     for flips in itertools.product((0, 1), repeat=len(components)):
@@ -542,11 +531,22 @@ def spine_from_json(obj, path: str = "") -> Spine:
     for key in ("darts", "rotation", "edges", "colors"):
         if key not in obj:
             raise InputError(f"{path}/{key}: missing")
+    arrays = {}
+    for key in ("rotation", "edges"):
+        try:
+            arrays[key] = [[int(d) for d in item] for item in obj[key]]
+        except (TypeError, ValueError) as err:
+            raise InputError(
+                f"{path}/{key}: expected an array of integer arrays") from err
     try:
-        graph = FatGraph(obj["rotation"], obj["edges"])
-    except (StructureError, TypeError) as err:
+        graph = FatGraph(arrays["rotation"], arrays["edges"])
+    except StructureError as err:
         raise InputError(f"{path}/rotation: {err}") from err
-    if sorted(graph.darts) != sorted(int(d) for d in obj["darts"]):
+    try:
+        darts = sorted(int(d) for d in obj["darts"])
+    except (TypeError, ValueError) as err:
+        raise InputError(f"{path}/darts: expected an array of integers") from err
+    if sorted(graph.darts) != darts:
         raise InputError(f"{path}/darts: does not match rotation cycles")
     if not isinstance(obj["colors"], dict):
         raise InputError(f"{path}/colors: expected an object")

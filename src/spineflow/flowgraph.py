@@ -28,6 +28,7 @@ from .errors import CapacityError, InputError
 from .fatgraph import ENTRANCE
 from .model import (ModelFlowSpec, OrientationAssignment, seed_orientation,
                     validate_spec)
+from .walks import reachable
 
 MAX_WORD_LENGTH = 12
 
@@ -62,12 +63,6 @@ class FlowGraph:
             by_label = {e.label: e for e in self.edges}
             self.__dict__["_by_label_cache"] = by_label
         return by_label
-
-    def successors(self, torus: str) -> list[str]:
-        return sorted({e.dst for e in self.edges if e.src == torus})
-
-    def adjacent(self, src: str, dst: str) -> bool:
-        return any(e.src == src and e.dst == dst for e in self.edges)
 
 
 def orbit_label(piece_id: str, vertex: int) -> str:
@@ -158,59 +153,21 @@ def _check_orientation(spec: ModelFlowSpec,
 def is_transitive(graph: FlowGraph) -> bool:
     """True when the torus subgraph is strongly connected.
 
-    Tarjan's algorithm, iterative to keep recursion depth flat; the
-    answer is a single strongly connected component covering every
-    torus vertex.
+    Forward and reverse reachability from the first torus: the graph is
+    strongly connected exactly when that torus reaches every torus and
+    every torus reaches it.  No tori, or one, count as connected.
     """
+    if not graph.torus_vertices:
+        return True
     succ: dict[str, list[str]] = {t: [] for t in graph.torus_vertices}
+    pred: dict[str, list[str]] = {t: [] for t in graph.torus_vertices}
     for e in graph.edges:
         succ[e.src].append(e.dst)
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    components = []
-
-    for root in graph.torus_vertices:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-    return len(components) <= 1
+        pred[e.dst].append(e.src)
+    root = graph.torus_vertices[0]
+    count = len(graph.torus_vertices)
+    return (len(reachable(root, succ)) == count
+            and len(reachable(root, pred)) == count)
 
 
 @dataclass(frozen=True)
@@ -236,6 +193,9 @@ class ItineraryWord:
             raise InputError(f"{path or '/'}: expected an object with a body")
         if not isinstance(obj["body"], list):
             raise InputError(f"{path}/body: expected an array of torus ids")
+        for key in ("head_orbit", "tail_orbit"):
+            if obj.get(key) is not None and not isinstance(obj[key], str):
+                raise InputError(f"{path}/{key}: expected an orbit id string")
         return cls(tuple(str(t) for t in obj["body"]),
                    obj.get("head_orbit"), obj.get("tail_orbit"))
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import InputError, OrientationConflictError
 from .fatgraph import (ENTRANCE, EXIT, Spine, spine_from_json, spine_to_json,
                        validate_spine)
 from .report import ValidationReport
+from .walks import two_color
 
 #: boundary torus id: (piece id, boundary cycle index)
 TorusId = tuple[str, int]
@@ -200,12 +200,14 @@ def validate_piece(piece: ModelPiece) -> ValidationReport:
 
 def propagate_orientations(piece: ModelPiece,
                            seed: tuple[int, int]) -> dict[int, int]:
-    """Breadth-first propagation of the seed sign with a flip across
-    every edge.
+    """Propagation of the seed sign with a flip across every edge: a
+    2-coloring of the vertex graph rooted at the seed vertex.
 
-    Returns the unique assignment extending the seed, or raises
-    ``OrientationConflictError`` carrying an odd cycle of vertices (a
-    loop edge gives a one-vertex cycle).
+    Returns the unique assignment extending the seed.  Errors come in a
+    fixed order: a loop edge anywhere in the piece raises
+    ``OrientationConflictError`` with the one-vertex cycle ``[v]``; an
+    odd cycle in the seed's component raises it with that cycle; a
+    vertex the seed cannot reach raises ``InputError``.
     """
     graph = piece.spine.graph
     seed_vertex, seed_sign = seed
@@ -214,48 +216,23 @@ def propagate_orientations(piece: ModelPiece,
     if seed_sign not in (1, -1):
         raise InputError(f"seed sign must be +-1, got {seed_sign}")
 
-    neighbors: dict[int, list[int]] = {v: [] for v in range(graph.vertex_count)}
     for a, b in graph.edges:
-        va, vb = graph.vertex_of[a], graph.vertex_of[b]
-        if va == vb:
+        va = graph.vertex_of[a]
+        if va == graph.vertex_of[b]:
             raise OrientationConflictError(
                 f"loop edge at vertex {va} in piece {piece.piece_id!r}: "
                 "a vertical orbit cannot be anti-aligned with itself", [va])
-        neighbors[va].append(vb)
-        neighbors[vb].append(va)
 
-    signs = {seed_vertex: seed_sign}
-    parent: dict[int, Optional[int]] = {seed_vertex: None}
-    queue = [seed_vertex]
-    while queue:
-        v = queue.pop(0)
-        for w in neighbors[v]:
-            if w not in signs:
-                signs[w] = -signs[v]
-                parent[w] = v
-                queue.append(w)
-            elif signs[w] != -signs[v]:
-                raise OrientationConflictError(
-                    f"odd cycle in piece {piece.piece_id!r}",
-                    _odd_cycle(parent, v, w))
+    sides, odd_cycle = two_color(seed_vertex, graph.vertex_neighbors())
+    if odd_cycle is not None:
+        raise OrientationConflictError(
+            f"odd cycle in piece {piece.piece_id!r}", odd_cycle)
+    signs = {v: -seed_sign if side else seed_sign for v, side in sides.items()}
     if len(signs) != graph.vertex_count:
         raise InputError(
             f"piece {piece.piece_id!r} is disconnected; orientation cannot reach "
             f"vertices {sorted(set(range(graph.vertex_count)) - set(signs))}")
     return signs
-
-
-def _odd_cycle(parent, v, w) -> list[int]:
-    """Close the tree paths from v and w to their meeting ancestor."""
-    up_v, up_w = [v], [w]
-    while up_v[-1] is not None:
-        up_v.append(parent[up_v[-1]])
-    while up_w[-1] is not None:
-        up_w.append(parent[up_w[-1]])
-    common = next(x for x in up_v if x in set(up_w))
-    path_v = up_v[:up_v.index(common) + 1]
-    path_w = up_w[:up_w.index(common)]
-    return path_v + path_w[::-1]
 
 
 def seed_orientation(spec: ModelFlowSpec) -> OrientationAssignment:
@@ -387,6 +364,8 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
         if not isinstance(raw, dict) or "id" not in raw or "spine" not in raw:
             raise InputError(f"{ppath}: expected an object with id and spine")
         spine = spine_from_json(raw["spine"], f"{ppath}/spine")
+        if not isinstance(raw.get("dehn", {}), dict):
+            raise InputError(f"{ppath}/dehn: expected an object")
         dehn = {}
         for key, value in raw.get("dehn", {}).items():
             dpath = f"{ppath}/dehn/{key}"
@@ -434,6 +413,8 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
         except (TypeError, ValueError) as err:
             raise InputError(f"{spath}: expected a pair [vertex, sign]") from err
 
+    if not isinstance(obj.get("bases", {}), dict):
+        raise InputError(f"{path}/bases: expected an object")
     bases = {}
     for label, raw in obj.get("bases", {}).items():
         bpath = f"{path}/bases/{label}"

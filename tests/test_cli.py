@@ -189,6 +189,30 @@ class TestErrors:
         assert "/matrices/1" in err
 
 
+class TestShapeErrors:
+    """Wrong JSON shapes exit 2 naming a JSON pointer, never a traceback."""
+
+    @pytest.mark.parametrize("kind, pointer, edit", [
+        ("spec", "/bases", lambda s: s.update(bases=[1])),
+        ("spec", "/pieces/0/dehn", lambda s: s["pieces"][0].update(dehn=[1])),
+        ("spec", "/pieces/0/spine/darts",
+         lambda s: s["pieces"][0]["spine"].update(darts=None)),
+        ("spec", "/pieces/0/spine/edges",
+         lambda s: s["pieces"][0]["spine"].update(edges="ab")),
+        ("word", "/head_orbit", lambda w: w.update(head_orbit=["x"])),
+    ], ids=["bases", "dehn", "darts", "edges", "head_orbit"])
+    def test_exits_two_with_pointer(self, capsys, tmp_path, kind, pointer, edit):
+        data = json.load(open(BANANA if kind == "spec" else WORD_TAIL))
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        argv = (["validate", str(bad)] if kind == "spec"
+                else ["itinerary", BANANA, str(bad)])
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {bad}{pointer}: ")
+
+
 class TestThinAdapter:
     """CLI payloads are the library outputs, serialized."""
 

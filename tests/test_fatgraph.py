@@ -255,6 +255,12 @@ class TestBipartite:
                          [[1, 2], [3, 4], [5, 6]])
         assert not is_bipartite(graph)
 
+    def test_odd_cycle_only_in_second_component(self):
+        # a double edge between vertices 0 and 1, then a triangle 2, 3, 4
+        graph = FatGraph([[1, 3], [2, 4], [5, 10], [6, 7], [8, 9]],
+                         [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]])
+        assert not is_bipartite(graph)
+
 
 class TestSerialization:
     def test_round_trip(self, census_spines):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 import oracles
-from spineflow import (CapacityError, InputError, ItineraryWord,
-                       build_flow_graph, flow_graph_to_edge_text,
+from spineflow import (CapacityError, FlowEdge, FlowGraph, InputError,
+                       ItineraryWord, build_flow_graph, flow_graph_to_edge_text,
                        flow_graph_to_json, is_transitive, orientation_classes,
                        path_sign, periodic_words, seed_orientation,
                        validate_itinerary, word_counts)
@@ -13,6 +13,14 @@ from spineflow.flowgraph import least_rotation
 
 def arcs_of(graph):
     return {(e.src, e.dst) for e in graph.edges}
+
+
+def torus_graph(count, arcs):
+    """A flow graph on tori T0..T{count-1} with the given index arcs."""
+    tori = tuple(f"T{k}" for k in range(count))
+    edges = tuple(FlowEdge(f"X.e{i}", tori[s], tori[d], "X", i, 1)
+                  for i, (s, d) in enumerate(arcs))
+    return FlowGraph(tori, (), edges, ())
 
 
 class TestBuildFlowGraph:
@@ -118,6 +126,33 @@ class TestTransitivity:
             expected = oracles.strongly_connected_by_closure(
                 list(graph.torus_vertices), arcs_of(graph))
             assert is_transitive(graph) == expected
+
+    @pytest.mark.parametrize("count, arcs, expected", [
+        (0, [], True),
+        (1, [], True),
+        (1, [(0, 0)], True),
+        (2, [(0, 0), (1, 1)], False),
+        (3, [(0, 1), (1, 0)], False),
+        (3, [(0, 1), (1, 2)], False),
+        (3, [(0, 1), (1, 2), (2, 0)], True),
+    ])
+    def test_small_graphs(self, count, arcs, expected):
+        assert is_transitive(torus_graph(count, arcs)) is expected
+
+    def test_agrees_with_closure_oracle_on_random_graphs(self):
+        rng = random.Random(20121130)
+        verdicts = set()
+        for _ in range(500):
+            count = rng.randint(0, 6)
+            density = rng.choice((0.15, 0.3, 0.6))
+            arcs = [(s, d) for s in range(count) for d in range(count)
+                    if rng.random() < density]
+            graph = torus_graph(count, arcs)
+            expected = oracles.strongly_connected_by_closure(
+                list(graph.torus_vertices), arcs_of(graph))
+            assert is_transitive(graph) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestItineraries:

@@ -97,6 +97,24 @@ class TestPropagation:
         cycle = err.value.cycle
         assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
 
+    def test_loop_outside_seed_component_is_inconsistent(self):
+        # loop-edge scan precedes the search: the seed never reaches vertex 2
+        graph = FatGraph([[1, 3], [2, 4], [5, 6]], [[1, 2], [3, 4], [5, 6]])
+        piece = unsurgered_piece("L", Spine(graph, {}))
+        with pytest.raises(OrientationConflictError) as err:
+            propagate_orientations(piece, (0, 1))
+        assert err.value.cycle == [2]
+
+    def test_odd_cycle_outside_seed_component_reports_disconnection(self):
+        # a double edge between vertices 0 and 1, then a triangle 2, 3, 4
+        graph = FatGraph([[1, 3], [2, 4], [5, 10], [6, 7], [8, 9]],
+                         [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]])
+        piece = unsurgered_piece("D", Spine(graph, {}))
+        with pytest.raises(InputError, match="disconnected"):
+            propagate_orientations(piece, (0, 1))
+        with pytest.raises(OrientationConflictError):
+            propagate_orientations(piece, (2, 1))
+
     def test_bad_seed_is_input_error(self):
         with pytest.raises(InputError):
             propagate_orientations(banana_piece(), (9, 1))
