@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, read_int
 from .fatgraph import induced_face_map, iter_isomorphisms_tagged
 from .model import (GluingMatrix, ModelFlowSpec, ModelPiece, TorusId,
                     seed_orientation, torus_label, validate_spec)
@@ -156,15 +156,21 @@ class EquivalenceWitness:
     def from_json(cls, obj, path: str = "") -> "EquivalenceWitness":
         if not isinstance(obj, dict):
             raise InputError(f"{path or '/'}: expected an object")
+
+        def pair(value, where: str) -> tuple[int, int]:
+            return read_int(value[0], where, 0), read_int(value[1], where, 1)
+
         try:
             return cls(
                 piece_map={str(k): str(v)
                            for k, v in obj.get("piece_map", {}).items()},
-                dart_maps={str(p): {int(d): int(img) for d, img in m.items()}
+                dart_maps={str(p): {int(d): read_int(img, f"{path}/dart_maps",
+                                                     p, d)
+                                    for d, img in m.items()}
                            for p, m in obj.get("dart_maps", {}).items()},
-                basis_signs={str(k): (int(v[0]), int(v[1]))
+                basis_signs={str(k): pair(v, f"{path}/basis_signs/{k}")
                              for k, v in obj.get("basis_signs", {}).items()},
-                twists={int(k): (int(v[0]), int(v[1]))
+                twists={int(k): pair(v, f"{path}/twists/{k}")
                         for k, v in obj.get("twists", {}).items()},
                 reflected={str(k): bool(v)
                            for k, v in obj.get("reflected", {}).items()},
@@ -250,18 +256,69 @@ def _validated(spec: ModelFlowSpec, name: str) -> None:
         raise InputError(f"{name} is invalid ({names})")
 
 
+def _link_counts(spec: ModelFlowSpec, pieces) -> list[list[int]]:
+    """links[i][j]: how many pairs glue an exit of pieces[i] to an
+    entrance of pieces[j]."""
+    index = {p.piece_id: i for i, p in enumerate(pieces)}
+    links = [[0] * len(pieces) for _ in pieces]
+    for (src_piece, _), (dst_piece, _) in spec.pairing:
+        links[index[src_piece]][index[dst_piece]] += 1
+    return links
+
+
+def _piece_maps(k: int, fits, perm: tuple[int, ...] = ()):
+    """Piece bijections as index tuples, in ``itertools.permutations``
+    order, skipping every extension ``fits(perm, j)`` rejects."""
+    if len(perm) == k:
+        yield perm
+        return
+    for j in range(k):
+        if j not in perm and fits(perm, j):
+            yield from _piece_maps(k, fits, perm + (j,))
+
+
+def _first_combo(options, checks_at, pair_fits, combo: tuple = ()
+                 ) -> Optional[tuple]:
+    """First choice of one entry per list of ``options``, in
+    ``itertools.product`` order, with ``pair_fits(combo, n)`` true for
+    every pair ``n`` in ``checks_at[depth]`` of every depth.  The pairs
+    of a depth are tested as soon as its entry is chosen."""
+    depth = len(combo)
+    if depth == len(options):
+        return combo
+    for option in options[depth]:
+        extended = combo + (option,)
+        if all(pair_fits(extended, n) for n in checks_at[depth]):
+            found = _first_combo(options, checks_at, pair_fits, extended)
+            if found is not None:
+                return found
+    return None
+
+
 def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
                     mode: EquivalenceMode = EquivalenceMode.ISOTOPY_WITH_TWISTS,
                     allow_reflection: bool = False
                     ) -> Optional[EquivalenceWitness]:
     """Search for an equivalence witness from s1 to s2.
 
-    The search runs over piece bijections (sorted id order), then over
-    the color-, coefficient- and orientation-preserving dart bijections
-    of each piece pair, keeps the combinations compatible with both
-    pairings, and finally matches gluing matrices pair by pair under
-    the mode's moves.  The first witness in this deterministic order is
-    returned.
+    Pieces are taken in sorted id order.  A depth-first search assigns
+    an image piece to each piece of s1 in turn, trying the pieces of s2
+    in id order, and drops a partial assignment as soon as the number
+    of pairs gluing two assigned pieces (in either direction, a piece
+    with itself included) differs from the number gluing their images,
+    or a piece and its image have no color-, coefficient- and
+    orientation-preserving dart bijection.  For each surviving piece
+    bijection a second depth-first search picks one dart bijection per
+    piece, in the order ``iter_isomorphisms_tagged`` lists them, and
+    checks each pair of s1 (its image must be a pair of s2 and its
+    matrix must match under the mode's moves) as soon as the later of
+    its two pieces is placed.  The dart bijections of each piece pair
+    and their face maps are computed once per call.
+
+    Pruning only removes choices that cannot be completed, so the first
+    witness is the one an exhaustive run over all piece permutations,
+    each with the full product of its dart bijections, would find
+    first.
     """
     _validated(s1, "first specification")
     _validated(s2, "second specification")
@@ -271,23 +328,54 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     o2 = seed_orientation(s2)
 
     pieces1 = sorted(s1.pieces, key=lambda p: p.piece_id)
-    for pieces2 in itertools.permutations(
-            sorted(s2.pieces, key=lambda p: p.piece_id)):
-        per_piece = []
-        for p1, p2 in zip(pieces1, pieces2):
-            isos = _piece_isomorphisms(
-                p1, _orientation_restrict(o1, p1),
-                p2, _orientation_restrict(o2, p2), allow_reflection)
-            if not isos:
-                per_piece = None
-                break
-            per_piece.append(isos)
-        if per_piece is None:
-            continue
-        for combo in itertools.product(*per_piece):
-            witness = _assemble(s1, s2, pieces1, pieces2, combo, mode)
-            if witness is not None:
-                return witness
+    pieces2 = sorted(s2.pieces, key=lambda p: p.piece_id)
+    links1 = _link_counts(s1, pieces1)
+    links2 = _link_counts(s2, pieces2)
+    candidates: dict[tuple[int, int], list] = {}
+
+    def isomorphisms(i: int, j: int) -> list:
+        """(sigma, reflect, boundary cycle -> image torus) for the dart
+        bijections pieces1[i] -> pieces2[j]."""
+        if (i, j) not in candidates:
+            p1, p2 = pieces1[i], pieces2[j]
+            candidates[(i, j)] = [
+                (sigma, reflect,
+                 {f: (p2.piece_id, g) for f, g in induced_face_map(
+                     p1.spine.graph, p2.spine.graph, sigma, reflect).items()})
+                for sigma, reflect in _piece_isomorphisms(
+                    p1, _orientation_restrict(o1, p1),
+                    p2, _orientation_restrict(o2, p2), allow_reflection)]
+        return candidates[(i, j)]
+
+    def piece_fits(perm: tuple[int, ...], j: int) -> bool:
+        i = len(perm)
+        if links1[i][i] != links2[j][j]:
+            return False
+        if any(links1[i][a] != links2[j][b] or links1[a][i] != links2[b][j]
+               for a, b in enumerate(perm)):
+            return False
+        return bool(isomorphisms(i, j))
+
+    index1 = {p.piece_id: i for i, p in enumerate(pieces1)}
+    checks_at: list[list[int]] = [[] for _ in pieces1]
+    for n, ((src_piece, _), (dst_piece, _)) in enumerate(s1.pairing):
+        checks_at[max(index1[src_piece], index1[dst_piece])].append(n)
+    pair_index2 = {pair: k for k, pair in enumerate(s2.pairing)}
+
+    def pair_fits(combo: tuple, n: int) -> bool:
+        (src_piece, src_face), (dst_piece, dst_face) = s1.pairing[n]
+        k2 = pair_index2.get((combo[index1[src_piece]][2][src_face],
+                              combo[index1[dst_piece]][2][dst_face]))
+        return k2 is not None and _match_matrices(
+            s1.matrices[n], s2.matrices[k2], mode) is not None
+
+    for perm in _piece_maps(len(pieces1), piece_fits):
+        combo = _first_combo([isomorphisms(i, j) for i, j in enumerate(perm)],
+                             checks_at, pair_fits)
+        if combo is not None:
+            return _assemble(s1, s2, pieces1, [pieces2[j] for j in perm],
+                             [(sigma, reflect) for sigma, reflect, _ in combo],
+                             mode)
     return None
 
 

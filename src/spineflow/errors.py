@@ -1,4 +1,5 @@
-"""Exception classes shared by all spineflow modules."""
+"""Exception classes shared by all spineflow modules, and the strict
+integer reader that every JSON parser uses."""
 
 
 class SpineflowError(Exception):
@@ -35,3 +36,15 @@ class OrientationConflictError(SpineflowError):
     def __init__(self, message, cycle):
         super().__init__(message)
         self.cycle = list(cycle)
+
+
+def read_int(value, path: str, *index) -> int:
+    """An integer from parsed JSON.  Anything else, including ``true``,
+    ``1.0`` and ``"1"``, raises ``InputError`` naming the JSON pointer
+    ``path`` followed by the ``index`` components, instead of being
+    coerced.  The pointer is only built on failure: parsers call this
+    once per number."""
+    if type(value) is not int:
+        pointer = "/".join((path, *map(str, index)))
+        raise InputError(f"{pointer}: expected an integer, got {value!r}")
+    return value

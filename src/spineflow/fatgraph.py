@@ -25,7 +25,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import CapacityError, InputError, OrientabilityError, StructureError
+from .errors import (CapacityError, InputError, OrientabilityError,
+                     StructureError, read_int)
 from .report import ValidationReport
 from .walks import two_color
 
@@ -90,6 +91,7 @@ class FatGraph:
         self.edge_of: dict[int, int] = {
             d: i for i, p in enumerate(self.edges) for d in p}
         self._faces: Optional[tuple[tuple[int, ...], ...]] = None
+        self._face_of: Optional[dict[int, int]] = None
 
     # -- basic queries -------------------------------------------------
 
@@ -139,7 +141,12 @@ class FatGraph:
         return self._faces
 
     def face_of(self) -> dict[int, int]:
-        return {d: i for i, c in enumerate(self.boundary_cycles()) for d in c}
+        """Dart -> index of its boundary cycle.  Cached: every call
+        returns the same dict, which callers must not mutate."""
+        if self._face_of is None:
+            self._face_of = {d: i for i, c in enumerate(self.boundary_cycles())
+                             for d in c}
+        return self._face_of
 
     def vertex_neighbors(self) -> dict[int, list[int]]:
         """Vertex adjacency lists, one entry per edge end in edge order;
@@ -533,19 +540,20 @@ def spine_from_json(obj, path: str = "") -> Spine:
             raise InputError(f"{path}/{key}: missing")
     arrays = {}
     for key in ("rotation", "edges"):
-        try:
-            arrays[key] = [[int(d) for d in item] for item in obj[key]]
-        except (TypeError, ValueError) as err:
-            raise InputError(
-                f"{path}/{key}: expected an array of integer arrays") from err
+        if not isinstance(obj[key], list) or not all(
+                isinstance(item, list) for item in obj[key]):
+            raise InputError(f"{path}/{key}: expected an array of integer arrays")
+        where = f"{path}/{key}"
+        arrays[key] = [[read_int(d, where, i, j) for j, d in enumerate(item)]
+                       for i, item in enumerate(obj[key])]
     try:
         graph = FatGraph(arrays["rotation"], arrays["edges"])
     except StructureError as err:
         raise InputError(f"{path}/rotation: {err}") from err
-    try:
-        darts = sorted(int(d) for d in obj["darts"])
-    except (TypeError, ValueError) as err:
-        raise InputError(f"{path}/darts: expected an array of integers") from err
+    if not isinstance(obj["darts"], list):
+        raise InputError(f"{path}/darts: expected an array of integers")
+    where = f"{path}/darts"
+    darts = sorted(read_int(d, where, i) for i, d in enumerate(obj["darts"]))
     if sorted(graph.darts) != darts:
         raise InputError(f"{path}/darts: does not match rotation cycles")
     if not isinstance(obj["colors"], dict):

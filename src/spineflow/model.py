@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import InputError, OrientationConflictError
+from .errors import InputError, OrientationConflictError, read_int
 from .fatgraph import (ENTRANCE, EXIT, Spine, spine_from_json, spine_to_json,
                        validate_spine)
 from .report import ValidationReport
@@ -92,9 +92,10 @@ class GluingMatrix:
     def from_rows(cls, rows, path: str = "") -> "GluingMatrix":
         try:
             (a, b), (c, d) = rows
-            return cls(int(a), int(b), int(c), int(d))
         except (TypeError, ValueError) as err:
             raise InputError(f"{path}: expected a 2x2 integer matrix") from err
+        return cls(read_int(a, path, 0, 0), read_int(b, path, 0, 1),
+                   read_int(c, path, 1, 0), read_int(d, path, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -373,9 +374,10 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
                 raise InputError(f"{dpath}: vertex key must be an integer")
             try:
                 p, q = value
-                dehn[int(key)] = DehnCoefficient(int(p), int(q))
             except (TypeError, ValueError) as err:
                 raise InputError(f"{dpath}: expected a pair [p, q]") from err
+            dehn[int(key)] = DehnCoefficient(read_int(p, dpath, 0),
+                                             read_int(q, dpath, 1))
         pieces.append(ModelPiece(str(raw["id"]), spine, dehn))
 
     pairing = []
@@ -409,9 +411,9 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
         spath = f"{path}/orientation_seed/{pid}"
         try:
             v, s = raw
-            seeds[str(pid)] = (int(v), int(s))
         except (TypeError, ValueError) as err:
             raise InputError(f"{spath}: expected a pair [vertex, sign]") from err
+        seeds[str(pid)] = (read_int(v, spath, 0), read_int(s, spath, 1))
 
     if not isinstance(obj.get("bases", {}), dict):
         raise InputError(f"{path}/bases: expected an object")
@@ -421,9 +423,10 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
         torus = parse_torus_label(str(label), bpath)
         try:
             sv, sh = raw
-            bases[torus] = BasisChoice(int(sv), int(sh))
         except (TypeError, ValueError) as err:
             raise InputError(f"{bpath}: expected a pair of signs") from err
+        bases[torus] = BasisChoice(read_int(sv, bpath, 0),
+                                   read_int(sh, bpath, 1))
 
     return ModelFlowSpec(tuple(pieces), tuple(pairing), tuple(matrices),
                          seeds, bases)

@@ -190,7 +190,8 @@ class TestErrors:
 
 
 class TestShapeErrors:
-    """Wrong JSON shapes exit 2 naming a JSON pointer, never a traceback."""
+    """Wrong JSON shapes, and numbers that are not JSON integers, exit 2
+    naming a JSON pointer, never a traceback or a silent coercion."""
 
     @pytest.mark.parametrize("kind, pointer, edit", [
         ("spec", "/bases", lambda s: s.update(bases=[1])),
@@ -200,7 +201,17 @@ class TestShapeErrors:
         ("spec", "/pieces/0/spine/edges",
          lambda s: s["pieces"][0]["spine"].update(edges="ab")),
         ("word", "/head_orbit", lambda w: w.update(head_orbit=["x"])),
-    ], ids=["bases", "dehn", "darts", "edges", "head_orbit"])
+        ("spec", "/pieces/0/spine/darts/0",
+         lambda s: s["pieces"][0]["spine"]["darts"].__setitem__(0, "1")),
+        ("spec", "/pieces/0/spine/edges",
+         lambda s: s["pieces"][0]["spine"].update(
+             edges=["12", "34", "56", "78"])),
+        ("spec", "/matrices/0/1/0",
+         lambda s: s["matrices"]["0"][1].__setitem__(0, 1.9)),
+        ("spec", "/orientation_seed/P/1",
+         lambda s: s["orientation_seed"]["P"].__setitem__(1, True)),
+    ], ids=["bases", "dehn", "darts", "edges", "head_orbit", "string-dart",
+            "string-edges", "float-matrix-entry", "bool-seed-sign"])
     def test_exits_two_with_pointer(self, capsys, tmp_path, kind, pointer, edit):
         data = json.load(open(BANANA if kind == "spec" else WORD_TAIL))
         edit(data)

@@ -4,11 +4,101 @@ import random
 import pytest
 
 import oracles
-from spineflow import (EquivalenceMode, EquivalenceWitness, GluingMatrix,
-                       InputError, ModelFlowSpec, ModelPiece, negate_seed,
-                       normalize_matrix, spec_equivalent, verify_witness)
+import spineflow.equivalence as equivalence
+from spineflow import (ENTRANCE, EXIT, EquivalenceMode, EquivalenceWitness,
+                       GluingMatrix, InputError, ModelFlowSpec, ModelPiece,
+                       negate_seed, normalize_matrix, spec_equivalent,
+                       verify_witness)
 
 MODES = list(EquivalenceMode)
+
+
+def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
+    """Reference search: every piece permutation in
+    ``itertools.permutations`` order, each with the full
+    ``itertools.product`` of its per-piece dart bijections, the pairing
+    and the matrices checked only on complete combinations."""
+    equivalence._validated(s1, "first specification")
+    equivalence._validated(s2, "second specification")
+    if len(s1.pieces) != len(s2.pieces):
+        return None
+    o1 = equivalence.seed_orientation(s1)
+    o2 = equivalence.seed_orientation(s2)
+    pieces1 = sorted(s1.pieces, key=lambda p: p.piece_id)
+    for pieces2 in itertools.permutations(
+            sorted(s2.pieces, key=lambda p: p.piece_id)):
+        per_piece = [equivalence._piece_isomorphisms(
+            p1, equivalence._orientation_restrict(o1, p1),
+            p2, equivalence._orientation_restrict(o2, p2), allow_reflection)
+            for p1, p2 in zip(pieces1, pieces2)]
+        for combo in itertools.product(*per_piece):
+            witness = equivalence._assemble(s1, s2, pieces1, pieces2, combo,
+                                            mode)
+            if witness is not None:
+                return witness
+    return None
+
+
+def _mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def banana_chain(banana_spec, cs):
+    """Cyclic chain of len(cs) copies of the banana piece: the two exits
+    of piece i glue to the two entrances of piece i + 1, pair n with
+    matrix [[1, 0], [cs[n], 1]]."""
+    piece = banana_spec.pieces[0]
+    spine = piece.spine
+    k = len(cs) // 2
+    ids = [f"C{i}" for i in range(k)]
+    pairing = [((ids[i], out), (ids[(i + 1) % k], into))
+               for i in range(k)
+               for out, into in zip(spine.boundary_ids(EXIT),
+                                    spine.boundary_ids(ENTRANCE))]
+    return ModelFlowSpec(
+        tuple(ModelPiece(pid, spine, dict(piece.dehn)) for pid in ids),
+        tuple(pairing), tuple(GluingMatrix(1, 0, c, 1) for c in cs),
+        {pid: (0, 1) for pid in ids})
+
+
+def moved_chain(chain, mode, shift):
+    """An equivalent copy of ``chain``: pieces renamed with their chain
+    position shifted by ``shift``, darts renamed, pairs listed in reverse
+    order and every matrix moved by factors that ``mode`` allows."""
+    k = len(chain.pieces)
+    piece_of = {p.piece_id: p for p in chain.pieces}
+    ids = sorted(piece_of)
+    new_id = {pid: f"D{(i + shift) % k}" for i, pid in enumerate(ids)}
+    spine = chain.pieces[0].spine
+    top = max(spine.graph.darts) + 1
+    mapping = {d: top - d for d in spine.graph.darts}
+    moved = spine.relabeled(mapping)
+    face = {f: moved.graph.face_of()[mapping[cycle[0]]]
+            for f, cycle in enumerate(spine.graph.boundary_cycles())}
+    vertex = {v: moved.graph.vertex_of[mapping[cycle[0]]]
+              for v, cycle in enumerate(spine.graph.vertices)}
+    pieces = tuple(ModelPiece(new_id[pid], moved,
+                              {vertex[v]: coeff for v, coeff
+                               in piece_of[pid].dehn.items()})
+                   for pid in ids)
+    pairs = []
+    for n, ((src, out), (dst, into)) in enumerate(chain.pairing):
+        m = chain.matrices[n]
+        entries = (m.a, m.b, m.c, m.d)
+        if mode is not EquivalenceMode.EXACT:
+            sign = (-1) ** n
+            twist = n if mode is EquivalenceMode.ISOTOPY_WITH_TWISTS else 0
+            entries = _mul(_mul(_mul((sign, 0, 0, 1), (1, twist, 0, 1)),
+                                entries), (1, -twist, 0, -sign))
+        pairs.append((((new_id[src], face[out]), (new_id[dst], face[into])),
+                      GluingMatrix(*entries)))
+    pairs.reverse()
+    seeds = {new_id[pid]: (vertex[v], s)
+             for pid, (v, s) in chain.orientation_seed.items()}
+    return ModelFlowSpec(pieces, tuple(p for p, _ in pairs),
+                         tuple(m for _, m in pairs), seeds)
 
 
 def random_gluing_matrix(rng: random.Random) -> GluingMatrix:
@@ -22,9 +112,7 @@ def random_gluing_matrix(rng: random.Random) -> GluingMatrix:
             factor = (1, 0, n, 1)
         else:
             factor = (rng.choice((1, -1)), 0, 0, rng.choice((1, -1)))
-        a, b, c, d = entries
-        e, f, g, h = factor
-        entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        entries = _mul(entries, factor)
     if entries[2] == 0:
         a, b, c, d = entries
         entries = (c, d, a, b)  # swap rows: keeps |det| = 1, makes c = a != 0
@@ -34,16 +122,11 @@ def random_gluing_matrix(rng: random.Random) -> GluingMatrix:
 
 
 def twist_move(rng: random.Random, m: GluingMatrix) -> GluingMatrix:
-    def mul(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-    left = mul((rng.choice((1, -1)), 0, 0, rng.choice((1, -1))),
-               (1, rng.randint(-5, 5), 0, 1))
-    right = mul((1, rng.randint(-5, 5), 0, 1),
-                (rng.choice((1, -1)), 0, 0, rng.choice((1, -1))))
-    entries = mul(mul(left, (m.a, m.b, m.c, m.d)), right)
+    left = _mul((rng.choice((1, -1)), 0, 0, rng.choice((1, -1))),
+                (1, rng.randint(-5, 5), 0, 1))
+    right = _mul((1, rng.randint(-5, 5), 0, 1),
+                 (rng.choice((1, -1)), 0, 0, rng.choice((1, -1))))
+    entries = _mul(_mul(left, (m.a, m.b, m.c, m.d)), right)
     return GluingMatrix(*entries)
 
 
@@ -287,3 +370,87 @@ class TestVerifyWitness:
         assert back == witness
         assert verify_witness(banana_spec, twisted_spec, back,
                               EquivalenceMode.ISOTOPY_WITH_TWISTS)
+
+    @pytest.mark.parametrize("pointer, edit", [
+        ("/w/dart_maps/P/1", lambda w: w["dart_maps"]["P"].update({"1": "2"})),
+        ("/w/basis_signs/P.c0/1",
+         lambda w: w["basis_signs"]["P.c0"].__setitem__(1, True)),
+        ("/w/twists/0/0", lambda w: w["twists"]["0"].__setitem__(0, 1.0)),
+    ])
+    def test_witness_json_rejects_non_integers(self, banana_spec, pointer,
+                                               edit):
+        witness = spec_equivalent(banana_spec, banana_spec,
+                                  EquivalenceMode.ISOTOPY).to_json()
+        edit(witness)
+        with pytest.raises(InputError, match=f"^{pointer}: "):
+            EquivalenceWitness.from_json(witness, "/w")
+
+
+class TestAgainstExhaustiveSearch:
+    """The propagating search returns exactly the first witness of the
+    exhaustive permutation-times-product search, or None with it."""
+
+    @staticmethod
+    def assert_same(s1, s2, mode, allow_reflection):
+        found = spec_equivalent(s1, s2, mode, allow_reflection)
+        expected = exhaustive_spec_equivalent(s1, s2, mode, allow_reflection)
+        if expected is None:
+            assert found is None
+        else:
+            assert found is not None
+            assert found.to_json() == expected.to_json()
+        return found
+
+    def test_census_specs_and_seed_negations(self, census_specs):
+        specs = list(census_specs) + [negate_seed(spec, pid)
+                                      for spec in census_specs
+                                      for pid in spec.piece_ids()]
+        for a, b in itertools.product(specs, repeat=2):
+            for mode in MODES:
+                for allow_reflection in (False, True):
+                    self.assert_same(a, b, mode, allow_reflection)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_banana_chains(self, banana_spec, k):
+        # distinct lower-left entries pin every pair; equal ones leave
+        # many witnesses, so the first one is a real choice
+        for cs in (list(range(2, 2 + 2 * k)), [2] * (2 * k)):
+            chain = banana_chain(banana_spec, cs)
+            for mode in MODES:
+                copy = moved_chain(chain, mode, shift=1)
+                matrix_miss = ModelFlowSpec(
+                    copy.pieces, copy.pairing,
+                    (GluingMatrix(1, 0, 99, 1),) + copy.matrices[1:],
+                    copy.orientation_seed)
+                seed_miss = negate_seed(copy, "D0")
+                # the exhaustive search takes seconds per k = 5 case
+                # with reflection
+                for allow_reflection in (False, True)[:2 if k <= 4 else 1]:
+                    hit = self.assert_same(chain, copy, mode, allow_reflection)
+                    assert hit is not None
+                    assert verify_witness(chain, copy, hit, mode)
+                    assert self.assert_same(chain, matrix_miss, mode,
+                                            allow_reflection) is None
+                    self.assert_same(chain, seed_miss, mode, allow_reflection)
+
+
+def test_chain_miss_builds_each_candidate_list_once(banana_spec, monkeypatch):
+    """An inequivalent 7-piece chain lists the dart bijections of each
+    piece pair at most once: at most k^2 isomorphism searches, where
+    trying every piece permutation made about k! * k."""
+    calls = []
+    real = equivalence.iter_isomorphisms_tagged
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "iter_isomorphisms_tagged", counting)
+    k = 7
+    chain = banana_chain(banana_spec, list(range(2, 2 + 2 * k)))
+    copy = moved_chain(chain, EquivalenceMode.ISOTOPY, shift=3)
+    miss = ModelFlowSpec(copy.pieces, copy.pairing,
+                         copy.matrices[:-1] + (GluingMatrix(1, 0, 99, 1),),
+                         copy.orientation_seed)
+    assert spec_equivalent(chain, miss, EquivalenceMode.ISOTOPY) is None
+    assert 0 < len(calls) <= k * k

@@ -80,6 +80,14 @@ class TestBoundaryCycles:
             assert [list(c) for c in trace_boundary_cycles(graph)] == \
                 oracles.face_walks(graph.rotation, graph.involution)
 
+    def test_face_of_cached_and_agrees_with_walk_oracle(self, census_spines):
+        for spine in census_spines:
+            graph = spine.graph
+            first = graph.face_of()
+            assert graph.face_of() is first
+            walks = oracles.face_walks(graph.rotation, graph.involution)
+            assert first == {d: i for i, walk in enumerate(walks) for d in walk}
+
 
 class TestSurfaceInvariants:
     def test_banana(self):
