@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InputError, read_int
+from .errors import InputError, read_bool, read_int
 from .fatgraph import induced_face_map, iter_isomorphisms_tagged
 from .model import (GluingMatrix, ModelFlowSpec, ModelPiece, TorusId,
                     seed_orientation, torus_label, validate_spec)
@@ -172,7 +172,7 @@ class EquivalenceWitness:
                              for k, v in obj.get("basis_signs", {}).items()},
                 twists={int(k): pair(v, f"{path}/twists/{k}")
                         for k, v in obj.get("twists", {}).items()},
-                reflected={str(k): bool(v)
+                reflected={str(k): read_bool(v, f"{path}/reflected", k)
                            for k, v in obj.get("reflected", {}).items()},
             )
         except (TypeError, ValueError, KeyError, IndexError) as err:

@@ -1,5 +1,5 @@
 """Exception classes shared by all spineflow modules, and the strict
-integer reader that every JSON parser uses."""
+integer and boolean readers that every JSON parser uses."""
 
 
 class SpineflowError(Exception):
@@ -47,4 +47,14 @@ def read_int(value, path: str, *index) -> int:
     if type(value) is not int:
         pointer = "/".join((path, *map(str, index)))
         raise InputError(f"{pointer}: expected an integer, got {value!r}")
+    return value
+
+
+def read_bool(value, path: str, *index) -> bool:
+    """A boolean from parsed JSON: only ``true`` and ``false``.  Anything
+    else, including ``"false"``, ``0`` and ``null``, raises
+    ``InputError`` naming the JSON pointer like ``read_int``."""
+    if type(value) is not bool:
+        pointer = "/".join((path, *map(str, index)))
+        raise InputError(f"{pointer}: expected true or false, got {value!r}")
     return value

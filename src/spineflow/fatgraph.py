@@ -28,14 +28,14 @@ from typing import Iterable, Iterator, Optional
 from .errors import (CapacityError, InputError, OrientabilityError,
                      StructureError, read_int)
 from .report import ValidationReport
-from .walks import two_color
+from .walks import reachable, two_color
 
 ENTRANCE = "ENTRANCE"
 EXIT = "EXIT"
 COLORS = (ENTRANCE, EXIT)
 
 #: largest edge count the exhaustive spine census will attempt
-MAX_CENSUS_EDGES = 6
+MAX_CENSUS_EDGES = 5
 
 
 class FatGraph:
@@ -449,31 +449,36 @@ def _even_cycle_rotations(darts: list[int]) -> Iterator[list[list[int]]]:
                 yield [head] + other
 
 
-def _proper_colorings(graph: FatGraph) -> list[dict[int, str]]:
-    """All colorings satisfying condition 3, in deterministic order.
-    Empty when some edge has both sides on one boundary cycle or some
-    component of the side-adjacency graph is odd."""
-    faces = graph.boundary_cycles()
-    face_of = graph.face_of()
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(faces))}
-    for a, b in graph.edges:
-        fa, fb = face_of[a], face_of[b]
+def _face_sides(face_count: int, edge_faces: Iterable[tuple[int, int]]
+                ) -> Optional[tuple[dict[int, int], list[list[int]]]]:
+    """Side (0 or 1) of every boundary cycle under condition 3, and the
+    components of the side-adjacency graph in order of their least
+    cycle; ``edge_faces`` holds the cycles on the two sides of each
+    edge.  None when some edge has both sides on one cycle or some
+    component is odd."""
+    adjacency: dict[int, set[int]] = {i: set() for i in range(face_count)}
+    for fa, fb in edge_faces:
         if fa == fb:
-            return []
+            return None
         adjacency[fa].add(fb)
         adjacency[fb].add(fa)
-
     components: list[list[int]] = []
     assignment: dict[int, int] = {}
-    for root in range(len(faces)):
+    for root in range(face_count):
         if root in assignment:
             continue
         sides, odd_cycle = two_color(root, adjacency)
         if odd_cycle is not None:
-            return []
+            return None
         assignment.update(sides)
         components.append(sorted(sides))
+    return assignment, components
 
+
+def _colorings(assignment: dict[int, int],
+               components: list[list[int]]) -> list[dict[int, str]]:
+    """Every coloring that flips whole components of a side assignment,
+    the first component's flip varying slowest."""
     colorings = []
     for flips in itertools.product((0, 1), repeat=len(components)):
         coloring = {}
@@ -484,38 +489,112 @@ def _proper_colorings(graph: FatGraph) -> list[dict[int, str]]:
     return colorings
 
 
+def _map_code(rotation, involution, start: int) -> tuple[int, ...]:
+    """Breadth-first code of the map from ``start``: darts are numbered
+    in discovery order, and the code lists the numbers of the rotation
+    and involution images of each dart in that order."""
+    number = {start: 0}
+    order = [start]
+    code = []
+    for d in order:
+        for nxt in (rotation[d], involution[d]):
+            if nxt not in number:
+                number[nxt] = len(order)
+                order.append(nxt)
+            code.append(number[nxt])
+    return tuple(code)
+
+
+def _canonical_code(rotation, involution, darts) -> tuple[int, ...]:
+    """The least breadth-first code over all start darts.  Two connected
+    maps have equal codes exactly when a dart bijection commutes with
+    their rotations and involutions, that is when they are isomorphic
+    without reflection (the map codes of Brinkmann & McKay's plantri)."""
+    return min(_map_code(rotation, involution, d) for d in darts)
+
+
+def _even_face_table(rotation: list[int], involution: list[int],
+                     darts: list[int]) -> Optional[list[int]]:
+    """Dart -> index of its boundary cycle (orbit of rotation .
+    involution), cycles numbered by smallest dart as in
+    ``FatGraph.boundary_cycles``; None as soon as one cycle is odd.
+    The tables are lists indexed by dart."""
+    face_of = [-1] * len(rotation)
+    face_count = 0
+    for d0 in darts:
+        if face_of[d0] >= 0:
+            continue
+        d, length = d0, 0
+        while face_of[d] < 0:
+            face_of[d] = face_count
+            length += 1
+            d = rotation[involution[d]]
+        if length % 2:
+            return None
+        face_count += 1
+    return face_of
+
+
 def enumerate_spines(max_edges: int) -> Iterator[Spine]:
     """Every valid spine with at most ``max_edges`` edges, exactly once
     up to color-preserving isomorphism, in deterministic order.
 
-    Edge counts run from 1 up; within one edge count the rotation
-    systems follow the order of ``_even_cycle_rotations`` and the
-    colorings the order of ``_proper_colorings``.  Census sizes grow
-    roughly like ((2E-1)!!)^2, so counts above 5 get slow.
+    Only even edge counts occur: by condition 3 the ENTRANCE cycles
+    carry one side of every edge, and by condition 4 each has even
+    length, so E is even.  Within one edge count the rotation systems
+    on darts 1..2E paired (1, 2), (3, 4), ... follow the order of
+    ``_even_cycle_rotations`` and the colorings of each the order of
+    ``_colorings``.
+
+    Each rotation system is screened on integer tables before any
+    ``FatGraph`` is built: even boundary cycles, the two sides of every
+    edge on different cycles, a 2-colorable side-adjacency graph, and
+    connectivity.  A survivor whose ``_canonical_code`` was seen before
+    only has colorings isomorphic to spines already emitted, since a
+    color-preserving isomorphism is a graph isomorphism; so only the
+    colorings of a new graph are compared, among themselves.
+
+    ``max_edges`` is capped at ``MAX_CENSUS_EDGES`` = 5, which takes
+    well under a second (E = 5 is odd and costs nothing); E = 6 would
+    visit 108,056,025 rotation systems.
     """
     if not 1 <= max_edges <= MAX_CENSUS_EDGES:
         raise CapacityError(
             f"max_edges must be between 1 and {MAX_CENSUS_EDGES}, got {max_edges}")
-    emitted: dict[tuple, list[Spine]] = {}
-    for e in range(1, max_edges + 1):
-        darts = list(range(1, 2 * e + 1))
-        pairs = [[2 * k + 1, 2 * k + 2] for k in range(e)]
+    seen_codes: set[tuple[int, ...]] = set()
+    for e in range(2, max_edges + 1, 2):
+        n = 2 * e
+        darts = list(range(1, n + 1))
+        pairs = [[d, d + 1] for d in range(1, n, 2)]
+        # index 0 unused: tables are indexed by dart
+        involution = [0] + [d + 1 if d % 2 else d - 1 for d in darts]
         for cycles in _even_cycle_rotations(darts):
+            rotation = [0] * (n + 1)
+            for cycle in cycles:
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    rotation[a] = b
+            face_of = _even_face_table(rotation, involution, darts)
+            if face_of is None:
+                continue
+            sides = _face_sides(max(face_of) + 1,
+                                ((face_of[a], face_of[b]) for a, b in pairs))
+            if sides is None:
+                continue
+            if len(reachable(1, {d: (rotation[d], involution[d])
+                                 for d in darts})) != n:
+                continue
+            code = _canonical_code(rotation, involution, darts)
+            if code in seen_codes:
+                continue
+            seen_codes.add(code)
             graph = FatGraph(cycles, pairs)
-            if not graph.is_connected():
-                continue
-            if any(len(c) % 2 for c in graph.boundary_cycles()):
-                continue
-            for colors in _proper_colorings(graph):
+            kept: list[Spine] = []
+            for colors in _colorings(*sides):
                 spine = Spine(graph, colors)
-                key = (e, graph.vertex_count, tuple(sorted(graph.valences())),
-                       tuple(sorted((len(c), colors[i]) for i, c in
-                             enumerate(graph.boundary_cycles()))))
-                bucket = emitted.setdefault(key, [])
-                if any(fatgraph_isomorphic(spine, seen) is not None
-                       for seen in bucket):
+                if any(fatgraph_isomorphic(spine, other) is not None
+                       for other in kept):
                     continue
-                bucket.append(spine)
+                kept.append(spine)
                 yield spine
 
 

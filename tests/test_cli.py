@@ -136,6 +136,19 @@ class TestCensus:
         _, second, _ = invoke(capsys, "census", "--max-edges", "4")
         assert first == second
 
+    def test_five_edges_print_the_four_edge_spines(self, capsys):
+        _, four, _ = invoke(capsys, "census", "--max-edges", "4")
+        code, five, _ = invoke(capsys, "census", "--max-edges", "5")
+        assert code == 0
+        assert five == four
+        assert json.loads(five)["count"] == 9
+
+    def test_six_edges_over_capacity(self, capsys):
+        code, out, err = invoke(capsys, "census", "--max-edges", "6")
+        assert code == 2
+        assert out == ""
+        assert "max_edges" in err
+
 
 class TestPeriodic:
     def test_counts(self, capsys):

@@ -385,6 +385,21 @@ class TestVerifyWitness:
         with pytest.raises(InputError, match=f"^{pointer}: "):
             EquivalenceWitness.from_json(witness, "/w")
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_witness_json_rejects_non_boolean_reflection(self, banana_spec,
+                                                         value):
+        witness = spec_equivalent(banana_spec, banana_spec,
+                                  EquivalenceMode.ISOTOPY).to_json()
+        witness["reflected"] = {"P": value}
+        with pytest.raises(InputError, match="^/w/reflected/P: "):
+            EquivalenceWitness.from_json(witness, "/w")
+
+    def test_witness_json_reads_boolean_reflection(self, banana_spec):
+        witness = spec_equivalent(banana_spec, banana_spec,
+                                  EquivalenceMode.ISOTOPY).to_json()
+        witness["reflected"] = {"P": False}
+        assert EquivalenceWitness.from_json(witness).reflected == {"P": False}
+
 
 class TestAgainstExhaustiveSearch:
     """The propagating search returns exactly the first witness of the

@@ -9,7 +9,10 @@ from spineflow import (ENTRANCE, EXIT, FatGraph, InputError, OrientabilityError,
                        fatgraph_isomorphic, is_bipartite, spine_from_json,
                        spine_to_json, surface_invariants, trace_boundary_cycles,
                        validate_spine)
+from spineflow import fatgraph
 from spineflow.errors import CapacityError
+from spineflow.fatgraph import COLORS, _canonical_code, _even_cycle_rotations
+from spineflow.walks import two_color
 
 
 def banana_spine() -> Spine:
@@ -34,6 +37,90 @@ def reflected_spine(spine: Spine) -> Spine:
         assert len(targets) == 1
         colors[targets.pop()] = spine.colors[i]
     return Spine(graph, colors)
+
+
+def canonical_code(graph: FatGraph) -> tuple[int, ...]:
+    return _canonical_code(graph.rotation, graph.involution, graph.darts)
+
+
+def uncolored(graph: FatGraph) -> Spine:
+    """The graph with every boundary cycle ENTRANCE, so that a
+    color-preserving isomorphism is just a graph isomorphism."""
+    return Spine(graph, {i: ENTRANCE
+                         for i in range(len(graph.boundary_cycles()))})
+
+
+def exhaustive_proper_colorings(graph: FatGraph) -> list[dict[int, str]]:
+    """Condition-3 colorings straight from a built graph: sides by
+    2-coloring the side-adjacency graph, then every flip per component."""
+    faces = graph.boundary_cycles()
+    face_of = graph.face_of()
+    adjacency: dict[int, set[int]] = {i: set() for i in range(len(faces))}
+    for a, b in graph.edges:
+        fa, fb = face_of[a], face_of[b]
+        if fa == fb:
+            return []
+        adjacency[fa].add(fb)
+        adjacency[fb].add(fa)
+    components: list[list[int]] = []
+    assignment: dict[int, int] = {}
+    for root in range(len(faces)):
+        if root in assignment:
+            continue
+        sides, odd_cycle = two_color(root, adjacency)
+        if odd_cycle is not None:
+            return []
+        assignment.update(sides)
+        components.append(sorted(sides))
+    colorings = []
+    for flips in itertools.product((0, 1), repeat=len(components)):
+        coloring = {}
+        for comp, flip in zip(components, flips):
+            for f in comp:
+                coloring[f] = COLORS[(assignment[f] + flip) % 2]
+        colorings.append(coloring)
+    return colorings
+
+
+def exhaustive_enumerate_spines(max_edges: int):
+    """Reference census: every edge count, a ``FatGraph`` for every
+    rotation system, and every valid colored spine compared by
+    ``fatgraph_isomorphic`` with everything already emitted into its
+    bucket of equal counts and boundary profile."""
+    emitted: dict[tuple, list[Spine]] = {}
+    for e in range(1, max_edges + 1):
+        darts = list(range(1, 2 * e + 1))
+        pairs = [[2 * k + 1, 2 * k + 2] for k in range(e)]
+        for cycles in _even_cycle_rotations(darts):
+            graph = FatGraph(cycles, pairs)
+            if not graph.is_connected():
+                continue
+            if any(len(c) % 2 for c in graph.boundary_cycles()):
+                continue
+            for colors in exhaustive_proper_colorings(graph):
+                spine = Spine(graph, colors)
+                key = (e, graph.vertex_count, tuple(sorted(graph.valences())),
+                       tuple(sorted((len(c), colors[i]) for i, c in
+                             enumerate(graph.boundary_cycles()))))
+                bucket = emitted.setdefault(key, [])
+                if any(fatgraph_isomorphic(spine, seen) is not None
+                       for seen in bucket):
+                    continue
+                bucket.append(spine)
+                yield spine
+
+
+def connected_graphs(max_edges: int) -> list[FatGraph]:
+    """Every connected even-valence fat graph on darts 1..2E with edges
+    (1, 2), (3, 4), ..., for E up to ``max_edges``."""
+    graphs = []
+    for e in range(1, max_edges + 1):
+        pairs = [[2 * k + 1, 2 * k + 2] for k in range(e)]
+        for cycles in _even_cycle_rotations(list(range(1, 2 * e + 1))):
+            graph = FatGraph(cycles, pairs)
+            if graph.is_connected():
+                graphs.append(graph)
+    return graphs
 
 
 class TestConstruction:
@@ -189,7 +276,82 @@ class TestEnumerateSpines:
         with pytest.raises(CapacityError):
             list(enumerate_spines(0))
         with pytest.raises(CapacityError):
+            list(enumerate_spines(6))
+        with pytest.raises(CapacityError):
             list(enumerate_spines(7))
+
+    @pytest.mark.parametrize("max_edges", [1, 2, 3, 4])
+    def test_matches_exhaustive_reference(self, max_edges):
+        expected = [spine_to_json(s)
+                    for s in exhaustive_enumerate_spines(max_edges)]
+        assert [spine_to_json(s) for s in enumerate_spines(max_edges)] == \
+            expected
+
+    def test_odd_edge_counts_have_no_spines(self):
+        # condition 3 puts one side of every edge on an ENTRANCE cycle
+        # and condition 4 makes those cycles even, so E is even
+        assert list(exhaustive_enumerate_spines(1)) == []
+        assert [s for s in exhaustive_enumerate_spines(3)
+                if s.graph.edge_count % 2] == []
+
+    def test_five_edges_add_nothing(self, census_spines):
+        assert [spine_to_json(s) for s in enumerate_spines(5)] == \
+            [spine_to_json(s) for s in census_spines]
+
+    def test_builds_one_graph_per_isomorphism_class(self, monkeypatch,
+                                                    census_spines):
+        built = []
+
+        class CountingFatGraph(FatGraph):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(fatgraph, "FatGraph", CountingFatGraph)
+        assert len(list(enumerate_spines(4))) == len(census_spines)
+        assert len(built) == len({canonical_code(s.graph)
+                                  for s in census_spines})
+
+
+class TestCanonicalCode:
+    def test_invariant_under_relabeling(self, census_spines):
+        rng = random.Random(23)
+        for spine in census_spines:
+            graph = spine.graph
+            code = canonical_code(graph)
+            for _ in range(5):
+                images = rng.sample(range(1, 60), len(graph.darts))
+                relabeled = graph.relabeled(dict(zip(graph.darts, images)))
+                assert canonical_code(relabeled) == code
+
+    def test_reflection_changes_code_exactly_when_chiral(self, census_spines):
+        graphs = [s.graph for s in census_spines] + [chiral_graph()]
+        for graph in graphs:
+            mirror = graph.reflected()
+            same_code = canonical_code(graph) == canonical_code(mirror)
+            isomorphic = fatgraph_isomorphic(uncolored(graph),
+                                             uncolored(mirror)) is not None
+            assert same_code == isomorphic
+        assert canonical_code(chiral_graph()) != \
+            canonical_code(chiral_graph().reflected())
+
+    def test_equal_exactly_when_isomorphic(self):
+        rng = random.Random(5)
+        graphs = connected_graphs(3)
+        for graph in graphs[:]:
+            images = rng.sample(range(1, 40), len(graph.darts))
+            graphs.append(graph.relabeled(dict(zip(graph.darts, images))))
+            graphs.append(graph.reflected())
+        classes: dict[tuple, list[FatGraph]] = {}
+        for graph in graphs:
+            classes.setdefault(canonical_code(graph), []).append(graph)
+        for members in classes.values():
+            first = uncolored(members[0])
+            assert all(fatgraph_isomorphic(first, uncolored(g)) is not None
+                       for g in members[1:])
+        representatives = [uncolored(m[0]) for m in classes.values()]
+        for a, b in itertools.combinations(representatives, 2):
+            assert fatgraph_isomorphic(a, b) is None
 
 
 class TestIsomorphism:
