@@ -10,6 +10,7 @@ byte for byte for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,7 +27,12 @@ from .model import (GluingMatrix, orientation_classes, spec_from_json,
 USAGE_ERROR = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built by the first ``run`` call, not at import, and reused by
+    every later one: parsing keeps no state in the parser, and usage,
+    help and version text go to whatever ``sys.stdout`` and
+    ``sys.stderr`` are at the time of each call."""
     parser = argparse.ArgumentParser(
         prog="spineflow",
         description="validate, query and compare model-flow specifications")
@@ -87,9 +93,10 @@ def _emit(payload: dict, text_lines, fmt: str) -> None:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    """One request: parse ``argv``, dispatch, return the exit status.
+    May be called any number of times in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as err:
         return 0 if err.code in (0, None) else USAGE_ERROR
 

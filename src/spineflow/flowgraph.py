@@ -22,6 +22,7 @@ orbit -> torus edge whenever it touches an exit boundary cycle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import CapacityError, InputError
@@ -56,13 +57,29 @@ class FlowGraph:
         except KeyError:
             raise InputError(f"unknown edge {label!r}") from None
 
-    @property
+    # Derived lookup tables, built on first use and kept in the
+    # instance ``__dict__`` (``cached_property`` writes there directly,
+    # so the frozen dataclass allows it).
+
+    @cached_property
     def _by_label(self) -> dict[str, FlowEdge]:
-        by_label = self.__dict__.get("_by_label_cache")
-        if by_label is None:
-            by_label = {e.label: e for e in self.edges}
-            self.__dict__["_by_label_cache"] = by_label
-        return by_label
+        return {e.label: e for e in self.edges}
+
+    @cached_property
+    def _torus_set(self) -> frozenset[str]:
+        return frozenset(self.torus_vertices)
+
+    @cached_property
+    def _orbit_set(self) -> frozenset[str]:
+        return frozenset(self.orbit_vertices)
+
+    @cached_property
+    def _edge_pairs(self) -> frozenset[tuple[str, str]]:
+        return frozenset((e.src, e.dst) for e in self.edges)
+
+    @cached_property
+    def _accumulation_set(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.accumulation_edges)
 
 
 def orbit_label(piece_id: str, vertex: int) -> str:
@@ -196,7 +213,11 @@ class ItineraryWord:
         for key in ("head_orbit", "tail_orbit"):
             if obj.get(key) is not None and not isinstance(obj[key], str):
                 raise InputError(f"{path}/{key}: expected an orbit id string")
-        return cls(tuple(str(t) for t in obj["body"]),
+        for i, letter in enumerate(obj["body"]):
+            if not isinstance(letter, str):
+                raise InputError(f"{path}/body/{i}: expected a torus id "
+                                 f"string, got {letter!r}")
+        return cls(tuple(obj["body"]),
                    obj.get("head_orbit"), obj.get("tail_orbit"))
 
 
@@ -209,8 +230,8 @@ def validate_itinerary(graph: FlowGraph, word: ItineraryWord) -> bool:
     as the constant itinerary of a vertical orbit: head and tail must
     both be present and equal.
     """
-    tori = set(graph.torus_vertices)
-    orbits = set(graph.orbit_vertices)
+    tori = graph._torus_set
+    orbits = graph._orbit_set
     for t in word.body:
         if t not in tori:
             raise InputError(f"unknown torus {t!r}")
@@ -222,11 +243,11 @@ def validate_itinerary(graph: FlowGraph, word: ItineraryWord) -> bool:
         return (word.head_orbit is not None
                 and word.head_orbit == word.tail_orbit)
 
-    pairs = {(e.src, e.dst) for e in graph.edges}
+    pairs = graph._edge_pairs
     for src, dst in zip(word.body, word.body[1:]):
         if (src, dst) not in pairs:
             return False
-    acc = set(graph.accumulation_edges)
+    acc = graph._accumulation_set
     if word.head_orbit is not None:
         if (word.head_orbit, word.body[0]) not in acc:
             return False

@@ -236,14 +236,27 @@ def propagate_orientations(piece: ModelPiece,
     return signs
 
 
+def _propagated(piece: ModelPiece, seed) -> dict[int, int]:
+    """``propagate_orientations(piece, seed)``, run once per piece and
+    seed.  A successful result is kept on the frozen piece, keyed by
+    the seed, so validation and every later reader of the same piece
+    share it; callers must not mutate it.  Errors are not kept: they
+    are raised again, with the same message, on the next call."""
+    seed = tuple(seed)
+    cache = piece.__dict__.setdefault("_orientation_cache", {})
+    signs = cache.get(seed)
+    if signs is None:
+        signs = cache[seed] = propagate_orientations(piece, seed)
+    return signs
+
+
 def seed_orientation(spec: ModelFlowSpec) -> OrientationAssignment:
     """Assignment obtained by propagating every piece's recorded seed."""
     signs: dict[tuple[str, int], int] = {}
     for piece in spec.pieces:
         if piece.piece_id not in spec.orientation_seed:
             raise InputError(f"no orientation seed for piece {piece.piece_id!r}")
-        per_piece = propagate_orientations(
-            piece, spec.orientation_seed[piece.piece_id])
+        per_piece = _propagated(piece, spec.orientation_seed[piece.piece_id])
         for v, s in per_piece.items():
             signs[(piece.piece_id, v)] = s
     return OrientationAssignment(signs)
@@ -318,7 +331,7 @@ def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
             report.add(name, False, "no seed")
             continue
         try:
-            propagate_orientations(piece, tuple(seed))
+            _propagated(piece, seed)
             report.add(name, True)
         except (OrientationConflictError, InputError) as err:
             report.add(name, False, str(err))
@@ -378,7 +391,10 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
                 raise InputError(f"{dpath}: expected a pair [p, q]") from err
             dehn[int(key)] = DehnCoefficient(read_int(p, dpath, 0),
                                              read_int(q, dpath, 1))
-        pieces.append(ModelPiece(str(raw["id"]), spine, dehn))
+        if not isinstance(raw["id"], str):
+            raise InputError(f"{ppath}/id: expected a piece id string, "
+                             f"got {raw['id']!r}")
+        pieces.append(ModelPiece(raw["id"], spine, dehn))
 
     pairing = []
     if not isinstance(obj["pairing"], list):

@@ -202,9 +202,23 @@ class TestErrors:
         assert "/matrices/1" in err
 
 
+def rename_piece(spec, new_id):
+    """Give the banana fixture's one piece the id ``new_id`` and rename
+    its seed key and torus labels to ``str(new_id)``, so that only the
+    type of the id is wrong."""
+    name = str(new_id)
+    spec["pieces"][0]["id"] = new_id
+    spec["orientation_seed"] = {name: spec["orientation_seed"]["P"]}
+    spec["pairing"] = [[label.replace("P.", name + ".") for label in pair]
+                       for pair in spec["pairing"]]
+    spec["bases"] = {label.replace("P.", name + "."): signs
+                     for label, signs in spec["bases"].items()}
+
+
 class TestShapeErrors:
-    """Wrong JSON shapes, and numbers that are not JSON integers, exit 2
-    naming a JSON pointer, never a traceback or a silent coercion."""
+    """Wrong JSON shapes, numbers that are not JSON integers, and ids
+    that are not JSON strings exit 2 naming a JSON pointer, never a
+    traceback or a silent coercion."""
 
     @pytest.mark.parametrize("kind, pointer, edit", [
         ("spec", "/bases", lambda s: s.update(bases=[1])),
@@ -223,8 +237,15 @@ class TestShapeErrors:
          lambda s: s["matrices"]["0"][1].__setitem__(0, 1.9)),
         ("spec", "/orientation_seed/P/1",
          lambda s: s["orientation_seed"]["P"].__setitem__(1, True)),
+        ("spec", "/pieces/0/id", lambda s: rename_piece(s, True)),
+        ("spec", "/pieces/0/id", lambda s: rename_piece(s, 1)),
+        ("spec", "/pieces/0/id", lambda s: rename_piece(s, 1.0)),
+        ("word", "/body/0", lambda w: w["body"].__setitem__(0, 0)),
+        ("word", "/body/0", lambda w: w["body"].__setitem__(0, ["T0"])),
     ], ids=["bases", "dehn", "darts", "edges", "head_orbit", "string-dart",
-            "string-edges", "float-matrix-entry", "bool-seed-sign"])
+            "string-edges", "float-matrix-entry", "bool-seed-sign",
+            "bool-piece-id", "int-piece-id", "float-piece-id",
+            "int-body-letter", "list-body-letter"])
     def test_exits_two_with_pointer(self, capsys, tmp_path, kind, pointer, edit):
         data = json.load(open(BANANA if kind == "spec" else WORD_TAIL))
         edit(data)
@@ -235,6 +256,44 @@ class TestShapeErrors:
         code, _, err = invoke(capsys, *argv)
         assert code == 2
         assert err.startswith(f"error: {bad}{pointer}: ")
+
+
+class TestPropagationCount:
+    """Validation and the later orientation readers of one request share
+    one propagation per piece and seed."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        import spineflow.model as model
+        calls = []
+        original = model.propagate_orientations
+
+        def counting(piece, seed):
+            calls.append((piece.piece_id, tuple(seed)))
+            return original(piece, seed)
+
+        monkeypatch.setattr(model, "propagate_orientations", counting)
+        return calls
+
+    def test_transitive_propagates_once(self, capsys, counter):
+        code, _, _ = invoke(capsys, "transitive", BANANA)
+        assert code == 0
+        assert counter == [("P", (0, 1))]
+
+    def test_exact_equiv_propagates_once_per_piece(self, capsys, counter):
+        code, _, _ = invoke(capsys, "equiv", BANANA, TWISTED, "--mode", "exact")
+        assert code == 1
+        assert counter == [("P", (0, 1)), ("P", (0, 1))]
+
+    def test_changed_seed_takes_effect(self, banana_spec, counter):
+        from spineflow import build_flow_graph
+        first = build_flow_graph(banana_spec)
+        banana_spec.orientation_seed["P"] = (0, -1)
+        second = build_flow_graph(banana_spec)
+        assert [e.sign for e in second.edges] == [-e.sign for e in first.edges]
+        assert counter == [("P", (0, 1)), ("P", (0, -1))]
+        build_flow_graph(banana_spec)
+        assert len(counter) == 2
 
 
 class TestThinAdapter:

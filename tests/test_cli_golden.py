@@ -8,10 +8,12 @@ ending in ``.json`` name files in ``tests/fixtures``.
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
+from spineflow import cli
 from spineflow.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -94,8 +96,64 @@ GOLDEN = {
 }
 
 
+def _argv(case):
+    return [str(FIXTURES / a) if a.endswith(".json") else a for a in case]
+
+
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_stdout_digest(capsys, argv):
-    code = run([str(FIXTURES / a) if a.endswith(".json") else a for a in argv])
+    code = run(_argv(argv))
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[" ".join(argv)]
+
+
+#: usage errors, version and help, run between the golden cases
+EXTRAS = [["frobnicate", "banana_spec.json"],
+          ["equiv", "banana_spec.json", "banana_spec_twisted.json",
+           "--mode", "bogus"],
+          ["--version"],
+          ["-h"]]
+
+
+def _first_call(capsys, argv):
+    """Exit code, stdout and stderr of ``argv`` run on a freshly built
+    parser, as the first call in a process would run it."""
+    cli._build_parser.cache_clear()
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_process_matches_first_calls(capsys):
+    """Every golden case, shuffled and interleaved with usage errors,
+    ``--version`` and ``-h``, all in one process on one parser, gives
+    exactly what it gives as a first call."""
+    cases = [_argv(c) for c in CASES]
+    extras = [_argv(c) for c in EXTRAS]
+    expected = {tuple(argv): _first_call(capsys, argv)
+                for argv in cases + extras}
+    assert [expected[tuple(argv)][0] for argv in extras] == [2, 2, 0, 0]
+
+    order = list(cases)
+    random.Random(5).shuffle(order)
+    stream = []
+    for n, argv in enumerate(order):
+        stream.append(argv)
+        if n % 7 == 0:
+            stream.append(extras[(n // 7) % len(extras)])
+    assert all(argv in stream for argv in extras)
+
+    cli._build_parser.cache_clear()
+    for argv in stream:
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected[tuple(argv)]
+
+
+def test_parser_built_once(capsys):
+    cli._build_parser.cache_clear()
+    argv = ["normalize-matrix", str(FIXTURES / "matrix.json")]
+    for _ in range(50):
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert cli._build_parser.cache_info().misses == 1
