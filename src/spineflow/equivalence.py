@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InputError, read_bool, read_int
+from .errors import InputError, read_bool, read_int, read_str
 from .fatgraph import induced_face_map, iter_isomorphisms_tagged
 from .model import (GluingMatrix, ModelFlowSpec, ModelPiece, TorusId,
                     seed_orientation, torus_label, validate_spec)
@@ -162,7 +162,7 @@ class EquivalenceWitness:
 
         try:
             return cls(
-                piece_map={str(k): str(v)
+                piece_map={str(k): read_str(v, f"{path}/piece_map", k)
                            for k, v in obj.get("piece_map", {}).items()},
                 dart_maps={str(p): {int(d): read_int(img, f"{path}/dart_maps",
                                                      p, d)

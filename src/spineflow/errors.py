@@ -1,5 +1,5 @@
 """Exception classes shared by all spineflow modules, and the strict
-integer and boolean readers that every JSON parser uses."""
+integer, boolean and string readers that every JSON parser uses."""
 
 
 class SpineflowError(Exception):
@@ -57,4 +57,14 @@ def read_bool(value, path: str, *index) -> bool:
     if type(value) is not bool:
         pointer = "/".join((path, *map(str, index)))
         raise InputError(f"{pointer}: expected true or false, got {value!r}")
+    return value
+
+
+def read_str(value, path: str, *index) -> str:
+    """A string from parsed JSON.  Anything else, including ``1``,
+    ``true`` and ``null``, raises ``InputError`` naming the JSON pointer
+    like ``read_int``, instead of being turned into its ``str()``."""
+    if type(value) is not str:
+        pointer = "/".join((path, *map(str, index)))
+        raise InputError(f"{pointer}: expected a string, got {value!r}")
     return value

@@ -109,15 +109,8 @@ class FatGraph:
     def is_connected(self) -> bool:
         """True when the darts form a single orbit under rotation and
         involution, i.e. the underlying graph is connected."""
-        seen = {self.darts[0]}
-        stack = [self.darts[0]]
-        while stack:
-            d = stack.pop()
-            for e in (self.rotation[d], self.involution[d]):
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
-        return len(seen) == len(self.darts)
+        succ = {d: (self.rotation[d], self.involution[d]) for d in self.darts}
+        return len(reachable(self.darts[0], succ)) == len(self.darts)
 
     def boundary_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of rotation . involution, each rotated to start at its

@@ -280,28 +280,56 @@ def least_rotation(labels: Iterable[str]) -> tuple[str, ...]:
 def periodic_words(graph: FlowGraph, max_len: int) -> list[PeriodicWord]:
     """Closed directed walks of length <= max_len through torus
     vertices, one representative per rotation class, sorted by length
-    then lexicographically."""
+    then lexicographically.
+
+    Each class is grown once, from its least-labelled edge, as in the
+    necklace enumeration of Fredricksen, Kessler and Maiorana.  Edges
+    are ranked by label, the order ``least_rotation`` compares in, and
+    a walk of ranks a_1..a_n carries the length p of its longest Lyndon
+    prefix (a prefix strictly less than each of its proper rotations).
+    A walk is extended only by ranks >= a_{n+1-p}, never below a_1: a
+    smaller rank would make every longer walk larger than one of its
+    rotations.  A closed walk is its own least rotation exactly when p
+    divides n.  So every class is found once, as its least rotation,
+    and no set of copies is kept.  Words are label sequences, so edge
+    labels must be distinct, as ``build_flow_graph`` makes them; an
+    ``InputError`` is raised otherwise.
+    """
     if not 1 <= max_len <= MAX_WORD_LENGTH:
         raise CapacityError(
             f"max_len must be between 1 and {MAX_WORD_LENGTH}, got {max_len}")
-    out_edges: dict[str, list[FlowEdge]] = {t: [] for t in graph.torus_vertices}
-    for e in sorted(graph.edges, key=lambda e: e.label):
-        out_edges[e.src].append(e)
+    ranked = sorted(graph.edges, key=lambda e: e.label)
+    labels = [e.label for e in ranked]
+    if len(set(labels)) < len(labels):
+        raise InputError("periodic words need distinct edge labels")
+    out_edges: dict[str, list[tuple[int, str]]] = {
+        t: [] for t in graph.torus_vertices}
+    for rank, e in enumerate(ranked):
+        out_edges[e.src].append((rank, e.dst))
 
-    found: set[tuple[str, ...]] = set()
+    cycles: list[tuple[int, ...]] = []
 
-    def extend(start: str, here: str, trail: list[str]) -> None:
-        for e in out_edges[here]:
-            if e.dst == start:
-                found.add(least_rotation(trail + [e.label]))
-            if len(trail) + 1 < max_len:
-                trail.append(e.label)
-                extend(start, e.dst, trail)
-                trail.pop()
+    def extend(start: str, here: str, trail: list[int], period: int) -> None:
+        n = len(trail)
+        floor = trail[n - period]
+        for rank, dst in out_edges[here]:
+            if rank < floor:
+                continue
+            trail.append(rank)
+            p = period if rank == floor else n + 1
+            if dst == start and (n + 1) % p == 0:
+                cycles.append(tuple(trail))
+            if n + 1 < max_len:
+                extend(start, dst, trail, p)
+            trail.pop()
 
-    for start in graph.torus_vertices:
-        extend(start, start, [])
-    words = [PeriodicWord(cycle) for cycle in found]
+    for rank, e in enumerate(ranked):
+        if e.dst == e.src:
+            cycles.append((rank,))
+        if max_len > 1:
+            extend(e.src, e.dst, [rank], 1)
+    words = [PeriodicWord(tuple(map(labels.__getitem__, cycle)))
+             for cycle in cycles]
     words.sort(key=lambda w: (len(w.cycle), w.cycle))
     return words
 

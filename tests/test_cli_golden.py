@@ -27,7 +27,7 @@ CASES = (
     + [["itinerary", "banana_spec.json", word, "--format", fmt]
        for word in ("word_body.json", "word_tail.json") for fmt in FORMATS]
     + [["periodic", spec, "--max-len", n, "--format", fmt]
-       for spec in SPECS for n in ("1", "4", "8") for fmt in FORMATS]
+       for spec in SPECS for n in ("1", "4", "8", "12") for fmt in FORMATS]
     + [["equiv", "banana_spec.json", "banana_spec_twisted.json",
         "--mode", mode, "--format", fmt]
        for mode in ("exact", "isotopy", "isotopy-with-twists")
@@ -71,18 +71,24 @@ GOLDEN = {
     "periodic banana_spec.json --max-len 4 --format text": (0, "701f09759c91ed2a49eca97c9dbd290371a7ec908b2016df78d5bbe9c29124fb"),
     "periodic banana_spec.json --max-len 8 --format json": (0, "848bcc0e0bc016c1ca6c03f3ba74691c686d22fe9f45c7cd32b87310bd5ec35b"),
     "periodic banana_spec.json --max-len 8 --format text": (0, "e19737b6aaa37859684a61ea5a3ebc955840f769d0c50a41b405f9b847d4ac79"),
+    "periodic banana_spec.json --max-len 12 --format json": (0, "a0a3ffb8513d34d1688c088e202f67b5ef387ffbd015502e4af3b6979ae78ede"),
+    "periodic banana_spec.json --max-len 12 --format text": (0, "fa7a7e34957ec6d237976b11ec0370a3411934452e9b74c4dfe490259a5f6ead"),
     "periodic banana_spec_twisted.json --max-len 1 --format json": (0, "5df225fd9bc089111e0281038c1a50bf2d02350f9893905ff020910a77ad5739"),
     "periodic banana_spec_twisted.json --max-len 1 --format text": (0, "9b4dd9262b6d1956fc4dc6e3d62da99abbb5bf155a99793efa59ad3e778309b9"),
     "periodic banana_spec_twisted.json --max-len 4 --format json": (0, "9181c19b0fbe971a704955deaede5dae2cfca65f3b7be8f90dc5c911d978cce0"),
     "periodic banana_spec_twisted.json --max-len 4 --format text": (0, "701f09759c91ed2a49eca97c9dbd290371a7ec908b2016df78d5bbe9c29124fb"),
     "periodic banana_spec_twisted.json --max-len 8 --format json": (0, "848bcc0e0bc016c1ca6c03f3ba74691c686d22fe9f45c7cd32b87310bd5ec35b"),
     "periodic banana_spec_twisted.json --max-len 8 --format text": (0, "e19737b6aaa37859684a61ea5a3ebc955840f769d0c50a41b405f9b847d4ac79"),
+    "periodic banana_spec_twisted.json --max-len 12 --format json": (0, "a0a3ffb8513d34d1688c088e202f67b5ef387ffbd015502e4af3b6979ae78ede"),
+    "periodic banana_spec_twisted.json --max-len 12 --format text": (0, "fa7a7e34957ec6d237976b11ec0370a3411934452e9b74c4dfe490259a5f6ead"),
     "periodic necklace_spec.json --max-len 1 --format json": (0, "3e5800076e63e5454913fc87cd168cd1495f27045950d97230f18bda84317359"),
     "periodic necklace_spec.json --max-len 1 --format text": (0, "596d7fb7f8132fe24578f5fa9a3b60faff7085c62632fc21e1b085ebcff495db"),
     "periodic necklace_spec.json --max-len 4 --format json": (0, "9cc9fb20d6e851a8a561bfb43dc6a9df5a630f2acdcddd4813cf617fad9b86bb"),
     "periodic necklace_spec.json --max-len 4 --format text": (0, "94448473bb1e44cbb6a7220e2df04e86e143c39f30e06696aaaf91724accd882"),
     "periodic necklace_spec.json --max-len 8 --format json": (0, "35912a9e641b5a9383e17564da95f782f55f9e61ac1a82af632d4ee4b647c57e"),
     "periodic necklace_spec.json --max-len 8 --format text": (0, "d77608be87d244b1ad86aec5554cb1fdeaac9474f4125ed676b84dc7e0513efc"),
+    "periodic necklace_spec.json --max-len 12 --format json": (0, "8676ff606c6e344afdbd4a158e0ac448d23a9dee52ee36bc7823e15f3a51dcfe"),
+    "periodic necklace_spec.json --max-len 12 --format text": (0, "2eb32e143ae760e9a80a46e65352f7bff2b4b215b1e800cf84f3fb36da1d320d"),
     "equiv banana_spec.json banana_spec_twisted.json --mode exact --format json": (1, "8873c1a5a4f55d479ad9ab4a1b049d5059bb2608068fa5efd10a1c27461c969e"),
     "equiv banana_spec.json banana_spec_twisted.json --mode exact --format text": (1, "964275db43f1a31df9dec424872d63d01f2742eed9cec07ebca8009dc17a4a37"),
     "equiv banana_spec.json banana_spec_twisted.json --mode isotopy --format json": (1, "b6799772c3640e09bbfbadb4e09dc2f3ad8a70894372b0861b18c746b68cae34"),

@@ -5,10 +5,10 @@ import pytest
 
 import oracles
 import spineflow.equivalence as equivalence
-from spineflow import (ENTRANCE, EXIT, EquivalenceMode, EquivalenceWitness,
-                       GluingMatrix, InputError, ModelFlowSpec, ModelPiece,
-                       negate_seed, normalize_matrix, spec_equivalent,
-                       verify_witness)
+from chains import banana_chain
+from spineflow import (EquivalenceMode, EquivalenceWitness, GluingMatrix,
+                       InputError, ModelFlowSpec, ModelPiece, negate_seed,
+                       normalize_matrix, spec_equivalent, verify_witness)
 
 MODES = list(EquivalenceMode)
 
@@ -43,24 +43,6 @@ def _mul(x, y):
     a, b, c, d = x
     e, f, g, h = y
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def banana_chain(banana_spec, cs):
-    """Cyclic chain of len(cs) copies of the banana piece: the two exits
-    of piece i glue to the two entrances of piece i + 1, pair n with
-    matrix [[1, 0], [cs[n], 1]]."""
-    piece = banana_spec.pieces[0]
-    spine = piece.spine
-    k = len(cs) // 2
-    ids = [f"C{i}" for i in range(k)]
-    pairing = [((ids[i], out), (ids[(i + 1) % k], into))
-               for i in range(k)
-               for out, into in zip(spine.boundary_ids(EXIT),
-                                    spine.boundary_ids(ENTRANCE))]
-    return ModelFlowSpec(
-        tuple(ModelPiece(pid, spine, dict(piece.dehn)) for pid in ids),
-        tuple(pairing), tuple(GluingMatrix(1, 0, c, 1) for c in cs),
-        {pid: (0, 1) for pid in ids})
 
 
 def moved_chain(chain, mode, shift):
@@ -392,6 +374,15 @@ class TestVerifyWitness:
                                   EquivalenceMode.ISOTOPY).to_json()
         witness["reflected"] = {"P": value}
         with pytest.raises(InputError, match="^/w/reflected/P: "):
+            EquivalenceWitness.from_json(witness, "/w")
+
+    @pytest.mark.parametrize("value", [1, True, None])
+    def test_witness_json_rejects_non_string_piece_images(self, banana_spec,
+                                                          value):
+        witness = spec_equivalent(banana_spec, banana_spec,
+                                  EquivalenceMode.ISOTOPY).to_json()
+        witness["piece_map"] = {"P": value}
+        with pytest.raises(InputError, match="^/w/piece_map/P: "):
             EquivalenceWitness.from_json(witness, "/w")
 
     def test_witness_json_reads_boolean_reflection(self, banana_spec):

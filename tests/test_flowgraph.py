@@ -1,13 +1,15 @@
+import math
 import random
 
 import pytest
 
 import oracles
+from chains import banana_chain
 from spineflow import (CapacityError, FlowEdge, FlowGraph, InputError,
                        ItineraryWord, build_flow_graph, flow_graph_to_edge_text,
-                       flow_graph_to_json, is_transitive, orientation_classes,
-                       path_sign, periodic_words, seed_orientation,
-                       validate_itinerary, word_counts)
+                       flow_graph_to_json, is_transitive, negate_seed,
+                       orientation_classes, path_sign, periodic_words,
+                       seed_orientation, validate_itinerary, word_counts)
 from spineflow.flowgraph import least_rotation
 
 
@@ -234,6 +236,143 @@ class TestPeriodicWords:
             periodic_words(graph, 0)
         with pytest.raises(CapacityError):
             periodic_words(graph, 13)
+
+    def test_duplicate_labels_rejected(self):
+        # two loops both labelled "X.e0": a word ("X.e0",) could be
+        # either, and edge("X.e0") sees only one of them
+        loop = FlowEdge("X.e0", "T0", "T0", "X", 0, 1)
+        graph = FlowGraph(("T0",), (), (loop, loop), ())
+        with pytest.raises(InputError, match="distinct edge labels"):
+            periodic_words(graph, 2)
+
+
+def labelled_graph(count, arcs):
+    """A flow graph on tori T0..T{count-1} whose edges are spread over
+    pieces P, P2, P10 and Q in turn, so that label order ("P10.e0" <
+    "P2.e0", "P.e10" < "P.e2") differs from construction order."""
+    tori = tuple(f"T{k}" for k in range(count))
+    pieces = ("P", "P2", "P10", "Q")
+    edges = tuple(FlowEdge(f"{pieces[i % 4]}.e{i // 4}", tori[s], tori[d],
+                           pieces[i % 4], i // 4, 1)
+                  for i, (s, d) in enumerate(arcs))
+    return FlowGraph(tori, (), edges, ())
+
+
+def closed_walk_total(graph, max_len):
+    """Walks of length 1..max_len from every torus that the oracle grows."""
+    index = {t: k for k, t in enumerate(graph.torus_vertices)}
+    ends = [1] * len(index)
+    total = 0
+    for _ in range(max_len):
+        ends = [sum(ends[index[e.src]] for e in graph.edges
+                    if index[e.dst] == k) for k in range(len(index))]
+        total += sum(ends)
+    return total
+
+
+class TestPeriodicWordsByLabelOrder:
+    def assert_matches_oracle(self, graph, max_len):
+        words = periodic_words(graph, max_len)
+        cycles = [w.cycle for w in words]
+        assert cycles == sorted(cycles, key=lambda c: (len(c), c))
+        assert len(set(cycles)) == len(cycles)
+        assert set(cycles) == oracles.closed_walks_up_to_rotation(
+            [(e.label, e.src, e.dst) for e in graph.edges], max_len)
+        return cycles
+
+    def test_random_multigraphs_against_oracle(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            count = rng.randint(1, 4)
+            arcs = [(rng.randrange(count), rng.randrange(count))
+                    for _ in range(rng.randint(1, 12))]
+            graph = labelled_graph(count, arcs)
+            # the oracle grows every walk from every torus: cap its work
+            max_len = max(n for n in range(1, 8)
+                          if n == 1 or closed_walk_total(graph, n) <= 5_000)
+            self.assert_matches_oracle(graph, max_len)
+
+    def test_self_loops_only(self):
+        # three loops at T0 in label order P.e0 < P10.e0 < P2.e0, one at
+        # T1: every necklace over three letters, and the powers of one
+        graph = labelled_graph(2, [(0, 0), (0, 0), (0, 0), (1, 1)])
+        cycles = self.assert_matches_oracle(graph, 6)
+        necklaces = {1: 3, 2: 6, 3: 11, 4: 24, 5: 51, 6: 130}
+        assert word_counts(periodic_words(graph, 6)) == {
+            n: c + 1 for n, c in necklaces.items()}
+        assert ("P.e0", "P10.e0", "P2.e0") in cycles
+        assert ("P.e0", "P2.e0", "P10.e0") in cycles
+        assert ("Q.e0",) * 6 in cycles
+
+    def test_repeated_word_counted_once(self):
+        # a = "P.e0": T0 -> T1, b = "P2.e0": T1 -> T0 and c = "P10.e0":
+        # T1 -> T0; (a, c) is least although c was built after b
+        graph = labelled_graph(2, [(0, 1), (1, 0), (1, 0)])
+        cycles = self.assert_matches_oracle(graph, 4)
+        assert cycles == [("P.e0", "P10.e0"), ("P.e0", "P2.e0"),
+                          ("P.e0", "P10.e0", "P.e0", "P10.e0"),
+                          ("P.e0", "P10.e0", "P.e0", "P2.e0"),
+                          ("P.e0", "P2.e0", "P.e0", "P2.e0")]
+
+
+def _matmul(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(len(y)))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
+def _totient(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+class TestTraceFormula:
+    """Counts of periodic words against Burnside's lemma for the
+    rotations of closed walks (Lind & Marcus, *An Introduction to
+    Symbolic Dynamics and Coding*, 1995, ch. 4).  The phi(n/d)
+    rotations of order n/d fix exactly the closed n-walks that repeat a
+    closed d-walk n/d times: tr(A^d) of them, of which (tr(A^d) +
+    tr(S^d))/2 have sign +1 when n/d is odd and all when it is even; A
+    is the adjacency matrix and S the signed one."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_banana_chains(self, banana_spec, k):
+        chain = banana_chain(banana_spec, [1] * (2 * k))
+        flipped = chain
+        for i in range(0, k, 2):
+            flipped = negate_seed(flipped, f"C{i}")
+        for spec in (chain, flipped):
+            graph = build_flow_graph(spec)
+            index = {t: i for i, t in enumerate(graph.torus_vertices)}
+            size = len(index)
+            adj = [[0] * size for _ in range(size)]
+            signed = [[0] * size for _ in range(size)]
+            for e in graph.edges:
+                adj[index[e.src]][index[e.dst]] += 1
+                signed[index[e.src]][index[e.dst]] += e.sign
+            traces, signed_traces = {}, {}
+            power, signed_power = adj, signed
+            for d in range(1, 13):
+                traces[d] = sum(power[i][i] for i in range(size))
+                signed_traces[d] = sum(signed_power[i][i] for i in range(size))
+                power = _matmul(power, adj)
+                signed_power = _matmul(signed_power, signed)
+
+            words = periodic_words(graph, 12)
+            plus: dict[int, int] = {}
+            for w in words:
+                if path_sign(graph, w.cycle) == 1:
+                    plus[len(w)] = plus.get(len(w), 0) + 1
+            counts = word_counts(words)
+            for n in range(1, 13):
+                divisors = [d for d in range(1, n + 1) if n % d == 0]
+                total = sum(_totient(n // d) * traces[d] for d in divisors)
+                fixed_plus = sum(
+                    _totient(n // d)
+                    * (traces[d] if (n // d) % 2 == 0
+                       else (traces[d] + signed_traces[d]) // 2)
+                    for d in divisors)
+                assert total % n == 0 and fixed_plus % n == 0
+                assert counts.get(n, 0) == total // n
+                assert plus.get(n, 0) == fixed_plus // n
 
 
 class TestPathSign:
