@@ -24,15 +24,14 @@ from .flowgraph import (FlowEdge, FlowGraph, ItineraryWord, PeriodicWord,
                         build_flow_graph, flow_graph_to_edge_text,
                         flow_graph_to_json, is_transitive, path_sign,
                         periodic_words, validate_itinerary, word_counts)
-from .model import (BasisChoice, DehnCoefficient, GluingMatrix, ModelFlowSpec,
-                    ModelPiece, OrientationAssignment, UNSURGERED,
-                    orientation_classes, propagate_orientations,
-                    seed_orientation, spec_from_json, spec_to_json,
-                    unsurgered_piece, validate_piece, validate_spec)
+from .model import (DehnCoefficient, GluingMatrix, ModelFlowSpec, ModelPiece,
+                    OrientationAssignment, UNSURGERED, orientation_classes,
+                    propagate_orientations, seed_orientation, spec_from_json,
+                    spec_to_json, unsurgered_piece, validate_piece,
+                    validate_spec)
 from .report import Check, ValidationReport
 
 __all__ = [
-    "BasisChoice",
     "CapacityError",
     "Check",
     "DehnCoefficient",

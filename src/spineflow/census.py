@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import itertools
 
-from .equivalence import EquivalenceMode, spec_equivalent
+from .equivalence import EquivalenceMode, _search
 from .errors import CapacityError, InputError, OrientationConflictError
 from .fatgraph import (Spine, enumerate_spines, is_bipartite,
                        iter_isomorphisms, surface_invariants)
-from .model import (GluingMatrix, ModelFlowSpec, propagate_orientations,
-                    unsurgered_piece, validate_spec)
+from .model import (CheckedSpec, GluingMatrix, ModelFlowSpec, check_spec,
+                    propagate_orientations, unsurgered_piece)
 from .walks import reachable
 
 STANDARD_GLUING = GluingMatrix(0, 1, 1, 0)
@@ -88,9 +88,9 @@ def census_pieces(max_edges: int) -> list[Spine]:
     return out
 
 
-def _specs_for(spines: list[Spine]) -> list[ModelFlowSpec]:
-    """All specifications over the given piece tuple, one per pooled
-    exit -> entrance bijection."""
+def _specs_for(spines: list[Spine]) -> list[CheckedSpec]:
+    """All valid, connected specifications over the given piece tuple,
+    one per pooled exit -> entrance bijection, each checked once."""
     pieces = [unsurgered_piece(f"P{i}", spine)
               for i, spine in enumerate(spines)]
     exits = [t for piece in pieces for t in piece.exits()]
@@ -106,27 +106,24 @@ def _specs_for(spines: list[Spine]) -> list[ModelFlowSpec]:
             matrices=tuple(STANDARD_GLUING for _ in pairing),
             orientation_seed={piece.piece_id: (0, 1) for piece in pieces},
         )
-        if not validate_spec(spec).passed:
+        try:
+            checked = check_spec(spec)
+        except InputError:
             continue
-        if not _weakly_connected(spec):
-            continue
-        specs.append(spec)
+        if _weakly_connected(checked):
+            specs.append(checked)
     return specs
 
 
-def _weakly_connected(spec: ModelFlowSpec) -> bool:
-    """The glued tori must hang together through the pieces."""
-    # two tori are linked when one piece has boundary on both
+def _weakly_connected(checked: CheckedSpec) -> bool:
+    """The glued tori must hang together through the pieces: two are
+    linked when one piece has boundary on both."""
+    spec = checked.spec
     links: dict[int, set[int]] = {k: set() for k in range(len(spec.pairing))}
-    torus_of: dict = {}
-    for k, (src, dst) in enumerate(spec.pairing):
-        torus_of[src] = k
-        torus_of[dst] = k
     for piece in spec.pieces:
-        ks = sorted({torus_of[t] for t in piece.boundary_tori()})
-        for a, b in zip(ks, ks[1:]):
-            links[a].add(b)
-            links[b].add(a)
+        ks = {checked.pair_of[t] for t in piece.boundary_tori()}
+        for k in ks:
+            links[k] |= ks
     return len(reachable(0, links)) == len(spec.pairing)
 
 
@@ -141,22 +138,21 @@ def spec_census(max_pieces: int, max_edges: int,
     if not 1 <= max_pieces <= 2:
         raise CapacityError(f"max_pieces must be 1 or 2, got {max_pieces}")
     spines = census_pieces(max_edges)
-    specs: list[ModelFlowSpec] = []
+    specs: list[CheckedSpec] = []
     tuples = [(s,) for s in spines]
     if max_pieces >= 2:
         tuples += [(a, b) for i, a in enumerate(spines)
                    for b in spines[i:]]
     for spine_tuple in tuples:
         specs.extend(_specs_for(list(spine_tuple)))
-    if not dedupe:
-        return specs
-    kept: list[ModelFlowSpec] = []
-    for spec in specs:
-        if any(spec_equivalent(spec, other, EquivalenceMode.EXACT) is not None
-               for other in kept):
-            continue
-        kept.append(spec)
-    return kept
+    if dedupe:
+        kept: list[CheckedSpec] = []
+        for checked in specs:
+            if all(_search(checked, other, EquivalenceMode.EXACT, False) is None
+                   for other in kept):
+                kept.append(checked)
+        specs = kept
+    return [checked.spec for checked in specs]
 
 
 def negate_seed(spec: ModelFlowSpec, piece_id: str) -> ModelFlowSpec:
@@ -164,10 +160,8 @@ def negate_seed(spec: ModelFlowSpec, piece_id: str) -> ModelFlowSpec:
     if piece_id not in spec.orientation_seed:
         raise InputError(f"unknown piece {piece_id!r}")
     vertex, sign = spec.orientation_seed[piece_id]
-    seeds = dict(spec.orientation_seed)
-    seeds[piece_id] = (vertex, -sign)
-    return ModelFlowSpec(spec.pieces, spec.pairing, spec.matrices, seeds,
-                         dict(spec.bases))
+    seeds = {**spec.orientation_seed, piece_id: (vertex, -sign)}
+    return ModelFlowSpec(spec.pieces, spec.pairing, spec.matrices, seeds)
 
 
 __all__ = [

@@ -29,10 +29,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InputError, read_bool, read_int, read_str
+from .errors import InputError, read_bool, read_index, read_int, read_str
 from .fatgraph import induced_face_map, iter_isomorphisms_tagged
-from .model import (GluingMatrix, ModelFlowSpec, ModelPiece, TorusId,
-                    seed_orientation, torus_label, validate_spec)
+from .model import (CheckedSpec, GluingMatrix, ModelFlowSpec, ModelPiece,
+                    TorusId, check_spec, seed_orientation, torus_label)
 
 Mat = tuple[int, int, int, int]  # row major (a, b, c, d)
 
@@ -164,13 +164,14 @@ class EquivalenceWitness:
             return cls(
                 piece_map={str(k): read_str(v, f"{path}/piece_map", k)
                            for k, v in obj.get("piece_map", {}).items()},
-                dart_maps={str(p): {int(d): read_int(img, f"{path}/dart_maps",
-                                                     p, d)
+                dart_maps={str(p): {read_index(d, f"{path}/dart_maps", p, d):
+                                    read_int(img, f"{path}/dart_maps", p, d)
                                     for d, img in m.items()}
                            for p, m in obj.get("dart_maps", {}).items()},
                 basis_signs={str(k): pair(v, f"{path}/basis_signs/{k}")
                              for k, v in obj.get("basis_signs", {}).items()},
-                twists={int(k): pair(v, f"{path}/twists/{k}")
+                twists={read_index(k, f"{path}/twists", k):
+                        pair(v, f"{path}/twists/{k}")
                         for k, v in obj.get("twists", {}).items()},
                 reflected={str(k): read_bool(v, f"{path}/reflected", k)
                            for k, v in obj.get("reflected", {}).items()},
@@ -224,10 +225,6 @@ def _match_matrices(m1: GluingMatrix, m2: GluingMatrix, mode: EquivalenceMode
 # search
 # ----------------------------------------------------------------------
 
-def _orientation_restrict(orientation, piece: ModelPiece) -> dict[int, int]:
-    return {v: orientation.sign(piece.piece_id, v) for v in piece.vertices()}
-
-
 def _piece_isomorphisms(p1: ModelPiece, o1: dict[int, int],
                         p2: ModelPiece, o2: dict[int, int],
                         allow_reflection: bool
@@ -247,13 +244,6 @@ def _piece_isomorphisms(p1: ModelPiece, o1: dict[int, int],
         if ok:
             out.append((sigma, reflect))
     return out
-
-
-def _validated(spec: ModelFlowSpec, name: str) -> None:
-    report = validate_spec(spec)
-    if not report.passed:
-        names = ", ".join(c.name for c in report.failures)
-        raise InputError(f"{name} is invalid ({names})")
 
 
 def _link_counts(spec: ModelFlowSpec, pieces) -> list[list[int]]:
@@ -312,20 +302,25 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     piece, in the order ``iter_isomorphisms_tagged`` lists them, and
     checks each pair of s1 (its image must be a pair of s2 and its
     matrix must match under the mode's moves) as soon as the later of
-    its two pieces is placed.  The dart bijections of each piece pair
-    and their face maps are computed once per call.
+    its two pieces is placed.  Dart bijections with their face maps
+    and matrix matches are computed once per call and form the witness.
 
     Pruning only removes choices that cannot be completed, so the first
     witness is the one an exhaustive run over all piece permutations,
     each with the full product of its dart bijections, would find
     first.
     """
-    _validated(s1, "first specification")
-    _validated(s2, "second specification")
+    return _search(check_spec(s1, "first specification"),
+                   check_spec(s2, "second specification"),
+                   mode, allow_reflection)
+
+
+def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
+            allow_reflection: bool) -> Optional[EquivalenceWitness]:
+    """``spec_equivalent`` on checked specifications."""
+    s1, s2 = c1.spec, c2.spec
     if len(s1.pieces) != len(s2.pieces):
         return None
-    o1 = seed_orientation(s1)
-    o2 = seed_orientation(s2)
 
     pieces1 = sorted(s1.pieces, key=lambda p: p.piece_id)
     pieces2 = sorted(s2.pieces, key=lambda p: p.piece_id)
@@ -343,8 +338,8 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
                  {f: (p2.piece_id, g) for f, g in induced_face_map(
                      p1.spine.graph, p2.spine.graph, sigma, reflect).items()})
                 for sigma, reflect in _piece_isomorphisms(
-                    p1, _orientation_restrict(o1, p1),
-                    p2, _orientation_restrict(o2, p2), allow_reflection)]
+                    p1, c1.signs[p1.piece_id], p2, c2.signs[p2.piece_id],
+                    allow_reflection)]
         return candidates[(i, j)]
 
     def piece_fits(perm: tuple[int, ...], j: int) -> bool:
@@ -360,64 +355,44 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     checks_at: list[list[int]] = [[] for _ in pieces1]
     for n, ((src_piece, _), (dst_piece, _)) in enumerate(s1.pairing):
         checks_at[max(index1[src_piece], index1[dst_piece])].append(n)
-    pair_index2 = {pair: k for k, pair in enumerate(s2.pairing)}
+    matches: dict[tuple[int, int], Optional[tuple]] = {}
 
-    def pair_fits(combo: tuple, n: int) -> bool:
-        (src_piece, src_face), (dst_piece, dst_face) = s1.pairing[n]
-        k2 = pair_index2.get((combo[index1[src_piece]][2][src_face],
-                              combo[index1[dst_piece]][2][dst_face]))
-        return k2 is not None and _match_matrices(
-            s1.matrices[n], s2.matrices[k2], mode) is not None
+    def pair_match(combo: tuple, n: int) -> Optional[tuple]:
+        """Matrix factors from pair n of s1 to its image under ``combo``,
+        or None.  Face maps keep colors, so the image is a pair of s2
+        exactly when its two tori have the same pair index there."""
+        src, dst = (combo[index1[piece]][2][face]
+                    for piece, face in s1.pairing[n])
+        k2 = c2.pair_of[src]
+        if c2.pair_of[dst] != k2:
+            return None
+        if (n, k2) not in matches:
+            matches[(n, k2)] = _match_matrices(s1.matrices[n],
+                                               s2.matrices[k2], mode)
+        return matches[(n, k2)]
 
     for perm in _piece_maps(len(pieces1), piece_fits):
-        combo = _first_combo([isomorphisms(i, j) for i, j in enumerate(perm)],
-                             checks_at, pair_fits)
-        if combo is not None:
-            return _assemble(s1, s2, pieces1, [pieces2[j] for j in perm],
-                             [(sigma, reflect) for sigma, reflect, _ in combo],
-                             mode)
+        combo = _first_combo(
+            [isomorphisms(i, j) for i, j in enumerate(perm)], checks_at,
+            lambda partial, n: pair_match(partial, n) is not None)
+        if combo is None:
+            continue
+        found = [pair_match(combo, n) for n in range(len(s1.pairing))]
+        basis_signs: dict[str, tuple[int, int]] = {}
+        for (src, dst), (signs_in, signs_out, _) in zip(s1.pairing, found):
+            basis_signs[torus_label(dst)] = signs_in
+            basis_signs[torus_label(src)] = signs_out
+        return EquivalenceWitness(
+            piece_map={p.piece_id: pieces2[j].piece_id
+                       for p, j in zip(pieces1, perm)},
+            dart_maps={p.piece_id: dict(sigma)
+                       for p, (sigma, _, _) in zip(pieces1, combo)},
+            basis_signs=basis_signs,
+            twists={n: twist for n, (_, _, twist) in enumerate(found)},
+            reflected={p.piece_id: reflect
+                       for p, (_, reflect, _) in zip(pieces1, combo)},
+        )
     return None
-
-
-def _assemble(s1: ModelFlowSpec, s2: ModelFlowSpec,
-              pieces1, pieces2, combo, mode: EquivalenceMode
-              ) -> Optional[EquivalenceWitness]:
-    """Check pairing compatibility and matrices for one combination of
-    per-piece bijections; build the witness when everything fits."""
-    torus_map: dict[TorusId, TorusId] = {}
-    for p1, p2, (sigma, reflect) in zip(pieces1, pieces2, combo):
-        faces = induced_face_map(p1.spine.graph, p2.spine.graph, sigma, reflect)
-        if faces is None:
-            return None
-        for f, g in faces.items():
-            torus_map[(p1.piece_id, f)] = (p2.piece_id, g)
-
-    pair_index2 = {pair: k for k, pair in enumerate(s2.pairing)}
-    basis_signs: dict[str, tuple[int, int]] = {}
-    twists: dict[int, tuple[int, int]] = {}
-    for k, (src, dst) in enumerate(s1.pairing):
-        image = (torus_map[src], torus_map[dst])
-        k2 = pair_index2.get(image)
-        if k2 is None:
-            return None
-        match = _match_matrices(s1.matrices[k], s2.matrices[k2], mode)
-        if match is None:
-            return None
-        entrance_signs, exit_signs, twist = match
-        basis_signs[torus_label(dst)] = entrance_signs
-        basis_signs[torus_label(src)] = exit_signs
-        twists[k] = twist
-
-    return EquivalenceWitness(
-        piece_map={p1.piece_id: p2.piece_id
-                   for p1, p2 in zip(pieces1, pieces2)},
-        dart_maps={p1.piece_id: dict(sigma)
-                   for p1, (sigma, _) in zip(pieces1, combo)},
-        basis_signs=basis_signs,
-        twists=twists,
-        reflected={p1.piece_id: reflect
-                   for p1, (_, reflect) in zip(pieces1, combo)},
-    )
 
 
 # ----------------------------------------------------------------------

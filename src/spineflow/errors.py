@@ -1,5 +1,7 @@
 """Exception classes shared by all spineflow modules, and the strict
-integer, boolean and string readers that every JSON parser uses."""
+integer, index, boolean and string readers that every JSON parser uses."""
+
+import re
 
 
 class SpineflowError(Exception):
@@ -48,6 +50,18 @@ def read_int(value, path: str, *index) -> int:
         pointer = "/".join((path, *map(str, index)))
         raise InputError(f"{pointer}: expected an integer, got {value!r}")
     return value
+
+
+def read_index(value, path: str, *index) -> int:
+    """A non-negative index from text such as a JSON object key, in
+    canonical ASCII decimal only.  Anything else, including ``" 1"``,
+    ``"01"`` and ``"-1"``, raises ``InputError`` naming the JSON pointer
+    like ``read_int``, so two distinct keys never read as one index."""
+    if type(value) is not str or not re.fullmatch(r"0|[1-9][0-9]*", value):
+        pointer = "/".join((path, *map(str, index)))
+        raise InputError(f"{pointer}: expected a non-negative integer in "
+                         f"canonical decimal, got {value!r}")
+    return int(value)
 
 
 def read_bool(value, path: str, *index) -> bool:

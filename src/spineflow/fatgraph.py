@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import (CapacityError, InputError, OrientabilityError,
-                     StructureError, read_int)
+                     StructureError, read_index, read_int)
 from .report import ValidationReport
 from .walks import reachable, two_color
 
@@ -630,12 +630,8 @@ def spine_from_json(obj, path: str = "") -> Spine:
         raise InputError(f"{path}/darts: does not match rotation cycles")
     if not isinstance(obj["colors"], dict):
         raise InputError(f"{path}/colors: expected an object")
-    colors = {}
-    for key, value in obj["colors"].items():
-        try:
-            colors[int(key)] = value
-        except ValueError:
-            raise InputError(f"{path}/colors/{key}: key must be an integer index")
+    colors = {read_index(key, f"{path}/colors", key): value
+              for key, value in obj["colors"].items()}
     try:
         _check_colors_total(graph, colors)
     except InputError as err:

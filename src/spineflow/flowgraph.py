@@ -27,8 +27,8 @@ from typing import Iterable, Optional
 
 from .errors import CapacityError, InputError
 from .fatgraph import ENTRANCE
-from .model import (ModelFlowSpec, OrientationAssignment, seed_orientation,
-                    validate_spec)
+from .model import (ModelFlowSpec, OrientationAssignment, check_spec,
+                    seed_orientation)
 from .walks import reachable
 
 MAX_WORD_LENGTH = 12
@@ -96,19 +96,10 @@ def build_flow_graph(spec: ModelFlowSpec,
     anti-aligned across every edge, otherwise the data cannot describe
     the flow and an ``InputError`` is raised.
     """
-    report = validate_spec(spec)
-    if not report.passed:
-        names = ", ".join(c.name for c in report.failures)
-        raise InputError(f"specification is invalid ({names})")
+    pair_of = check_spec(spec).pair_of
     if orientation is None:
         orientation = seed_orientation(spec)
     _check_orientation(spec, orientation)
-
-    entrance_at: dict[tuple[str, int], int] = {}
-    exit_at: dict[tuple[str, int], int] = {}
-    for k, (src, dst) in enumerate(spec.pairing):
-        exit_at[src] = k
-        entrance_at[dst] = k
 
     tori = tuple(f"T{k}" for k in range(len(spec.pairing)))
     orbits = []
@@ -124,20 +115,17 @@ def build_flow_graph(spec: ModelFlowSpec,
         for i, (a, b) in enumerate(graph.edges):
             d_in = a if colors[face_of[a]] == ENTRANCE else b
             d_out = b if d_in == a else a
-            src = tori[entrance_at[(pid, face_of[d_in])]]
-            dst = tori[exit_at[(pid, face_of[d_out])]]
+            src = tori[pair_of[(pid, face_of[d_in])]]
+            dst = tori[pair_of[(pid, face_of[d_out])]]
             sign = orientation.sign(pid, graph.vertex_of[d_in])
             edges.append(FlowEdge(f"{pid}.e{i}", src, dst, pid, i, sign))
 
         for f, cycle in enumerate(graph.boundary_cycles()):
-            touched = {graph.vertex_of[d] for d in cycle}
-            for v in sorted(touched):
-                if colors[f] == ENTRANCE:
-                    accumulation.add(
-                        (tori[entrance_at[(pid, f)]], orbit_label(pid, v)))
-                else:
-                    accumulation.add(
-                        (orbit_label(pid, v), tori[exit_at[(pid, f)]]))
+            torus = tori[pair_of[(pid, f)]]
+            for v in {graph.vertex_of[d] for d in cycle}:
+                orbit = orbit_label(pid, v)
+                accumulation.add((torus, orbit) if colors[f] == ENTRANCE
+                                 else (orbit, torus))
 
     return FlowGraph(tori, tuple(orbits), tuple(edges),
                      tuple(sorted(accumulation)))

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import InputError, OrientationConflictError, read_int
+from .errors import InputError, OrientationConflictError, read_index, read_int
 from .fatgraph import (ENTRANCE, EXIT, Spine, spine_from_json, spine_to_json,
                        validate_spine)
 from .report import ValidationReport
@@ -37,9 +37,9 @@ def torus_label(torus: TorusId) -> str:
 
 def parse_torus_label(label: str, path: str = "") -> TorusId:
     head, sep, tail = label.rpartition(".c")
-    if not sep or not tail.isdigit():
+    if not sep:
         raise InputError(f"{path}: torus id {label!r} is not of the form PIECE.cN")
-    return head, int(tail)
+    return head, read_index(tail, path)
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,6 @@ UNSURGERED = DehnCoefficient(1, 0)
 
 
 @dataclass(frozen=True)
-class BasisChoice:
-    vertical_sign: int = 1
-    horizontal_sign: int = 1
-
-    def is_valid(self) -> bool:
-        return self.vertical_sign in (1, -1) and self.horizontal_sign in (1, -1)
-
-
-@dataclass(frozen=True)
 class GluingMatrix:
     """Rows [[a, b], [c, d]] in the (vertical, horizontal) bases of the
     source exit torus and the target entrance torus."""
@@ -79,11 +70,6 @@ class GluingMatrix:
     @property
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
-
-    def is_valid(self) -> bool:
-        # |det| = 1: the gluing is an isomorphism on torus homology.
-        # c != 0: fibers must not map to fibers (no upper triangular).
-        return abs(self.det) == 1 and self.c != 0
 
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
@@ -136,15 +122,11 @@ class ModelFlowSpec:
     pairing: tuple[tuple[TorusId, TorusId], ...]
     matrices: tuple[GluingMatrix, ...]
     orientation_seed: dict[str, tuple[int, int]]
-    bases: dict[TorusId, BasisChoice] = field(default_factory=dict)
 
     def __post_init__(self):
         self.pieces = tuple(self.pieces)
         self.pairing = tuple((tuple(src), tuple(dst)) for src, dst in self.pairing)
         self.matrices = tuple(self.matrices)
-        for piece in self.pieces:
-            for torus in piece.boundary_tori():
-                self.bases.setdefault(torus, BasisChoice())
 
     def piece(self, piece_id: str) -> ModelPiece:
         for piece in self.pieces:
@@ -268,24 +250,22 @@ def orientation_classes(spec: ModelFlowSpec
 
     Representatives are produced by independently negating each piece's
     propagated assignment; pieces are taken in sorted id order with the
-    unnegated choice first, so the list order is deterministic.
+    unnegated choice first, so the list order is deterministic.  An
+    invalid specification raises ``InputError``.
     """
-    base = seed_orientation(spec)
-    ids = sorted(spec.piece_ids())
-    reps = []
-    for flips in itertools.product((False, True), repeat=len(ids)):
-        rep = base
-        for pid, flip in zip(ids, flips):
-            if flip:
-                rep = rep.negated(pid)
-        reps.append(rep)
+    signs = check_spec(spec).signs
+    ids = sorted(signs)
+    reps = [OrientationAssignment({(pid, v): -s if flip else s
+                                   for pid, flip in zip(ids, flips)
+                                   for v, s in signs[pid].items()})
+            for flips in itertools.product((False, True), repeat=len(ids))]
     return 2 ** len(ids), reps
 
 
 def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
     """Every piece valid, pairing a total EXIT -> ENTRANCE bijection,
-    every matrix unimodular with nonzero lower-left entry, bases sane,
-    and every orientation seed propagating consistently."""
+    every matrix unimodular with nonzero lower-left entry, and every
+    orientation seed propagating consistently."""
     report = ValidationReport()
     ids = spec.piece_ids()
     report.add("piece ids unique", len(set(ids)) == len(ids), str(ids))
@@ -314,16 +294,6 @@ def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
         else:
             report.add(name, True, f"det {matrix.det}")
 
-    for torus, basis in sorted(spec.bases.items()):
-        if not basis.is_valid():
-            report.add(f"basis at {torus_label(torus)}", False,
-                       f"signs must be +-1, got ({basis.vertical_sign}, "
-                       f"{basis.horizontal_sign})")
-    known = {t for piece in spec.pieces for t in piece.boundary_tori()}
-    unknown = sorted(set(spec.bases) - known)
-    report.add("bases on known tori", not unknown,
-               f"unknown tori {unknown}" if unknown else "")
-
     for piece in spec.pieces:
         name = f"orientation of piece {piece.piece_id}"
         seed = spec.orientation_seed.get(piece.piece_id)
@@ -336,6 +306,32 @@ def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
         except (OrientationConflictError, InputError) as err:
             report.add(name, False, str(err))
     return report
+
+
+@dataclass(frozen=True)
+class CheckedSpec:
+    """A specification that passed ``validate_spec``, with the tables
+    its readers share: the propagated ``signs[piece id][vertex]`` and
+    ``pair_of[boundary torus]``, the index of its pair.  Made by
+    ``check_spec``; the specification must not change afterwards."""
+
+    spec: ModelFlowSpec
+    signs: dict[str, dict[int, int]]
+    pair_of: dict[TorusId, int]
+
+
+def check_spec(spec: ModelFlowSpec, name: str = "specification") -> CheckedSpec:
+    """Validate once and derive the shared tables, or raise
+    ``InputError`` naming ``name`` and every failed check."""
+    report = validate_spec(spec)
+    if not report.passed:
+        names = ", ".join(c.name for c in report.failures)
+        raise InputError(f"{name} is invalid ({names})")
+    return CheckedSpec(
+        spec,
+        {piece.piece_id: _propagated(piece, spec.orientation_seed[piece.piece_id])
+         for piece in spec.pieces},
+        {torus: k for k, pair in enumerate(spec.pairing) for torus in pair})
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +349,6 @@ def spec_to_json(spec: ModelFlowSpec) -> dict:
             }
             for piece in spec.pieces
         ],
-        "bases": {torus_label(t): [b.vertical_sign, b.horizontal_sign]
-                  for t, b in sorted(spec.bases.items())},
         "pairing": [[torus_label(src), torus_label(dst)]
                     for src, dst in spec.pairing],
         "matrices": {str(k): m.rows() for k, m in enumerate(spec.matrices)},
@@ -369,6 +363,9 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
     for key in ("pieces", "pairing", "matrices", "orientation_seed"):
         if key not in obj:
             raise InputError(f"{path}/{key}: missing")
+    if "bases" in obj:
+        raise InputError(f"{path}/bases: not part of the format; the "
+                         "matrices are written in the torus bases")
 
     pieces = []
     if not isinstance(obj["pieces"], list):
@@ -383,14 +380,13 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
         dehn = {}
         for key, value in raw.get("dehn", {}).items():
             dpath = f"{ppath}/dehn/{key}"
-            if not str(key).lstrip("-").isdigit():
-                raise InputError(f"{dpath}: vertex key must be an integer")
+            vertex = read_index(key, dpath)
             try:
                 p, q = value
             except (TypeError, ValueError) as err:
                 raise InputError(f"{dpath}: expected a pair [p, q]") from err
-            dehn[int(key)] = DehnCoefficient(read_int(p, dpath, 0),
-                                             read_int(q, dpath, 1))
+            dehn[vertex] = DehnCoefficient(read_int(p, dpath, 0),
+                                           read_int(q, dpath, 1))
         if not isinstance(raw["id"], str):
             raise InputError(f"{ppath}/id: expected a piece id string, "
                              f"got {raw['id']!r}")
@@ -431,18 +427,5 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
             raise InputError(f"{spath}: expected a pair [vertex, sign]") from err
         seeds[str(pid)] = (read_int(v, spath, 0), read_int(s, spath, 1))
 
-    if not isinstance(obj.get("bases", {}), dict):
-        raise InputError(f"{path}/bases: expected an object")
-    bases = {}
-    for label, raw in obj.get("bases", {}).items():
-        bpath = f"{path}/bases/{label}"
-        torus = parse_torus_label(str(label), bpath)
-        try:
-            sv, sh = raw
-        except (TypeError, ValueError) as err:
-            raise InputError(f"{bpath}: expected a pair of signs") from err
-        bases[torus] = BasisChoice(read_int(sv, bpath, 0),
-                                   read_int(sh, bpath, 1))
-
     return ModelFlowSpec(tuple(pieces), tuple(pairing), tuple(matrices),
-                         seeds, bases)
+                         seeds)

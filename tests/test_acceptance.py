@@ -59,8 +59,7 @@ def all_rotation_systems(edge_count):
 
 def spec_with_seeds(spec, assignment):
     seeds = {pid: (0, assignment.sign(pid, 0)) for pid in spec.piece_ids()}
-    return ModelFlowSpec(spec.pieces, spec.pairing, spec.matrices, seeds,
-                         dict(spec.bases))
+    return ModelFlowSpec(spec.pieces, spec.pairing, spec.matrices, seeds)
 
 
 def random_unimodular(rng):

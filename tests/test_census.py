@@ -1,11 +1,20 @@
+import hashlib
+import json
+
 import pytest
 
+import spineflow.model as model
 from spineflow import (ENTRANCE, EXIT, EquivalenceMode, FatGraph, GluingMatrix,
                        ModelFlowSpec, Spine, census_pieces, is_bipartite,
-                       negate_seed, spec_census, spec_equivalent,
+                       negate_seed, spec_census, spec_equivalent, spec_to_json,
                        spine_is_orientation_rigid, surface_invariants,
                        unsurgered_piece, validate_spec, verify_witness)
 from spineflow.errors import CapacityError
+
+#: SHA-256 of the sorted-key JSON list of ``spec_census(2, 4)``, recorded
+#: before the census compared checked specifications (the ``bases`` key
+#: of that time, all [1, 1], left out)
+SPEC_CENSUS_2_4 = "94f4b15d87d86eb1c0c57afe1500ba60a6d4bb75d068ace3dc40ac5153165993"
 
 
 def genus_one_banana() -> Spine:
@@ -43,6 +52,25 @@ class TestSpecCensus:
         assert len(again) == len(census_specs)
         for a, b in zip(again, census_specs):
             assert a == b
+
+    def test_digest(self, census_specs):
+        text = json.dumps([spec_to_json(s) for s in census_specs],
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == SPEC_CENSUS_2_4
+
+    def test_each_candidate_validated_once(self, monkeypatch):
+        validated = []
+        original = model.validate_spec
+
+        def counting(spec):
+            validated.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(model, "validate_spec", counting)
+        kept = spec_census(max_pieces=2, max_edges=4)
+        assert len(kept) == 9
+        assert len(validated) == 32
+        assert len({id(spec) for spec in validated}) == len(validated)
 
     def test_piece_cap(self):
         with pytest.raises(CapacityError):

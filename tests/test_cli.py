@@ -16,6 +16,11 @@ WORD_TAIL = str(FIXTURES / "word_tail.json")
 MATRIX = str(FIXTURES / "matrix.json")
 
 
+def load(path):
+    with open(path) as handle:
+        return json.load(handle)
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -38,7 +43,7 @@ class TestValidate:
         assert any("condition 1" in c["name"] for c in payload["checks"])
 
     def test_failing_spec_exits_one(self, capsys, tmp_path):
-        spec = json.load(open(BANANA))
+        spec = load(BANANA)
         spec["matrices"]["0"] = [[1, 5], [0, 1]]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(spec))
@@ -79,6 +84,23 @@ class TestOrient:
         code, out, _ = invoke(capsys, "orient", NECKLACE)
         assert json.loads(out)["count"] == 4
 
+    @pytest.mark.parametrize("edit", [
+        lambda s: s["matrices"].update({"0": [[2, 1], [2, 3]]}),
+        lambda s: s.update(pairing=s["pairing"][:1],
+                           matrices={"0": s["matrices"]["0"]}),
+    ], ids=["non-unimodular-matrix", "one-pair"])
+    def test_invalid_spec_exits_two_like_build_graph(self, capsys, tmp_path,
+                                                     edit):
+        spec = load(BANANA)
+        edit(spec)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        for command in ("orient", "build-graph"):
+            code, out, err = invoke(capsys, command, str(bad))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: specification is invalid (")
+
 
 class TestEquiv:
     def test_twisted_copy(self, capsys):
@@ -95,7 +117,7 @@ class TestEquiv:
         assert json.loads(out)["equivalent"] is False
 
     def test_invalid_input_exits_two(self, capsys, tmp_path):
-        spec = json.load(open(BANANA))
+        spec = load(BANANA)
         spec["matrices"]["0"] = [[1, 5], [0, 1]]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(spec))
@@ -193,7 +215,7 @@ class TestErrors:
         assert "line 2" in err
 
     def test_schema_error_reports_pointer(self, capsys, tmp_path):
-        spec = json.load(open(BANANA))
+        spec = load(BANANA)
         del spec["matrices"]["1"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(spec))
@@ -211,8 +233,6 @@ def rename_piece(spec, new_id):
     spec["orientation_seed"] = {name: spec["orientation_seed"]["P"]}
     spec["pairing"] = [[label.replace("P.", name + ".") for label in pair]
                        for pair in spec["pairing"]]
-    spec["bases"] = {label.replace("P.", name + "."): signs
-                     for label, signs in spec["bases"].items()}
 
 
 class TestShapeErrors:
@@ -242,12 +262,22 @@ class TestShapeErrors:
         ("spec", "/pieces/0/id", lambda s: rename_piece(s, 1.0)),
         ("word", "/body/0", lambda w: w["body"].__setitem__(0, 0)),
         ("word", "/body/0", lambda w: w["body"].__setitem__(0, ["T0"])),
+        ("spec", "/pieces/0/spine/colors/ 1",
+         lambda s: s["pieces"][0]["spine"]["colors"].update(
+             {" 1": s["pieces"][0]["spine"]["colors"].pop("1")})),
+        ("spec", "/pieces/0/spine/colors/01",
+         lambda s: s["pieces"][0]["spine"]["colors"].update({"01": "EXIT"})),
+        ("spec", "/pieces/0/dehn/00",
+         lambda s: s["pieces"][0]["dehn"].update({"00": [3, 1]})),
+        ("spec", "/pairing/1/0",
+         lambda s: s["pairing"][1].__setitem__(0, "P.c00")),
     ], ids=["bases", "dehn", "darts", "edges", "head_orbit", "string-dart",
             "string-edges", "float-matrix-entry", "bool-seed-sign",
             "bool-piece-id", "int-piece-id", "float-piece-id",
-            "int-body-letter", "list-body-letter"])
+            "int-body-letter", "list-body-letter", "spaced-color-key",
+            "duplicate-color-key", "duplicate-dehn-key", "padded-torus-label"])
     def test_exits_two_with_pointer(self, capsys, tmp_path, kind, pointer, edit):
-        data = json.load(open(BANANA if kind == "spec" else WORD_TAIL))
+        data = load(BANANA if kind == "spec" else WORD_TAIL)
         edit(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))

@@ -37,12 +37,12 @@ CASES = (
 )
 
 GOLDEN = {
-    "validate banana_spec.json --format json": (0, "5dde8fbb9a448a8b3fdf85cdb05f07afa124ba67f2e297c175af9c32ce0cc5c2"),
-    "validate banana_spec.json --format text": (0, "179220e3e398f03908373a72d35bd269b35167e1fc2e40c49899f5f3a88c3a45"),
-    "validate banana_spec_twisted.json --format json": (0, "5dde8fbb9a448a8b3fdf85cdb05f07afa124ba67f2e297c175af9c32ce0cc5c2"),
-    "validate banana_spec_twisted.json --format text": (0, "179220e3e398f03908373a72d35bd269b35167e1fc2e40c49899f5f3a88c3a45"),
-    "validate necklace_spec.json --format json": (0, "abda27daecf514d0bb2168645551923ea81072b15a030895aa973907bd645d8f"),
-    "validate necklace_spec.json --format text": (0, "f3052c891450a35460f848a5664a6e38e33d02a4833657f8da25c1b4fe6f8733"),
+    "validate banana_spec.json --format json": (0, "0c4ca532a76df8cf7dc3b620cfe3acb124908bc9689720cd2d6400bc8948209e"),
+    "validate banana_spec.json --format text": (0, "707014db53a80156e51d72587ab28d84bd16b0edb7b6a68e8a6e8034c5e65409"),
+    "validate banana_spec_twisted.json --format json": (0, "0c4ca532a76df8cf7dc3b620cfe3acb124908bc9689720cd2d6400bc8948209e"),
+    "validate banana_spec_twisted.json --format text": (0, "707014db53a80156e51d72587ab28d84bd16b0edb7b6a68e8a6e8034c5e65409"),
+    "validate necklace_spec.json --format json": (0, "618cc5f39e469dce1e157c1b70e55cf3cdfbb36a61d6d5d3dfcee17377c54395"),
+    "validate necklace_spec.json --format text": (0, "98b2f818ac16db67e3a571d84d496c8ef61e6bbc9da3434dc292cd36ed4cda30"),
     "build-graph banana_spec.json --format json": (0, "b41e2f0962c30795a904580a6edf2a5ea897523701f1d37d974a006bd0e926b3"),
     "build-graph banana_spec.json --format text": (0, "ca8a9b487d6bf3d95f81e570343b224d4e5a6c54c9bcfbbb434ab344ba1a2e97"),
     "build-graph banana_spec_twisted.json --format json": (0, "b41e2f0962c30795a904580a6edf2a5ea897523701f1d37d974a006bd0e926b3"),

@@ -9,6 +9,8 @@ from chains import banana_chain
 from spineflow import (EquivalenceMode, EquivalenceWitness, GluingMatrix,
                        InputError, ModelFlowSpec, ModelPiece, negate_seed,
                        normalize_matrix, spec_equivalent, verify_witness)
+from spineflow.fatgraph import induced_face_map
+from spineflow.model import seed_orientation, torus_label, validate_spec
 
 MODES = list(EquivalenceMode)
 
@@ -18,25 +20,67 @@ def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
     ``itertools.permutations`` order, each with the full
     ``itertools.product`` of its per-piece dart bijections, the pairing
     and the matrices checked only on complete combinations."""
-    equivalence._validated(s1, "first specification")
-    equivalence._validated(s2, "second specification")
+    for spec, name in ((s1, "first"), (s2, "second")):
+        if not validate_spec(spec).passed:
+            raise InputError(f"{name} specification is invalid")
     if len(s1.pieces) != len(s2.pieces):
         return None
-    o1 = equivalence.seed_orientation(s1)
-    o2 = equivalence.seed_orientation(s2)
+    o1 = seed_orientation(s1)
+    o2 = seed_orientation(s2)
     pieces1 = sorted(s1.pieces, key=lambda p: p.piece_id)
     for pieces2 in itertools.permutations(
             sorted(s2.pieces, key=lambda p: p.piece_id)):
         per_piece = [equivalence._piece_isomorphisms(
-            p1, equivalence._orientation_restrict(o1, p1),
-            p2, equivalence._orientation_restrict(o2, p2), allow_reflection)
+            p1, {v: o1.sign(p1.piece_id, v) for v in p1.vertices()},
+            p2, {v: o2.sign(p2.piece_id, v) for v in p2.vertices()},
+            allow_reflection)
             for p1, p2 in zip(pieces1, pieces2)]
         for combo in itertools.product(*per_piece):
-            witness = equivalence._assemble(s1, s2, pieces1, pieces2, combo,
-                                            mode)
+            witness = assemble(s1, s2, pieces1, pieces2, combo, mode)
             if witness is not None:
                 return witness
     return None
+
+
+def assemble(s1, s2, pieces1, pieces2, combo, mode):
+    """The witness of one complete combination of per-piece dart
+    bijections when its pairing images and matrices all fit, else
+    None: the torus map, pair images and matrix matches are derived
+    from scratch, apart from the search under test."""
+    torus_map = {}
+    for p1, p2, (sigma, reflect) in zip(pieces1, pieces2, combo):
+        faces = induced_face_map(p1.spine.graph, p2.spine.graph, sigma, reflect)
+        if faces is None:
+            return None
+        for f, g in faces.items():
+            torus_map[(p1.piece_id, f)] = (p2.piece_id, g)
+
+    pair_index2 = {pair: k for k, pair in enumerate(s2.pairing)}
+    basis_signs = {}
+    twists = {}
+    for k, (src, dst) in enumerate(s1.pairing):
+        k2 = pair_index2.get((torus_map[src], torus_map[dst]))
+        if k2 is None:
+            return None
+        match = equivalence._match_matrices(s1.matrices[k], s2.matrices[k2],
+                                            mode)
+        if match is None:
+            return None
+        entrance_signs, exit_signs, twist = match
+        basis_signs[torus_label(dst)] = entrance_signs
+        basis_signs[torus_label(src)] = exit_signs
+        twists[k] = twist
+
+    return EquivalenceWitness(
+        piece_map={p1.piece_id: p2.piece_id
+                   for p1, p2 in zip(pieces1, pieces2)},
+        dart_maps={p1.piece_id: dict(sigma)
+                   for p1, (sigma, _) in zip(pieces1, combo)},
+        basis_signs=basis_signs,
+        twists=twists,
+        reflected={p1.piece_id: reflect
+                   for p1, (_, reflect) in zip(pieces1, combo)},
+    )
 
 
 def _mul(x, y):
@@ -358,6 +402,12 @@ class TestVerifyWitness:
         ("/w/basis_signs/P.c0/1",
          lambda w: w["basis_signs"]["P.c0"].__setitem__(1, True)),
         ("/w/twists/0/0", lambda w: w["twists"]["0"].__setitem__(0, 1.0)),
+        ("/w/dart_maps/P/01",
+         lambda w: w["dart_maps"]["P"].update({"01": w["dart_maps"]["P"]["1"]})),
+        ("/w/dart_maps/P/ 2",
+         lambda w: w["dart_maps"]["P"].update({" 2": w["dart_maps"]["P"]["2"]})),
+        ("/w/twists/00", lambda w: w["twists"].update({"00": [0, 0]})),
+        ("/w/twists/-1", lambda w: w["twists"].update({"-1": [0, 0]})),
     ])
     def test_witness_json_rejects_non_integers(self, banana_spec, pointer,
                                                edit):
