@@ -37,7 +37,7 @@ import itertools
 from .equivalence import EquivalenceMode, _search
 from .errors import CapacityError, InputError, OrientationConflictError
 from .fatgraph import (Spine, enumerate_spines, is_bipartite,
-                       iter_isomorphisms, surface_invariants)
+                       iter_isomorphisms_tagged, surface_invariants)
 from .model import (CheckedSpec, GluingMatrix, ModelFlowSpec, check_spec,
                     propagate_orientations, unsurgered_piece)
 from .walks import reachable
@@ -64,12 +64,11 @@ def spine_is_orientation_rigid(spine: Spine) -> bool:
     except OrientationConflictError:
         return True
     graph = spine.graph
-    face_of = graph.face_of()
-    for sigma in iter_isomorphisms(spine, spine):
+    for sigma, _, faces in iter_isomorphisms_tagged(spine, spine):
         if not all(signs[graph.vertex_of[sigma[cycle[0]]]] == -signs[v]
                    for v, cycle in enumerate(graph.vertices)):
             continue
-        if all(face_of[sigma[d]] == face_of[d] for d in graph.darts):
+        if all(f == g for f, g in faces.items()):
             return False
     return True
 

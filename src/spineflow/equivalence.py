@@ -228,21 +228,18 @@ def _match_matrices(m1: GluingMatrix, m2: GluingMatrix, mode: EquivalenceMode
 def _piece_isomorphisms(p1: ModelPiece, o1: dict[int, int],
                         p2: ModelPiece, o2: dict[int, int],
                         allow_reflection: bool
-                        ) -> list[tuple[dict[int, int], bool]]:
+                        ) -> list[tuple[dict[int, int], bool, dict[int, int]]]:
     """Dart bijections p1 -> p2 preserving colors, coefficients and
-    orbit orientations."""
+    orbit orientations, with their reflection flags and face maps as
+    ``iter_isomorphisms_tagged`` yields them."""
     out = []
     g1, g2 = p1.spine.graph, p2.spine.graph
-    for sigma, reflect in iter_isomorphisms_tagged(p1.spine, p2.spine,
-                                                   allow_reflection):
-        ok = True
-        for v, cycle in enumerate(g1.vertices):
-            w = g2.vertex_of[sigma[cycle[0]]]
-            if p1.dehn[v] != p2.dehn[w] or o1[v] != o2[w]:
-                ok = False
-                break
-        if ok:
-            out.append((sigma, reflect))
+    for sigma, reflect, faces in iter_isomorphisms_tagged(
+            p1.spine, p2.spine, allow_reflection):
+        images = (g2.vertex_of[sigma[cycle[0]]] for cycle in g1.vertices)
+        if all(p1.dehn[v] == p2.dehn[w] and o1[v] == o2[w]
+               for v, w in enumerate(images)):
+            out.append((sigma, reflect, faces))
     return out
 
 
@@ -335,9 +332,8 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
             p1, p2 = pieces1[i], pieces2[j]
             candidates[(i, j)] = [
                 (sigma, reflect,
-                 {f: (p2.piece_id, g) for f, g in induced_face_map(
-                     p1.spine.graph, p2.spine.graph, sigma, reflect).items()})
-                for sigma, reflect in _piece_isomorphisms(
+                 {f: (p2.piece_id, g) for f, g in faces.items()})
+                for sigma, reflect, faces in _piece_isomorphisms(
                     p1, c1.signs[p1.piece_id], p2, c2.signs[p2.piece_id],
                     allow_reflection)]
         return candidates[(i, j)]

@@ -56,12 +56,19 @@ def read_index(value, path: str, *index) -> int:
     """A non-negative index from text such as a JSON object key, in
     canonical ASCII decimal only.  Anything else, including ``" 1"``,
     ``"01"`` and ``"-1"``, raises ``InputError`` naming the JSON pointer
-    like ``read_int``, so two distinct keys never read as one index."""
-    if type(value) is not str or not re.fullmatch(r"0|[1-9][0-9]*", value):
-        pointer = "/".join((path, *map(str, index)))
-        raise InputError(f"{pointer}: expected a non-negative integer in "
-                         f"canonical decimal, got {value!r}")
-    return int(value)
+    like ``read_int``, so two distinct keys never read as one index.
+    So does a key with more digits than Python's integer-string
+    conversion limit (``sys.get_int_max_str_digits``)."""
+    if type(value) is str and re.fullmatch(r"0|[1-9][0-9]*", value):
+        try:
+            return int(value)
+        except ValueError:
+            problem = f"an index of {len(value)} digits is too long"
+    else:
+        problem = (f"expected a non-negative integer in canonical decimal, "
+                   f"got {value!r}")
+    pointer = "/".join((path, *map(str, index)))
+    raise InputError(f"{pointer}: {problem}")
 
 
 def read_bool(value, path: str, *index) -> bool:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import (CapacityError, InputError, OrientabilityError,
                      StructureError, read_index, read_int)
 from .report import ValidationReport
-from .walks import reachable, two_color
+from .walks import two_color
 
 ENTRANCE = "ENTRANCE"
 EXIT = "EXIT"
@@ -108,9 +108,10 @@ class FatGraph:
 
     def is_connected(self) -> bool:
         """True when the darts form a single orbit under rotation and
-        involution, i.e. the underlying graph is connected."""
-        succ = {d: (self.rotation[d], self.involution[d]) for d in self.darts}
-        return len(reachable(self.darts[0], succ)) == len(self.darts)
+        involution, i.e. the underlying graph is connected: the map walk
+        of ``_map_code`` from the least dart reaches every dart."""
+        _, order = _map_code(self.rotation, self.involution, self.darts[0])
+        return len(order) == len(self.darts)
 
     def boundary_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of rotation . involution, each rotated to start at its
@@ -312,31 +313,6 @@ def is_bipartite(graph: FatGraph) -> bool:
 # isomorphism
 # ----------------------------------------------------------------------
 
-def _propagate_bijection(g1: FatGraph, g2: FatGraph, anchor_src: int,
-                         anchor_dst: int, reflect: bool) -> Optional[dict[int, int]]:
-    """Extend anchor_src -> anchor_dst to a dart bijection commuting with
-    the involutions and with the rotations (inverse rotation of g2 when
-    ``reflect``).  Connected graphs make the extension unique."""
-    rot2 = g2.rotation
-    if reflect:
-        rot2 = {v: k for k, v in g2.rotation.items()}
-    sigma = {anchor_src: anchor_dst}
-    stack = [anchor_src]
-    while stack:
-        d = stack.pop()
-        for nxt, img in ((g1.rotation[d], rot2[sigma[d]]),
-                         (g1.involution[d], g2.involution[sigma[d]])):
-            if nxt in sigma:
-                if sigma[nxt] != img:
-                    return None
-            else:
-                sigma[nxt] = img
-                stack.append(nxt)
-    if len(sigma) != len(g1.darts) or len(set(sigma.values())) != len(sigma):
-        return None
-    return sigma
-
-
 def induced_face_map(g1: FatGraph, g2: FatGraph, sigma: dict[int, int],
                      reflect: bool = False) -> Optional[dict[int, int]]:
     """Boundary-cycle correspondence induced by a dart bijection, or
@@ -359,19 +335,23 @@ def induced_face_map(g1: FatGraph, g2: FatGraph, sigma: dict[int, int],
     return image
 
 
-def _face_map_ok(s1: Spine, s2: Spine, sigma: dict[int, int],
-                 reflect: bool) -> bool:
-    image = induced_face_map(s1.graph, s2.graph, sigma, reflect)
-    if image is None:
-        return False
-    return all(s1.colors[f] == s2.colors[g] for f, g in image.items())
-
-
 def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = False
-                             ) -> Iterator[tuple[dict[int, int], bool]]:
-    """All color-preserving dart bijections from s1 to s2 together with
-    their reflection flag, in a fixed deterministic order (reflections
-    last when enabled)."""
+                             ) -> Iterator[tuple[dict[int, int], bool,
+                                                 dict[int, int]]]:
+    """All color-preserving dart bijections from s1 to s2, each with its
+    reflection flag and its ``induced_face_map``, in a fixed
+    deterministic order: by ascending image of the least dart of s1,
+    reflections last when enabled.
+
+    The map of s1 is walked once from its least dart (``_map_code``).
+    An isomorphism of connected maps is fixed by the image of one dart,
+    so the image dart ``t`` extends to one exactly when the walk of s2
+    from ``t`` (along the inverse rotation under reflection) gives the
+    same code, and then the two walks list each dart and its image in
+    the same place.  Graphs that agree in dart count, valences and
+    colored boundary lengths but are not both connected raise
+    ``InputError``.
+    """
     g1, g2 = s1.graph, s2.graph
     if len(g1.darts) != len(g2.darts):
         return
@@ -383,21 +363,28 @@ def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = Fals
                       for i, c in enumerate(g2.boundary_cycles()))
     if profile1 != profile2:
         return
-    if not g1.is_connected() or not g2.is_connected():
+    code1, order1 = _map_code(g1.rotation, g1.involution, g1.darts[0])
+    if len(order1) != len(g1.darts) or not g2.is_connected():
         raise InputError("isomorphism search expects connected fat graphs")
-    anchor = g1.darts[0]
     reflections = (False, True) if allow_reflection else (False,)
     for reflect in reflections:
+        rot2 = g2.rotation
+        if reflect:
+            rot2 = {v: k for k, v in g2.rotation.items()}
         for target in g2.darts:
-            sigma = _propagate_bijection(g1, g2, anchor, target, reflect)
-            if sigma is not None and _face_map_ok(s1, s2, sigma, reflect):
-                yield sigma, reflect
+            code2, order2 = _map_code(rot2, g2.involution, target)
+            if code2 != code1:
+                continue
+            sigma = dict(zip(order1, order2))
+            faces = induced_face_map(g1, g2, sigma, reflect)
+            if all(s1.colors[f] == s2.colors[g] for f, g in faces.items()):
+                yield sigma, reflect, faces
 
 
 def iter_isomorphisms(s1: Spine, s2: Spine,
                       allow_reflection: bool = False) -> Iterator[dict[int, int]]:
     """All color-preserving dart bijections from s1 to s2."""
-    for sigma, _ in iter_isomorphisms_tagged(s1, s2, allow_reflection):
+    for sigma, _, _ in iter_isomorphisms_tagged(s1, s2, allow_reflection):
         yield sigma
 
 
@@ -408,13 +395,8 @@ def fatgraph_isomorphic(s1: Spine, s2: Spine,
     "Least" compares the tuple of images of the darts of s1 in sorted
     order, so the answer is independent of search order.
     """
-    best = None
-    best_key = None
-    for sigma in iter_isomorphisms(s1, s2, allow_reflection):
-        key = tuple(sigma[d] for d in s1.graph.darts)
-        if best_key is None or key < best_key:
-            best, best_key = sigma, key
-    return best
+    return min(iter_isomorphisms(s1, s2, allow_reflection), default=None,
+               key=lambda sigma: [sigma[d] for d in s1.graph.darts])
 
 
 # ----------------------------------------------------------------------
@@ -482,10 +464,15 @@ def _colorings(assignment: dict[int, int],
     return colorings
 
 
-def _map_code(rotation, involution, start: int) -> tuple[int, ...]:
-    """Breadth-first code of the map from ``start``: darts are numbered
-    in discovery order, and the code lists the numbers of the rotation
-    and involution images of each dart in that order."""
+def _map_code(rotation, involution, start: int
+              ) -> tuple[tuple[int, ...], list[int]]:
+    """Breadth-first code of the map from ``start``, and the darts in
+    discovery order.  Darts are numbered in discovery order, and the
+    code lists the numbers of the rotation and involution images of
+    each dart in that order.  This is the one walk of the dart graph:
+    the order covers every dart exactly when the graph is connected,
+    and two walks with equal codes pair up the darts of an
+    isomorphism."""
     number = {start: 0}
     order = [start]
     code = []
@@ -495,7 +482,7 @@ def _map_code(rotation, involution, start: int) -> tuple[int, ...]:
                 number[nxt] = len(order)
                 order.append(nxt)
             code.append(number[nxt])
-    return tuple(code)
+    return tuple(code), order
 
 
 def _canonical_code(rotation, involution, darts) -> tuple[int, ...]:
@@ -503,7 +490,7 @@ def _canonical_code(rotation, involution, darts) -> tuple[int, ...]:
     maps have equal codes exactly when a dart bijection commutes with
     their rotations and involutions, that is when they are isomorphic
     without reflection (the map codes of Brinkmann & McKay's plantri)."""
-    return min(_map_code(rotation, involution, d) for d in darts)
+    return min(_map_code(rotation, involution, d)[0] for d in darts)
 
 
 def _even_face_table(rotation: list[int], involution: list[int],
@@ -542,7 +529,9 @@ def enumerate_spines(max_edges: int) -> Iterator[Spine]:
     Each rotation system is screened on integer tables before any
     ``FatGraph`` is built: even boundary cycles, the two sides of every
     edge on different cycles, a 2-colorable side-adjacency graph, and
-    connectivity.  A survivor whose ``_canonical_code`` was seen before
+    connectivity (the ``_map_code`` walk from dart 1 reaches every
+    dart; its code is then the first candidate for the canonical
+    code).  A survivor whose canonical code was seen before
     only has colorings isomorphic to spines already emitted, since a
     color-preserving isomorphism is a graph isomorphism; so only the
     colorings of a new graph are compared, among themselves.
@@ -573,10 +562,10 @@ def enumerate_spines(max_edges: int) -> Iterator[Spine]:
                                 ((face_of[a], face_of[b]) for a, b in pairs))
             if sides is None:
                 continue
-            if len(reachable(1, {d: (rotation[d], involution[d])
-                                 for d in darts})) != n:
+            code, order = _map_code(rotation, involution, 1)
+            if len(order) != n:
                 continue
-            code = _canonical_code(rotation, involution, darts)
+            code = min(code, _canonical_code(rotation, involution, darts[1:]))
             if code in seen_codes:
                 continue
             seen_codes.add(code)

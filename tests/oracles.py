@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch against the
 documented conventions, without calling into the library paths it
-checks: faces are walked dart by dart, connectivity goes through
+checks: faces are walked dart by dart, fat-graph isomorphisms are found
+by trying every edge permutation and flip, connectivity goes through
 union-find, reachability through a Floyd-Warshall closure, itinerary
 languages and closed walks through plain depth-first enumeration, and
 matrix normal forms through bounded orbit search.
@@ -31,6 +32,50 @@ def face_walks(rotation: dict, involution: dict) -> list[list[int]]:
             d = rotation[involution[d]]
         walks.append(walk)
     return sorted(walks, key=lambda w: w[0])
+
+
+def edge_isomorphisms(s1, s2, reflect: bool) -> list[dict[int, int]]:
+    """Every color-preserving dart bijection from spine s1 to spine s2
+    that commutes with the involutions and carries the rotation of s1 to
+    the rotation of s2 (its inverse when ``reflect``).
+
+    Every permutation of the edges is tried with every choice of which
+    way each edge is laid onto its image: E! * 2^E candidates.  Colors
+    are read off ``face_walks``: the boundary cycle through d goes to
+    the cycle through sigma(d), or, under reflection, through the
+    partner of sigma(d).  Sorted by the images of the darts in
+    ascending order.
+    """
+    g1, g2 = s1.graph, s2.graph
+
+    def edges(involution):
+        return sorted({tuple(sorted((d, involution[d]))) for d in involution})
+
+    def color_of_dart(spine):
+        walks = face_walks(spine.graph.rotation, spine.graph.involution)
+        return {d: spine.colors[i] for i, walk in enumerate(walks)
+                for d in walk}
+
+    edges1, edges2 = edges(g1.involution), edges(g2.involution)
+    if len(edges1) != len(edges2):
+        return []
+    rot2 = g2.rotation
+    if reflect:
+        rot2 = {nxt: d for d, nxt in g2.rotation.items()}
+    color1, color2 = color_of_dart(s1), color_of_dart(s2)
+    found = []
+    for image in itertools.permutations(edges2):
+        for flips in itertools.product((False, True), repeat=len(edges1)):
+            sigma = {}
+            for (a, b), (c, d), flip in zip(edges1, image, flips):
+                sigma[a], sigma[b] = (d, c) if flip else (c, d)
+            if any(sigma[g1.rotation[d]] != rot2[sigma[d]] for d in sigma):
+                continue
+            if any(color1[d] != color2[g2.involution[sigma[d]] if reflect
+                                       else sigma[d]] for d in sigma):
+                continue
+            found.append(sigma)
+    return sorted(found, key=lambda sigma: [sigma[d] for d in sorted(sigma)])
 
 
 def union_find_connected(cycles: list[list[int]], pairs: list[tuple[int, int]]

@@ -288,6 +288,44 @@ class TestShapeErrors:
         assert err.startswith(f"error: {bad}{pointer}: ")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no integer-string conversion limit")
+class TestOverlongIntegers:
+    """Integers past Python's integer-string conversion limit exit 2
+    naming the file or the JSON pointer, not with a traceback."""
+
+    def test_matrix_entry(self, capsys, tmp_path):
+        spec = load(BANANA)
+        bad = tmp_path / "bad.json"
+        digits = "9" * (sys.get_int_max_str_digits() + 701)
+        # json.dumps cannot write such an int, so it is spliced into text
+        text = json.dumps(spec).replace("[[0, 1], [1, 0]]",
+                                        f"[[0, 1], [1, {digits}]]", 1)
+        assert digits in text
+        bad.write_text(text)
+        code, out, err = invoke(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: ")
+
+    def test_dehn_key(self, capsys, tmp_path):
+        spec = load(BANANA)
+        key = "1" * (sys.get_int_max_str_digits() + 700)
+        spec["pieces"][0]["dehn"][key] = [1, 0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = invoke(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}/pieces/0/dehn/{key}: ")
+
+
+def test_non_utf8_file_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = invoke(capsys, "validate", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: ")
+
+
 class TestPropagationCount:
     """Validation and the later orientation readers of one request share
     one propagation per piece and seed."""

@@ -48,7 +48,7 @@ def assemble(s1, s2, pieces1, pieces2, combo, mode):
     None: the torus map, pair images and matrix matches are derived
     from scratch, apart from the search under test."""
     torus_map = {}
-    for p1, p2, (sigma, reflect) in zip(pieces1, pieces2, combo):
+    for p1, p2, (sigma, reflect, _) in zip(pieces1, pieces2, combo):
         faces = induced_face_map(p1.spine.graph, p2.spine.graph, sigma, reflect)
         if faces is None:
             return None
@@ -75,11 +75,11 @@ def assemble(s1, s2, pieces1, pieces2, combo, mode):
         piece_map={p1.piece_id: p2.piece_id
                    for p1, p2 in zip(pieces1, pieces2)},
         dart_maps={p1.piece_id: dict(sigma)
-                   for p1, (sigma, _) in zip(pieces1, combo)},
+                   for p1, (sigma, _, _) in zip(pieces1, combo)},
         basis_signs=basis_signs,
         twists=twists,
         reflected={p1.piece_id: reflect
-                   for p1, (_, reflect) in zip(pieces1, combo)},
+                   for p1, (_, reflect, _) in zip(pieces1, combo)},
     )
 
 

@@ -345,13 +345,75 @@ class TestCanonicalCode:
         classes: dict[tuple, list[FatGraph]] = {}
         for graph in graphs:
             classes.setdefault(canonical_code(graph), []).append(graph)
+
+        def isomorphic(a: FatGraph, b: FatGraph) -> bool:
+            return bool(oracles.edge_isomorphisms(uncolored(a), uncolored(b),
+                                                  reflect=False))
+
         for members in classes.values():
-            first = uncolored(members[0])
-            assert all(fatgraph_isomorphic(first, uncolored(g)) is not None
-                       for g in members[1:])
-        representatives = [uncolored(m[0]) for m in classes.values()]
+            assert all(isomorphic(members[0], g) for g in members[1:])
+        representatives = [m[0] for m in classes.values()]
         for a, b in itertools.combinations(representatives, 2):
-            assert fatgraph_isomorphic(a, b) is None
+            assert not isomorphic(a, b)
+
+
+class TestAgainstEdgeOracle:
+    """The search lists exactly the isomorphisms that brute force over
+    edge permutations and flips finds, in the same order: unreflected
+    ones first, each group by ascending image of the least dart."""
+
+    @staticmethod
+    def assert_same(s1: Spine, s2: Spine) -> list:
+        """Also checks each yielded face map against the face walks."""
+        g1, g2 = s1.graph, s2.graph
+        walks1 = oracles.face_walks(g1.rotation, g1.involution)
+        walk_of2 = {d: i for i, walk in enumerate(
+            oracles.face_walks(g2.rotation, g2.involution)) for d in walk}
+        found = []
+        for sigma, reflect, faces in fatgraph.iter_isomorphisms_tagged(
+                s1, s2, allow_reflection=True):
+            side = g2.involution if reflect else {d: d for d in g2.darts}
+            assert faces == {i: walk_of2[side[sigma[walk[0]]]]
+                             for i, walk in enumerate(walks1)}
+            found.append((sigma, reflect))
+        expected = [(sigma, reflect) for reflect in (False, True)
+                    for sigma in oracles.edge_isomorphisms(s1, s2, reflect)]
+        assert found == expected
+        return found
+
+    def test_census_pairs(self, census_spines):
+        for s1, s2 in itertools.product(census_spines, repeat=2):
+            if s1.graph.edge_count == s2.graph.edge_count:
+                self.assert_same(s1, s2)
+
+    def test_relabelings_and_mirrors(self, census_spines):
+        rng = random.Random(11)
+        for spine in census_spines:
+            images = rng.sample(range(1, 40), len(spine.graph.darts))
+            copy = spine.relabeled(dict(zip(spine.graph.darts, images)))
+            mirror = reflected_spine(spine)
+            for s1, s2 in ((spine, copy), (copy, spine), (spine, mirror),
+                           (mirror, copy)):
+                assert self.assert_same(s1, s2)
+
+    def test_chiral_graph(self):
+        spine = uncolored(chiral_graph())
+        mirror = reflected_spine(spine)
+        assert [r for _, r in self.assert_same(spine, mirror)] == [True]
+        assert [r for _, r in self.assert_same(spine, spine)] == [False]
+
+    def test_disconnected_graph_is_input_error(self):
+        pairs = [[1, 2], [3, 4], [5, 6], [7, 8]]
+        # equal valences (2, 6) and boundary lengths (1, 1, 2, 4)
+        apart = uncolored(FatGraph([[1, 2], [3, 5, 4, 7, 6, 8]], pairs))
+        joined = uncolored(FatGraph([[1, 3], [2, 4, 5, 6, 7, 8]], pairs))
+        assert not oracles.union_find_connected(apart.graph.vertices,
+                                                apart.graph.edges)
+        assert oracles.union_find_connected(joined.graph.vertices,
+                                            joined.graph.edges)
+        for s1, s2 in ((apart, joined), (joined, apart), (apart, apart)):
+            with pytest.raises(InputError):
+                list(fatgraph.iter_isomorphisms_tagged(s1, s2))
 
 
 class TestIsomorphism:
