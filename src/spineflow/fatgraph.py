@@ -35,7 +35,7 @@ EXIT = "EXIT"
 COLORS = (ENTRANCE, EXIT)
 
 #: largest edge count the exhaustive spine census will attempt
-MAX_CENSUS_EDGES = 5
+MAX_CENSUS_EDGES = 7
 
 
 class FatGraph:
@@ -403,27 +403,6 @@ def fatgraph_isomorphic(s1: Spine, s2: Spine,
 # census
 # ----------------------------------------------------------------------
 
-def _even_cycle_rotations(darts: list[int]) -> Iterator[list[list[int]]]:
-    """All partitions of ``darts`` into cyclic sequences of even length.
-
-    Each rotation system is produced exactly once: cycles are emitted in
-    increasing order of their smallest dart, which stays first in its
-    cycle.
-    """
-    if not darts:
-        yield []
-        return
-    first, rest = darts[0], darts[1:]
-    # choose the rest of the cycle through `first`: an ordered selection
-    # of odd size from `rest`
-    for size in range(1, len(rest) + 1, 2):
-        for tail in itertools.permutations(rest, size):
-            remaining = [d for d in rest if d not in tail]
-            head = [first, *tail]
-            for other in _even_cycle_rotations(remaining):
-                yield [head] + other
-
-
 def _face_sides(face_count: int, edge_faces: Iterable[tuple[int, int]]
                 ) -> Optional[tuple[dict[int, int], list[list[int]]]]:
     """Side (0 or 1) of every boundary cycle under condition 3, and the
@@ -515,60 +494,166 @@ def _even_face_table(rotation: list[int], involution: list[int],
     return face_of
 
 
+def _rooted_even_map_codes(n: int) -> Iterator[tuple[int, ...]]:
+    """The ``_map_code`` from dart 0 of every rooted connected map on
+    darts 0..n-1 with only even valences, each exactly once.
+
+    The code is grown in the order the walk reads it, so the darts are
+    numbered in discovery order.  The rotation image of dart i is a
+    numbered dart that has no rotation preimage yet, or the next new
+    dart; so is its involution partner, unless an earlier dart already
+    chose dart i.  A vertex cycle is dropped as soon as it closes with
+    odd length, and a walk that runs out of darts before it numbers n
+    of them is dropped too.  A rooted connected map has exactly one
+    such numbering, so no code repeats and none needs a connectivity
+    check.
+    """
+    rotation = [-1] * n
+    preimage = [-1] * n
+    involution = [-1] * n
+    code: list[int] = []
+
+    def grow(i: int, numbered: int) -> Iterator[tuple[int, ...]]:
+        if i == numbered:
+            if numbered == n:
+                yield tuple(code)
+            return
+        for r in range(min(numbered + 1, n)):
+            if preimage[r] >= 0:
+                continue
+            end, length = r, 1
+            while rotation[end] >= 0:
+                end, length = rotation[end], length + 1
+            if end == i and length % 2:
+                continue
+            rotation[i], preimage[r] = r, i
+            code.append(r)
+            after = max(numbered, r + 1)
+            if involution[i] >= 0:
+                code.append(involution[i])
+                yield from grow(i + 1, after)
+                code.pop()
+            else:
+                for t in range(i + 1, min(after + 1, n)):
+                    if involution[t] >= 0:
+                        continue
+                    involution[i], involution[t] = t, i
+                    code.append(t)
+                    yield from grow(i + 1, max(after, t + 1))
+                    code.pop()
+                    involution[i] = involution[t] = -1
+            code.pop()
+            rotation[i] = preimage[r] = -1
+
+    return grow(0, 1)
+
+
+def _least_labeling(rotation, involution
+                    ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The least labeled rotation system of a connected map, as its
+    (length, darts) cycle key.
+
+    A labeling renames the darts 1..n so that each edge becomes
+    (2k + 1, 2k + 2).  Its rotation cycles start at their least dart
+    and go by that dart; the key lists (length, darts) of each cycle in
+    turn, and keys compare as tuples.  Dart 1 therefore starts a vertex
+    of least valence.  From each such start the least labeling is
+    greedy: the walk goes round each vertex, gives each newly met dart
+    the next free odd label and its partner the even label after it,
+    and starts the next vertex at the least labeled dart not yet
+    placed.  The least key over those starts is returned.
+    """
+    n = len(rotation)
+    valence = [0] * n
+    for d0 in range(n):
+        if not valence[d0]:
+            cycle = [d0]
+            while rotation[cycle[-1]] != d0:
+                cycle.append(rotation[cycle[-1]])
+            for d in cycle:
+                valence[d] = len(cycle)
+
+    def greedy(start: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        label = [0] * n
+        by_label = [-1]
+        placed = [False] * n
+        cycles = []
+        first, scan = start, 1
+        while True:
+            cycle = []
+            d = first
+            while not placed[d]:
+                if not label[d]:
+                    label[d], label[involution[d]] = len(by_label), len(by_label) + 1
+                    by_label += (d, involution[d])
+                placed[d] = True
+                cycle.append(label[d])
+                d = rotation[d]
+            cycles.append((len(cycle), tuple(cycle)))
+            while scan < len(by_label) and placed[by_label[scan]]:
+                scan += 1
+            if scan == len(by_label):
+                return tuple(cycles)
+            first = by_label[scan]
+
+    least = min(valence)
+    return min(greedy(start) for start in range(n) if valence[start] == least)
+
+
 def enumerate_spines(max_edges: int) -> Iterator[Spine]:
     """Every valid spine with at most ``max_edges`` edges, exactly once
     up to color-preserving isomorphism, in deterministic order.
 
     Only even edge counts occur: by condition 3 the ENTRANCE cycles
     carry one side of every edge, and by condition 4 each has even
-    length, so E is even.  Within one edge count the rotation systems
-    on darts 1..2E paired (1, 2), (3, 4), ... follow the order of
-    ``_even_cycle_rotations`` and the colorings of each the order of
-    ``_colorings``.
+    length, so E is even.
 
-    Each rotation system is screened on integer tables before any
-    ``FatGraph`` is built: even boundary cycles, the two sides of every
-    edge on different cycles, a 2-colorable side-adjacency graph, and
-    connectivity (the ``_map_code`` walk from dart 1 reaches every
-    dart; its code is then the first candidate for the canonical
-    code).  A survivor whose canonical code was seen before
-    only has colorings isomorphic to spines already emitted, since a
-    color-preserving isomorphism is a graph isomorphism; so only the
-    colorings of a new graph are compared, among themselves.
+    Each map class is visited once (McKay's canonical construction
+    path): ``_rooted_even_map_codes`` grows every rooted connected
+    even-valence map, and a map is kept only at a root whose code no
+    other start dart beats, and only when its boundary cycles are
+    even.  Each kept map is relabeled on darts 1..2E paired (1, 2),
+    (3, 4), ... to the least labeled rotation system of its class
+    (``_least_labeling``), and the maps go in the order of those keys:
+    within one edge count this is the order in which an exhaustive
+    pass over all labeled rotation systems first meets each class.
+    A map must then have the two sides of every edge on different
+    cycles and a 2-colorable side-adjacency graph; its colorings go in
+    the order of ``_colorings``.  Only the colorings of one graph can
+    be isomorphic to each other, since a color-preserving isomorphism
+    is a graph isomorphism; so they are compared among themselves.
 
-    ``max_edges`` is capped at ``MAX_CENSUS_EDGES`` = 5, which takes
-    well under a second (E = 5 is odd and costs nothing); E = 6 would
-    visit 108,056,025 rotation systems.
+    ``max_edges`` is capped at ``MAX_CENSUS_EDGES`` = 7 (E = 7 is odd
+    and costs nothing).  E = 6 grows 26,368 rooted maps and yields 82
+    spines in about a second; E = 8 would grow 6,092,032, which takes
+    about a minute before any screen runs.
     """
     if not 1 <= max_edges <= MAX_CENSUS_EDGES:
         raise CapacityError(
             f"max_edges must be between 1 and {MAX_CENSUS_EDGES}, got {max_edges}")
-    seen_codes: set[tuple[int, ...]] = set()
     for e in range(2, max_edges + 1, 2):
         n = 2 * e
+        keys = []
+        for code in _rooted_even_map_codes(n):
+            rotation, involution = code[::2], code[1::2]
+            if (_even_face_table(rotation, involution, range(n)) is not None
+                    and _canonical_code(rotation, involution, range(1, n)) >= code):
+                keys.append(_least_labeling(rotation, involution))
         darts = list(range(1, n + 1))
         pairs = [[d, d + 1] for d in range(1, n, 2)]
         # index 0 unused: tables are indexed by dart
         involution = [0] + [d + 1 if d % 2 else d - 1 for d in darts]
-        for cycles in _even_cycle_rotations(darts):
+        for key in sorted(keys):
+            cycles = [cycle for _, cycle in key]
             rotation = [0] * (n + 1)
             for cycle in cycles:
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                     rotation[a] = b
             face_of = _even_face_table(rotation, involution, darts)
-            if face_of is None:
-                continue
             sides = _face_sides(max(face_of) + 1,
                                 ((face_of[a], face_of[b]) for a, b in pairs))
             if sides is None:
                 continue
-            code, order = _map_code(rotation, involution, 1)
-            if len(order) != n:
-                continue
-            code = min(code, _canonical_code(rotation, involution, darts[1:]))
-            if code in seen_codes:
-                continue
-            seen_codes.add(code)
             graph = FatGraph(cycles, pairs)
             kept: list[Spine] = []
             for colors in _colorings(*sides):

@@ -165,8 +165,15 @@ class TestCensus:
         assert five == four
         assert json.loads(five)["count"] == 9
 
-    def test_six_edges_over_capacity(self, capsys):
-        code, out, err = invoke(capsys, "census", "--max-edges", "6")
+    def test_seven_edges_print_the_six_edge_spines(self, capsys):
+        _, six, _ = invoke(capsys, "census", "--max-edges", "6")
+        code, seven, _ = invoke(capsys, "census", "--max-edges", "7")
+        assert code == 0
+        assert seven == six
+        assert json.loads(seven)["count"] == 91
+
+    def test_eight_edges_over_capacity(self, capsys):
+        code, out, err = invoke(capsys, "census", "--max-edges", "8")
         assert code == 2
         assert out == ""
         assert "max_edges" in err

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from typing import Iterator
 
 import pytest
 
@@ -11,8 +13,32 @@ from spineflow import (ENTRANCE, EXIT, FatGraph, InputError, OrientabilityError,
                        validate_spine)
 from spineflow import fatgraph
 from spineflow.errors import CapacityError
-from spineflow.fatgraph import COLORS, _canonical_code, _even_cycle_rotations
+from spineflow.fatgraph import (COLORS, _canonical_code, _map_code,
+                                _rooted_even_map_codes)
 from spineflow.walks import two_color
+
+
+# The reference enumerator: every labeled rotation system, in the order
+# whose first member of each map class ``enumerate_spines`` emits.
+def _even_cycle_rotations(darts: list[int]) -> Iterator[list[list[int]]]:
+    """All partitions of ``darts`` into cyclic sequences of even length.
+
+    Each rotation system is produced exactly once: cycles are emitted in
+    increasing order of their smallest dart, which stays first in its
+    cycle.
+    """
+    if not darts:
+        yield []
+        return
+    first, rest = darts[0], darts[1:]
+    # choose the rest of the cycle through `first`: an ordered selection
+    # of odd size from `rest`
+    for size in range(1, len(rest) + 1, 2):
+        for tail in itertools.permutations(rest, size):
+            remaining = [d for d in rest if d not in tail]
+            head = [first, *tail]
+            for other in _even_cycle_rotations(remaining):
+                yield [head] + other
 
 
 def banana_spine() -> Spine:
@@ -272,13 +298,14 @@ class TestEnumerateSpines:
         for spine in census_spines:
             assert validate_spine(spine.graph, spine.colors).passed
 
-    def test_capacity_bounds(self):
+    def test_capacity_bounds(self, six_edge_spines):
         with pytest.raises(CapacityError):
             list(enumerate_spines(0))
         with pytest.raises(CapacityError):
-            list(enumerate_spines(6))
-        with pytest.raises(CapacityError):
-            list(enumerate_spines(7))
+            list(enumerate_spines(8))
+        # E = 7 is odd and adds nothing to E = 6
+        assert [spine_to_json(s) for s in enumerate_spines(7)] == \
+            [spine_to_json(s) for s in six_edge_spines]
 
     @pytest.mark.parametrize("max_edges", [1, 2, 3, 4])
     def test_matches_exhaustive_reference(self, max_edges):
@@ -311,6 +338,102 @@ class TestEnumerateSpines:
         assert len(list(enumerate_spines(4))) == len(census_spines)
         assert len(built) == len({canonical_code(s.graph)
                                   for s in census_spines})
+
+
+def old_order_key(graph: FatGraph) -> tuple:
+    """The (length, darts) key of each rotation cycle in turn, cycles
+    starting at their least dart and going by it: the order in which
+    ``_even_cycle_rotations`` lists labeled rotation systems."""
+    return tuple((len(c), c) for c in graph.vertices)
+
+
+@pytest.fixture(scope="module")
+def six_edge_spines() -> list[Spine]:
+    return list(enumerate_spines(6))
+
+
+class TestRootedMapCodes:
+    def test_counts_match_labeled_systems(self):
+        # automorphisms of a connected map act freely on its darts, so a
+        # class with a of them has 2E / a rooted versions, one code each,
+        # and 2^E * E! / a labelings keeping the pairs (1, 2), (3, 4), ...
+        graphs = connected_graphs(4)
+        rooted = [sum(1 for _ in _rooted_even_map_codes(2 * e))
+                  for e in range(1, 5)]
+        assert rooted == [1, 4, 25, 208]
+        for e, count in enumerate(rooted, start=1):
+            labeled = sum(1 for g in graphs if g.edge_count == e)
+            assert count * 2 ** e * math.factorial(e) == 2 * e * labeled
+
+    def test_each_code_is_the_map_code_of_an_even_connected_map(self):
+        for n in (2, 4, 6, 8, 10):
+            codes = list(_rooted_even_map_codes(n))
+            assert len(set(codes)) == len(codes)
+            for code in codes:
+                rotation, involution = code[::2], code[1::2]
+                assert sorted(rotation) == list(range(n))
+                assert all(involution[involution[d]] == d != involution[d]
+                           for d in range(n))
+                assert _map_code(rotation, involution, 0)[0] == code
+                cycles, placed = [], set()
+                for d in range(n):
+                    if d not in placed:
+                        cycles.append([d])
+                        while rotation[cycles[-1][-1]] != d:
+                            cycles[-1].append(rotation[cycles[-1][-1]])
+                        placed.update(cycles[-1])
+                assert all(len(c) % 2 == 0 for c in cycles)
+                pairs = [(d, involution[d]) for d in range(n)
+                         if d < involution[d]]
+                assert oracles.union_find_connected(cycles, pairs)
+
+    def test_six_edge_count(self):
+        assert sum(1 for _ in _rooted_even_map_codes(12)) == 26368
+
+
+class TestSixEdgeCensus:
+    def test_counts_and_prefix(self, six_edge_spines, census_spines):
+        assert len(six_edge_spines) == 91
+        assert [spine_to_json(s) for s in six_edge_spines[:9]] == \
+            [spine_to_json(s) for s in census_spines]
+        assert [s.graph.edge_count for s in six_edge_spines].count(6) == 82
+
+    def test_spine_conditions(self, six_edge_spines):
+        for spine in six_edge_spines[9:]:
+            graph = spine.graph
+            conditions = oracles.spine_conditions(
+                [list(c) for c in graph.vertices], list(graph.edges),
+                spine.colors)
+            assert all(conditions.values()), conditions
+
+    def test_no_two_isomorphic(self, six_edge_spines):
+        buckets: dict[tuple, list[Spine]] = {}
+        for spine in six_edge_spines:
+            graph = spine.graph
+            key = (graph.edge_count, tuple(sorted(graph.valences())),
+                   tuple(sorted((len(c), spine.colors[i]) for i, c in
+                                enumerate(graph.boundary_cycles()))))
+            buckets.setdefault(key, []).append(spine)
+        for bucket in buckets.values():
+            for a, b in itertools.combinations(bucket, 2):
+                assert fatgraph_isomorphic(a, b) is None
+
+    def test_no_relabeling_comes_first(self, six_edge_spines):
+        # each graph is the first labeled rotation system of its class
+        # in the order of _even_cycle_rotations
+        rng = random.Random(61)
+        for spine in six_edge_spines:
+            graph = spine.graph
+            key = old_order_key(graph)
+            for _ in range(40):
+                edges = list(range(graph.edge_count))
+                rng.shuffle(edges)
+                mapping = {}
+                for k, image in enumerate(edges):
+                    flip = rng.randrange(2)
+                    mapping[2 * k + 1] = 2 * image + 1 + flip
+                    mapping[2 * k + 2] = 2 * image + 2 - flip
+                assert old_order_key(graph.relabeled(mapping)) >= key
 
 
 class TestCanonicalCode:
