@@ -21,7 +21,6 @@ cycles by ``ENTRANCE`` / ``EXIT``.  The spine conditions are:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -35,7 +34,7 @@ EXIT = "EXIT"
 COLORS = (ENTRANCE, EXIT)
 
 #: largest edge count the exhaustive spine census will attempt
-MAX_CENSUS_EDGES = 7
+MAX_CENSUS_EDGES = 9
 
 
 class FatGraph:
@@ -403,46 +402,6 @@ def fatgraph_isomorphic(s1: Spine, s2: Spine,
 # census
 # ----------------------------------------------------------------------
 
-def _face_sides(face_count: int, edge_faces: Iterable[tuple[int, int]]
-                ) -> Optional[tuple[dict[int, int], list[list[int]]]]:
-    """Side (0 or 1) of every boundary cycle under condition 3, and the
-    components of the side-adjacency graph in order of their least
-    cycle; ``edge_faces`` holds the cycles on the two sides of each
-    edge.  None when some edge has both sides on one cycle or some
-    component is odd."""
-    adjacency: dict[int, set[int]] = {i: set() for i in range(face_count)}
-    for fa, fb in edge_faces:
-        if fa == fb:
-            return None
-        adjacency[fa].add(fb)
-        adjacency[fb].add(fa)
-    components: list[list[int]] = []
-    assignment: dict[int, int] = {}
-    for root in range(face_count):
-        if root in assignment:
-            continue
-        sides, odd_cycle = two_color(root, adjacency)
-        if odd_cycle is not None:
-            return None
-        assignment.update(sides)
-        components.append(sorted(sides))
-    return assignment, components
-
-
-def _colorings(assignment: dict[int, int],
-               components: list[list[int]]) -> list[dict[int, str]]:
-    """Every coloring that flips whole components of a side assignment,
-    the first component's flip varying slowest."""
-    colorings = []
-    for flips in itertools.product((0, 1), repeat=len(components)):
-        coloring = {}
-        for comp, flip in zip(components, flips):
-            for f in comp:
-                coloring[f] = COLORS[(assignment[f] + flip) % 2]
-        colorings.append(coloring)
-    return colorings
-
-
 def _map_code(rotation, involution, start: int
               ) -> tuple[tuple[int, ...], list[int]]:
     """Breadth-first code of the map from ``start``, and the darts in
@@ -472,78 +431,43 @@ def _canonical_code(rotation, involution, darts) -> tuple[int, ...]:
     return min(_map_code(rotation, involution, d)[0] for d in darts)
 
 
-def _even_face_table(rotation: list[int], involution: list[int],
-                     darts: list[int]) -> Optional[list[int]]:
-    """Dart -> index of its boundary cycle (orbit of rotation .
-    involution), cycles numbered by smallest dart as in
-    ``FatGraph.boundary_cycles``; None as soon as one cycle is odd.
-    The tables are lists indexed by dart."""
-    face_of = [-1] * len(rotation)
-    face_count = 0
-    for d0 in darts:
-        if face_of[d0] >= 0:
-            continue
-        d, length = d0, 0
-        while face_of[d] < 0:
-            face_of[d] = face_count
-            length += 1
-            d = rotation[involution[d]]
-        if length % 2:
-            return None
-        face_count += 1
-    return face_of
+def _rooted_even_hypermap_codes(n: int) -> Iterator[tuple[int, ...]]:
+    """The ``_map_code`` from point 0 of every rooted transitive pair
+    (x, y) of permutations of 0..n-1 whose cycles are all even, each
+    exactly once.
 
-
-def _rooted_even_map_codes(n: int) -> Iterator[tuple[int, ...]]:
-    """The ``_map_code`` from dart 0 of every rooted connected map on
-    darts 0..n-1 with only even valences, each exactly once.
-
-    The code is grown in the order the walk reads it, so the darts are
-    numbered in discovery order.  The rotation image of dart i is a
-    numbered dart that has no rotation preimage yet, or the next new
-    dart; so is its involution partner, unless an earlier dart already
-    chose dart i.  A vertex cycle is dropped as soon as it closes with
-    odd length, and a walk that runs out of darts before it numbers n
-    of them is dropped too.  A rooted connected map has exactly one
-    such numbering, so no code repeats and none needs a connectivity
-    check.
+    The code is grown in the order the walk reads it, so the points are
+    numbered in discovery order.  The image of point i under x, then
+    under y, is a numbered point that has no preimage under that
+    permutation yet, or the next new point.  A cycle is dropped as soon
+    as it closes with odd length, and a walk that runs out of points
+    before it numbers n of them is dropped too.  A rooted transitive
+    pair has exactly one such numbering, so no code repeats.
     """
-    rotation = [-1] * n
-    preimage = [-1] * n
-    involution = [-1] * n
+    images = ([-1] * n, [-1] * n)
+    preimages = ([-1] * n, [-1] * n)
     code: list[int] = []
 
-    def grow(i: int, numbered: int) -> Iterator[tuple[int, ...]]:
+    def grow(step: int, numbered: int) -> Iterator[tuple[int, ...]]:
+        i, which = divmod(step, 2)
         if i == numbered:
             if numbered == n:
                 yield tuple(code)
             return
+        image, preimage = images[which], preimages[which]
         for r in range(min(numbered + 1, n)):
             if preimage[r] >= 0:
                 continue
             end, length = r, 1
-            while rotation[end] >= 0:
-                end, length = rotation[end], length + 1
+            while image[end] >= 0:
+                end, length = image[end], length + 1
             if end == i and length % 2:
                 continue
-            rotation[i], preimage[r] = r, i
+            image[i], preimage[r] = r, i
             code.append(r)
-            after = max(numbered, r + 1)
-            if involution[i] >= 0:
-                code.append(involution[i])
-                yield from grow(i + 1, after)
-                code.pop()
-            else:
-                for t in range(i + 1, min(after + 1, n)):
-                    if involution[t] >= 0:
-                        continue
-                    involution[i], involution[t] = t, i
-                    code.append(t)
-                    yield from grow(i + 1, max(after, t + 1))
-                    code.pop()
-                    involution[i] = involution[t] = -1
+            yield from grow(step + 1, max(numbered, r + 1))
             code.pop()
-            rotation[i] = preimage[r] = -1
+            image[i] = preimage[r] = -1
 
     return grow(0, 1)
 
@@ -604,65 +528,59 @@ def enumerate_spines(max_edges: int) -> Iterator[Spine]:
     """Every valid spine with at most ``max_edges`` edges, exactly once
     up to color-preserving isomorphism, in deterministic order.
 
-    Only even edge counts occur: by condition 3 the ENTRANCE cycles
-    carry one side of every edge, and by condition 4 each has even
-    length, so E is even.
+    A spine with E edges is an even hypermap: two permutations x, y of
+    its edges whose cycles are all even and which generate a transitive
+    group (Walsh, "Hypermaps versus bipartite maps", 1975).  x sends an
+    edge to the next one along its ENTRANCE cycle and y along its EXIT
+    cycle, so condition 3 holds by construction, condition 4 is the even
+    cycles and condition 2 follows: the rotation alternates sides.  Edge
+    k has the entrance dart 2k and the exit dart 2k + 1, with
+    rotation(2k + 1) = 2 x(k) and rotation(2k) = 2 y(k) + 1.  Only even
+    edge counts occur, since the ENTRANCE cycles are even and carry one
+    side of every edge.
 
-    Each map class is visited once (McKay's canonical construction
-    path): ``_rooted_even_map_codes`` grows every rooted connected
-    even-valence map, and a map is kept only at a root whose code no
-    other start dart beats, and only when its boundary cycles are
-    even.  Each kept map is relabeled on darts 1..2E paired (1, 2),
-    (3, 4), ... to the least labeled rotation system of its class
-    (``_least_labeling``), and the maps go in the order of those keys:
-    within one edge count this is the order in which an exhaustive
-    pass over all labeled rotation systems first meets each class.
-    A map must then have the two sides of every edge on different
-    cycles and a 2-colorable side-adjacency graph; its colorings go in
-    the order of ``_colorings``.  Only the colorings of one graph can
-    be isomorphic to each other, since a color-preserving isomorphism
-    is a graph isomorphism; so they are compared among themselves.
+    A color-preserving isomorphism is a simultaneous conjugation of
+    (x, y), so each class is visited once (McKay's canonical
+    construction path): ``_rooted_even_hypermap_codes`` grows every
+    rooted pair, and a pair is kept only at a root whose code no other
+    start point beats.  Its uncolored map is relabeled on darts 1..2E
+    paired (1, 2), (3, 4), ... to the least labeled rotation system of
+    its class (``_least_labeling``), and the maps go in the order of
+    those keys: within one edge count this is the order in which an
+    exhaustive pass over all labeled rotation systems first meets each
+    map.  (x, y) and (y, x) give the same map with the colors swapped.
+    So each map comes first with the cycle through dart 1 ENTRANCE,
+    then swapped when (y, x) is another class.
 
-    ``max_edges`` is capped at ``MAX_CENSUS_EDGES`` = 7 (E = 7 is odd
-    and costs nothing).  E = 6 grows 26,368 rooted maps and yields 82
-    spines in about a second; E = 8 would grow 6,092,032, which takes
-    about a minute before any screen runs.
+    ``max_edges`` is capped at ``MAX_CENSUS_EDGES`` = 9 (E = 9 is odd
+    and costs nothing).  E = 8 grows 23,797 rooted pairs and yields
+    3,090 spines in about a second; E = 10 would grow 2,180,461 and
+    take over a minute.
     """
     if not 1 <= max_edges <= MAX_CENSUS_EDGES:
         raise CapacityError(
             f"max_edges must be between 1 and {MAX_CENSUS_EDGES}, got {max_edges}")
     for e in range(2, max_edges + 1, 2):
-        n = 2 * e
-        keys = []
-        for code in _rooted_even_map_codes(n):
-            rotation, involution = code[::2], code[1::2]
-            if (_even_face_table(rotation, involution, range(n)) is not None
-                    and _canonical_code(rotation, involution, range(1, n)) >= code):
-                keys.append(_least_labeling(rotation, involution))
-        darts = list(range(1, n + 1))
-        pairs = [[d, d + 1] for d in range(1, n, 2)]
-        # index 0 unused: tables are indexed by dart
-        involution = [0] + [d + 1 if d % 2 else d - 1 for d in darts]
-        for key in sorted(keys):
-            cycles = [cycle for _, cycle in key]
-            rotation = [0] * (n + 1)
-            for cycle in cycles:
-                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    rotation[a] = b
-            face_of = _even_face_table(rotation, involution, darts)
-            sides = _face_sides(max(face_of) + 1,
-                                ((face_of[a], face_of[b]) for a, b in pairs))
-            if sides is None:
+        classes: dict[tuple, int] = {}
+        involution = [d ^ 1 for d in range(2 * e)]
+        for code in _rooted_even_hypermap_codes(e):
+            x, y = code[::2], code[1::2]
+            if _canonical_code(x, y, range(1, e)) < code:
                 continue
-            graph = FatGraph(cycles, pairs)
-            kept: list[Spine] = []
-            for colors in _colorings(*sides):
-                spine = Spine(graph, colors)
-                if any(fatgraph_isomorphic(spine, other) is not None
-                       for other in kept):
-                    continue
-                kept.append(spine)
-                yield spine
+            rotation = [0] * (2 * e)
+            for k in range(e):
+                rotation[2 * k], rotation[2 * k + 1] = 2 * y[k] + 1, 2 * x[k]
+            key = _least_labeling(rotation, involution)
+            classes[key] = classes.get(key, 0) + 1
+        pairs = [[d, d + 1] for d in range(1, 2 * e, 2)]
+        for key in sorted(classes):
+            graph = FatGraph([cycle for _, cycle in key], pairs)
+            face_of = graph.face_of()
+            sides, _ = two_color(1, {d: (graph.rotation[d], graph.involution[d])
+                                     for d in graph.darts})
+            for swap in range(classes[key]):
+                yield Spine(graph, {face_of[d]: COLORS[side ^ swap]
+                                    for d, side in sides.items()})
 
 
 # ----------------------------------------------------------------------

@@ -172,8 +172,15 @@ class TestCensus:
         assert seven == six
         assert json.loads(seven)["count"] == 91
 
-    def test_eight_edges_over_capacity(self, capsys):
-        code, out, err = invoke(capsys, "census", "--max-edges", "8")
+    def test_nine_edges_print_the_eight_edge_spines(self, capsys):
+        _, eight, _ = invoke(capsys, "census", "--max-edges", "8")
+        code, nine, _ = invoke(capsys, "census", "--max-edges", "9")
+        assert code == 0
+        assert nine == eight
+        assert json.loads(nine)["count"] == 3181
+
+    def test_ten_edges_over_capacity(self, capsys):
+        code, out, err = invoke(capsys, "census", "--max-edges", "10")
         assert code == 2
         assert out == ""
         assert "max_edges" in err

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import math
 import random
+from fractions import Fraction
 from typing import Iterator
 
 import pytest
@@ -14,7 +17,7 @@ from spineflow import (ENTRANCE, EXIT, FatGraph, InputError, OrientabilityError,
 from spineflow import fatgraph
 from spineflow.errors import CapacityError
 from spineflow.fatgraph import (COLORS, _canonical_code, _map_code,
-                                _rooted_even_map_codes)
+                                _rooted_even_hypermap_codes)
 from spineflow.walks import two_color
 
 
@@ -39,6 +42,93 @@ def _even_cycle_rotations(darts: list[int]) -> Iterator[list[list[int]]]:
             head = [first, *tail]
             for other in _even_cycle_rotations(remaining):
                 yield [head] + other
+
+
+# The second reference: rooted even-valence maps grown on 2E darts, the
+# census generator before spines were grown as hypermaps on E points.
+def _rooted_even_map_codes(n: int) -> Iterator[tuple[int, ...]]:
+    """The ``_map_code`` from dart 0 of every rooted connected map on
+    darts 0..n-1 with only even valences, each exactly once.
+
+    The code is grown in the order the walk reads it, so the darts are
+    numbered in discovery order.  The rotation image of dart i is a
+    numbered dart that has no rotation preimage yet, or the next new
+    dart; so is its involution partner, unless an earlier dart already
+    chose dart i.  A vertex cycle is dropped as soon as it closes with
+    odd length, and a walk that runs out of darts before it numbers n
+    of them is dropped too.  A rooted connected map has exactly one
+    such numbering, so no code repeats and none needs a connectivity
+    check.
+    """
+    rotation = [-1] * n
+    preimage = [-1] * n
+    involution = [-1] * n
+    code: list[int] = []
+
+    def grow(i: int, numbered: int) -> Iterator[tuple[int, ...]]:
+        if i == numbered:
+            if numbered == n:
+                yield tuple(code)
+            return
+        for r in range(min(numbered + 1, n)):
+            if preimage[r] >= 0:
+                continue
+            end, length = r, 1
+            while rotation[end] >= 0:
+                end, length = rotation[end], length + 1
+            if end == i and length % 2:
+                continue
+            rotation[i], preimage[r] = r, i
+            code.append(r)
+            after = max(numbered, r + 1)
+            if involution[i] >= 0:
+                code.append(involution[i])
+                yield from grow(i + 1, after)
+                code.pop()
+            else:
+                for t in range(i + 1, min(after + 1, n)):
+                    if involution[t] >= 0:
+                        continue
+                    involution[i], involution[t] = t, i
+                    code.append(t)
+                    yield from grow(i + 1, max(after, t + 1))
+                    code.pop()
+                    involution[i] = involution[t] = -1
+            code.pop()
+            rotation[i] = preimage[r] = -1
+
+    return grow(0, 1)
+
+
+def transitive_even_pair_counts(top: int) -> list[int]:
+    """T(n) for n = 0..top: ordered pairs of permutations of n points,
+    all cycles even, generating a transitive group.  There are b(n)^2
+    pairs with b(n) = ((n - 1)!!)^2 for even n and 0 for odd n, and
+    transitive ones are the connected objects of that species, so
+    sum T(n) x^n / n! = log sum b(n)^2 x^n / n!."""
+    def even_cycle_perms(n: int) -> int:
+        return 0 if n % 2 else math.prod(range(1, n, 2)) ** 2
+
+    a = [Fraction(even_cycle_perms(n) ** 2, math.factorial(n))
+         for n in range(top + 1)]
+    c = [Fraction(0)] * (top + 1)
+    for n in range(1, top + 1):
+        c[n] = a[n] - sum((k * c[k] * a[n - k] for k in range(1, n)),
+                         Fraction(0)) / n
+    counts = [c[n] * math.factorial(n) for n in range(top + 1)]
+    assert all(t.denominator == 1 for t in counts)
+    return [int(t) for t in counts]
+
+
+def cycles_of(perm) -> list[list[int]]:
+    cycles, placed = [], set()
+    for d in range(len(perm)):
+        if d not in placed:
+            cycles.append([d])
+            while perm[cycles[-1][-1]] != d:
+                cycles[-1].append(perm[cycles[-1][-1]])
+            placed.update(cycles[-1])
+    return cycles
 
 
 def banana_spine() -> Spine:
@@ -298,14 +388,14 @@ class TestEnumerateSpines:
         for spine in census_spines:
             assert validate_spine(spine.graph, spine.colors).passed
 
-    def test_capacity_bounds(self, six_edge_spines):
+    def test_capacity_bounds(self, eight_edge_spines):
         with pytest.raises(CapacityError):
             list(enumerate_spines(0))
         with pytest.raises(CapacityError):
-            list(enumerate_spines(8))
-        # E = 7 is odd and adds nothing to E = 6
-        assert [spine_to_json(s) for s in enumerate_spines(7)] == \
-            [spine_to_json(s) for s in six_edge_spines]
+            list(enumerate_spines(10))
+        # E = 9 is odd and adds nothing to E = 8
+        assert [spine_to_json(s) for s in enumerate_spines(9)] == \
+            [spine_to_json(s) for s in eight_edge_spines]
 
     @pytest.mark.parametrize("max_edges", [1, 2, 3, 4])
     def test_matches_exhaustive_reference(self, max_edges):
@@ -352,6 +442,36 @@ def six_edge_spines() -> list[Spine]:
     return list(enumerate_spines(6))
 
 
+@pytest.fixture(scope="module")
+def eight_edge_spines() -> list[Spine]:
+    return list(enumerate_spines(8))
+
+
+class TestRootedHypermapCodes:
+    def test_counts_match_transitive_pair_oracle(self):
+        # relabelings of 1..n-1 act freely on transitive pairs (one that
+        # commutes with a transitive group and fixes 0 is the identity),
+        # and each orbit is one rooted code: T(n) / (n - 1)! codes
+        counts = transitive_even_pair_counts(8)
+        rooted = [sum(1 for _ in _rooted_even_hypermap_codes(n))
+                  for n in range(1, 9)]
+        assert rooted == [counts[n] // math.factorial(n - 1)
+                          for n in range(1, 9)]
+        assert rooted == [0, 1, 0, 13, 0, 412, 0, 23797]
+
+    def test_each_code_is_the_map_code_of_an_even_pair(self):
+        for n in (2, 4, 6):
+            codes = list(_rooted_even_hypermap_codes(n))
+            assert len(set(codes)) == len(codes)
+            for code in codes:
+                x, y = code[::2], code[1::2]
+                assert sorted(x) == sorted(y) == list(range(n))
+                # a code of length 2n from point 0 reaches every point
+                assert _map_code(x, y, 0)[0] == code
+                assert all(len(c) % 2 == 0
+                           for c in cycles_of(x) + cycles_of(y))
+
+
 class TestRootedMapCodes:
     def test_counts_match_labeled_systems(self):
         # automorphisms of a connected map act freely on its darts, so a
@@ -375,13 +495,7 @@ class TestRootedMapCodes:
                 assert all(involution[involution[d]] == d != involution[d]
                            for d in range(n))
                 assert _map_code(rotation, involution, 0)[0] == code
-                cycles, placed = [], set()
-                for d in range(n):
-                    if d not in placed:
-                        cycles.append([d])
-                        while rotation[cycles[-1][-1]] != d:
-                            cycles[-1].append(rotation[cycles[-1][-1]])
-                        placed.update(cycles[-1])
+                cycles = cycles_of(rotation)
                 assert all(len(c) % 2 == 0 for c in cycles)
                 pairs = [(d, involution[d]) for d in range(n)
                          if d < involution[d]]
@@ -392,6 +506,11 @@ class TestRootedMapCodes:
 
 
 class TestSixEdgeCensus:
+    def test_digest(self, six_edge_spines):
+        text = json.dumps([spine_to_json(s) for s in six_edge_spines])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "5d3bdbd66921c9c102ab1be1fc7baf3f5cecadfbc5f049e26935a6dd8d7fc128"
+
     def test_counts_and_prefix(self, six_edge_spines, census_spines):
         assert len(six_edge_spines) == 91
         assert [spine_to_json(s) for s in six_edge_spines[:9]] == \
@@ -434,6 +553,22 @@ class TestSixEdgeCensus:
                     mapping[2 * k + 1] = 2 * image + 1 + flip
                     mapping[2 * k + 2] = 2 * image + 2 - flip
                 assert old_order_key(graph.relabeled(mapping)) >= key
+
+
+class TestEightEdgeCensus:
+    def test_counts_and_prefix(self, eight_edge_spines, six_edge_spines):
+        assert len(eight_edge_spines) == 3181
+        assert [spine_to_json(s) for s in eight_edge_spines[:91]] == \
+            [spine_to_json(s) for s in six_edge_spines]
+        assert [s.graph.edge_count for s in eight_edge_spines].count(8) == 3090
+
+    def test_spine_conditions(self, eight_edge_spines):
+        for spine in eight_edge_spines[91:]:
+            graph = spine.graph
+            conditions = oracles.spine_conditions(
+                [list(c) for c in graph.vertices], list(graph.edges),
+                spine.colors)
+            assert all(conditions.values()), conditions
 
 
 class TestCanonicalCode:
