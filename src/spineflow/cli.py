@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .census import spine_census
@@ -87,9 +88,55 @@ def _load_spec(path: str):
     return spec_from_json(_load_json(path), path=path)
 
 
+def _json_text(value, out: list, newline: str = "\n") -> None:
+    """Append the bytes of ``json.dumps(value, indent=2, sort_keys=True)``
+    to ``out``.  With an indent the standard library runs its
+    pure-Python encoder; this writer covers only the payload types
+    (dicts with string keys, lists and tuples, strings, integers,
+    booleans and None) and raises ``TypeError`` on anything else."""
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append(inner if i == 0 else "," + inner)
+            _json_text(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            out.append((inner if i == 0 else "," + inner)
+                       + encode_basestring_ascii(key) + ": ")
+            _json_text(value[key], out, inner)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
 def _emit(payload: dict, text_lines, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out: list[str] = []
+        _json_text(payload, out)
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         for line in text_lines:
             sys.stdout.write(line + "\n")

@@ -392,6 +392,84 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
 
 
 # ----------------------------------------------------------------------
+# canonical keys
+# ----------------------------------------------------------------------
+
+def _piece_key(piece: ModelPiece, signs: dict[int, int]
+               ) -> tuple[tuple, list[dict[int, int]]]:
+    """The least decorated rooted code of a piece, and the face ranks
+    of each walk that reaches it.
+
+    A walk from a start dart is decorated, dart by dart in walk order,
+    with the color of the dart's boundary cycle and the Dehn coefficient
+    and propagated sign of its vertex.  Walks of isomorphic pieces pair
+    up with equal decorated codes, so the least one is a complete
+    invariant of the piece under color-, coefficient- and
+    orientation-preserving dart bijections.  The walks that reach it
+    are one orbit of the piece's automorphisms; each ranks the boundary
+    cycles by where the walk first meets them.
+    """
+    graph = piece.spine.graph
+    table = graph.code_table()
+    code = min(table)
+    face_of, vertex_of = graph.face_of(), graph.vertex_of
+    colors, dehn = piece.spine.colors, piece.dehn
+    least: Optional[tuple] = None
+    orders: list[list[int]] = []
+    for order in table[code]:
+        decoration = tuple(
+            (colors[face_of[d]], dehn[vertex_of[d]].p, dehn[vertex_of[d]].q,
+             signs[vertex_of[d]])
+            for d in order)
+        if least is None or decoration < least:
+            least, orders = decoration, [order]
+        elif decoration == least:
+            orders.append(order)
+    ranks = []
+    for order in orders:
+        rank: dict[int, int] = {}
+        for d in order:
+            rank.setdefault(face_of[d], len(rank))
+        ranks.append(rank)
+    return (code, least), ranks
+
+
+def _exact_key(checked: CheckedSpec) -> tuple:
+    """Canonical key of a checked specification under EXACT equivalence
+    without reflection: two keys are equal exactly when ``_search(c1,
+    c2, EXACT, False)`` finds a witness.
+
+    The pieces are sorted by ``_piece_key``.  Each pair is written as
+    (piece rank, face rank) of its exit, the same of its entrance, and
+    its matrix entries, and the key takes the least sorted list of
+    pairs over the orders of pieces with equal keys and over the walks
+    of each piece that reach its key (McKay & Piperno, "Practical graph
+    isomorphism II", 2014, without refinement: the branching is
+    factorial in the number of equal pieces).
+    """
+    spec = checked.spec
+    keyed = sorted(((*_piece_key(piece, checked.signs[piece.piece_id]),
+                     piece.piece_id) for piece in spec.pieces),
+                   key=lambda item: item[0])
+    groups = [[(pid, ranks) for _, ranks, pid in group]
+              for _, group in itertools.groupby(keyed, key=lambda item: item[0])]
+    pairs = [(src, dst, (m.a, m.b, m.c, m.d))
+             for (src, dst), m in zip(spec.pairing, spec.matrices)]
+    least = None
+    for orders in itertools.product(*map(itertools.permutations, groups)):
+        placed = [member for order in orders for member in order]
+        for choice in itertools.product(*(ranks for _, ranks in placed)):
+            rank = {(pid, face): (i, r)
+                    for i, ((pid, _), faces) in enumerate(zip(placed, choice))
+                    for face, r in faces.items()}
+            relabeled = sorted((rank[src], rank[dst], entries)
+                               for src, dst, entries in pairs)
+            if least is None or relabeled < least:
+                least = relabeled
+    return tuple(key for key, _, _ in keyed), tuple(least)
+
+
+# ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
 

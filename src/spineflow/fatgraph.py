@@ -91,6 +91,10 @@ class FatGraph:
             d: i for i, p in enumerate(self.edges) for d in p}
         self._faces: Optional[tuple[tuple[int, ...], ...]] = None
         self._face_of: Optional[dict[int, int]] = None
+        # per reflection flag: start dart -> (code, order), and the
+        # grouped code table once every start dart has been walked
+        self._walks: tuple[dict, dict] = ({}, {})
+        self._code_tables: list[Optional[dict]] = [None, None]
 
     # -- basic queries -------------------------------------------------
 
@@ -109,8 +113,43 @@ class FatGraph:
         """True when the darts form a single orbit under rotation and
         involution, i.e. the underlying graph is connected: the map walk
         of ``_map_code`` from the least dart reaches every dart."""
-        _, order = _map_code(self.rotation, self.involution, self.darts[0])
+        _, order = self.rooted_walk(self.darts[0])
         return len(order) == len(self.darts)
+
+    def rooted_walk(self, start: int, reflect: bool = False
+                    ) -> tuple[tuple[int, ...], list[int]]:
+        """``_map_code`` from ``start``, along the inverse rotation when
+        ``reflect``.  Cached per start dart and flag, so each walk runs
+        at most once in the life of the graph; callers must not mutate
+        the order."""
+        walks = self._walks[reflect]
+        walk = walks.get(start)
+        if walk is None:
+            rotation = self.rotation
+            if reflect:
+                rotation = {v: k for k, v in rotation.items()}
+            walk = walks[start] = _map_code(rotation, self.involution, start)
+        return walk
+
+    def code_table(self, reflect: bool = False
+                   ) -> dict[tuple[int, ...], list[list[int]]]:
+        """The ``rooted_walk`` of every start dart, grouped by code: each
+        code maps to the walk orders that give it, by ascending start
+        dart.  Cached; callers must not mutate it.  The orders under one
+        code are the images of one walk under the automorphisms of the
+        map, and the least code is the canonical code of its class."""
+        table = self._code_tables[reflect]
+        if table is None:
+            table = {}
+            for d in self.darts:
+                code, order = self.rooted_walk(d, reflect)
+                table.setdefault(code, []).append(order)
+            # one code tuple per group: the cache lives as long as the graph
+            self._walks[reflect].update((order[0], (code, order))
+                                        for code, orders in table.items()
+                                        for order in orders)
+            self._code_tables[reflect] = table
+        return table
 
     def boundary_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of rotation . involution, each rotated to start at its
@@ -342,12 +381,14 @@ def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = Fals
     deterministic order: by ascending image of the least dart of s1,
     reflections last when enabled.
 
-    The map of s1 is walked once from its least dart (``_map_code``).
     An isomorphism of connected maps is fixed by the image of one dart,
     so the image dart ``t`` extends to one exactly when the walk of s2
     from ``t`` (along the inverse rotation under reflection) gives the
-    same code, and then the two walks list each dart and its image in
-    the same place.  Graphs that agree in dart count, valences and
+    same code as the walk of s1 from its least dart, and then the two
+    walks list each dart and its image in the same place.  Both come
+    from the graphs' cached walks: the code of s1 is looked up in the
+    ``code_table`` of s2, so repeated searches on the same graphs walk
+    nothing again.  Graphs that agree in dart count, valences and
     colored boundary lengths but are not both connected raise
     ``InputError``.
     """
@@ -362,18 +403,12 @@ def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = Fals
                       for i, c in enumerate(g2.boundary_cycles()))
     if profile1 != profile2:
         return
-    code1, order1 = _map_code(g1.rotation, g1.involution, g1.darts[0])
+    code1, order1 = g1.rooted_walk(g1.darts[0])
     if len(order1) != len(g1.darts) or not g2.is_connected():
         raise InputError("isomorphism search expects connected fat graphs")
     reflections = (False, True) if allow_reflection else (False,)
     for reflect in reflections:
-        rot2 = g2.rotation
-        if reflect:
-            rot2 = {v: k for k, v in g2.rotation.items()}
-        for target in g2.darts:
-            code2, order2 = _map_code(rot2, g2.involution, target)
-            if code2 != code1:
-                continue
+        for order2 in g2.code_table(reflect).get(code1, ()):
             sigma = dict(zip(order1, order2))
             faces = induced_face_map(g1, g2, sigma, reflect)
             if all(s1.colors[f] == s2.colors[g] for f, g in faces.items()):

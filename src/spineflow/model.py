@@ -419,13 +419,16 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
     seeds = {}
     if not isinstance(obj["orientation_seed"], dict):
         raise InputError(f"{path}/orientation_seed: expected an object")
+    piece_ids = {piece.piece_id for piece in pieces}
     for pid, raw in obj["orientation_seed"].items():
         spath = f"{path}/orientation_seed/{pid}"
+        if pid not in piece_ids:
+            raise InputError(f"{spath}: no piece with this id")
         try:
             v, s = raw
         except (TypeError, ValueError) as err:
             raise InputError(f"{spath}: expected a pair [vertex, sign]") from err
-        seeds[str(pid)] = (read_int(v, spath, 0), read_int(s, spath, 1))
+        seeds[pid] = (read_int(v, spath, 0), read_int(s, spath, 1))
 
     return ModelFlowSpec(tuple(pieces), tuple(pairing), tuple(matrices),
                          seeds)

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import spineflow.census as census
+import spineflow.equivalence as equivalence
 import spineflow.model as model
 from spineflow import (ENTRANCE, EXIT, EquivalenceMode, FatGraph, GluingMatrix,
                        ModelFlowSpec, Spine, census_pieces, is_bipartite,
@@ -15,6 +17,9 @@ from spineflow.errors import CapacityError
 #: before the census compared checked specifications (the ``bases`` key
 #: of that time, all [1, 1], left out)
 SPEC_CENSUS_2_4 = "94f4b15d87d86eb1c0c57afe1500ba60a6d4bb75d068ace3dc40ac5153165993"
+#: SHA-256 of the JSON list (keys in format order) of ``spec_census(2, 6)``,
+#: recorded when the census still compared candidates pairwise
+SPEC_CENSUS_2_6 = "43a19825359e1f527f7e249c0792e713b7249953645baad59fcdbf2a9479d2f3"
 
 
 def genus_one_banana() -> Spine:
@@ -71,6 +76,25 @@ class TestSpecCensus:
         assert len(kept) == 9
         assert len(validated) == 32
         assert len({id(spec) for spec in validated}) == len(validated)
+
+    def test_dedup_runs_no_search(self, monkeypatch):
+        calls = []
+        real = equivalence._search
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (equivalence, census):
+            monkeypatch.setattr(module, "_search", counting, raising=False)
+        assert len(spec_census(max_pieces=2, max_edges=4)) == 9
+        assert calls == []
+
+    def test_six_edge_pieces(self):
+        kept = spec_census(max_pieces=2, max_edges=6)
+        assert len(kept) == 928
+        text = json.dumps([spec_to_json(s) for s in kept])
+        assert hashlib.sha256(text.encode()).hexdigest() == SPEC_CENSUS_2_6
 
     def test_piece_cap(self):
         with pytest.raises(CapacityError):

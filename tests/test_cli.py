@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spineflow.cli import run
+from spineflow.cli import _json_text, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BANANA = str(FIXTURES / "banana_spec.json")
@@ -285,11 +285,14 @@ class TestShapeErrors:
          lambda s: s["pieces"][0]["dehn"].update({"00": [3, 1]})),
         ("spec", "/pairing/1/0",
          lambda s: s["pairing"][1].__setitem__(0, "P.c00")),
+        ("spec", "/orientation_seed/GHOST",
+         lambda s: s["orientation_seed"].update(GHOST=[7, 1])),
     ], ids=["bases", "dehn", "darts", "edges", "head_orbit", "string-dart",
             "string-edges", "float-matrix-entry", "bool-seed-sign",
             "bool-piece-id", "int-piece-id", "float-piece-id",
             "int-body-letter", "list-body-letter", "spaced-color-key",
-            "duplicate-color-key", "duplicate-dehn-key", "padded-torus-label"])
+            "duplicate-color-key", "duplicate-dehn-key", "padded-torus-label",
+            "unknown-seed-piece"])
     def test_exits_two_with_pointer(self, capsys, tmp_path, kind, pointer, edit):
         data = load(BANANA if kind == "spec" else WORD_TAIL)
         edit(data)
@@ -300,6 +303,35 @@ class TestShapeErrors:
         code, _, err = invoke(capsys, *argv)
         assert code == 2
         assert err.startswith(f"error: {bad}{pointer}: ")
+
+
+class TestJsonWriter:
+    """``_json_text`` writes the bytes of ``json.dumps(indent=2,
+    sort_keys=True)`` for the payload types, and refuses the rest."""
+
+    @pytest.mark.parametrize("value", [
+        {},
+        [],
+        {"b": [1, -2, {"c": [], "a": {}}], "a": (True, False, None, 0, 1)},
+        [[[]], [{}], {"x": [[-7]]}],
+        {"ünï": "cödé \u2603 \U0001F600 \"quoted\" \\ \n\t\x01"},
+        {"true": 1, "one": True, "zero": 0, "false": False, "big": -10 ** 30},
+        "plain",
+        -3,
+        None,
+    ], ids=["empty-dict", "empty-list", "nested", "deep-lists", "non-ascii",
+            "bool-versus-int", "bare-string", "bare-int", "null"])
+    def test_same_bytes_as_json_dumps(self, value):
+        out = []
+        _json_text(value, out)
+        assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        1.5, {1: "int key"}, {"set": {1}}, [b"bytes"]],
+        ids=["float", "int-key", "set", "bytes"])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value, [])
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

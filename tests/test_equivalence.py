@@ -5,12 +5,15 @@ import pytest
 
 import oracles
 import spineflow.equivalence as equivalence
+import spineflow.fatgraph as fatgraph
 from chains import banana_chain
 from spineflow import (EquivalenceMode, EquivalenceWitness, GluingMatrix,
                        InputError, ModelFlowSpec, ModelPiece, negate_seed,
-                       normalize_matrix, spec_equivalent, verify_witness)
+                       normalize_matrix, spec_census, spec_equivalent,
+                       verify_witness)
 from spineflow.fatgraph import induced_face_map
-from spineflow.model import seed_orientation, torus_label, validate_spec
+from spineflow.model import (check_spec, seed_orientation, torus_label,
+                             validate_spec)
 
 MODES = list(EquivalenceMode)
 
@@ -510,3 +513,60 @@ def test_chain_miss_builds_each_candidate_list_once(banana_spec, monkeypatch):
                          copy.orientation_seed)
     assert spec_equivalent(chain, miss, EquivalenceMode.ISOTOPY) is None
     assert 0 < len(calls) <= k * k
+
+
+def test_repeated_chain_decision_walks_nothing(banana_spec, monkeypatch):
+    """Every dart walk is cached on its graph: deciding the same 7-piece
+    chain pair again makes no map walk at all."""
+    k = 7
+    chain = banana_chain(banana_spec, list(range(2, 2 + 2 * k)))
+    copy = moved_chain(chain, EquivalenceMode.EXACT, shift=3)
+    first = spec_equivalent(chain, copy, EquivalenceMode.EXACT)
+    assert first is not None
+    walks = []
+    real = fatgraph._map_code
+
+    def counting(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fatgraph, "_map_code", counting)
+    again = spec_equivalent(chain, copy, EquivalenceMode.EXACT)
+    assert again.to_json() == first.to_json()
+    assert walks == []
+
+
+class TestExactKey:
+    """``_exact_key`` equality is the EXACT, unreflected decision of
+    ``_search``, for every ordered pair of a spec set with equal pieces,
+    piece automorphisms and seed negations."""
+
+    @staticmethod
+    def spec_set(banana_spec):
+        base = (spec_census(2, 4, dedupe=False)
+                + spec_census(1, 6, dedupe=False))
+        specs = base + [negate_seed(spec, pid)
+                        for spec in base for pid in spec.piece_ids()]
+        for k in (2, 3, 4):
+            for cs in (list(range(2, 2 + 2 * k)), [2] * (2 * k)):
+                chain = banana_chain(banana_spec, cs)
+                specs += [chain, negate_seed(chain, "C1")]
+        return [check_spec(spec) for spec in specs]
+
+    def test_agrees_with_search(self, banana_spec):
+        checked = self.spec_set(banana_spec)
+        keys = [equivalence._exact_key(c) for c in checked]
+        equivalent = 0
+        for (c1, k1), (c2, k2) in itertools.product(zip(checked, keys),
+                                                    repeat=2):
+            found = equivalence._search(c1, c2, EquivalenceMode.EXACT, False)
+            assert (found is not None) == (k1 == k2)
+            equivalent += found is not None
+        assert (len(checked), equivalent) == (132, 1110)
+
+    def test_independent_of_piece_and_pair_order(self, banana_spec):
+        chain = banana_chain(banana_spec, [2, 3, 2, 3, 2, 3])
+        shuffled = ModelFlowSpec(chain.pieces[::-1], chain.pairing[::-1],
+                                 chain.matrices[::-1], chain.orientation_seed)
+        assert (equivalence._exact_key(check_spec(chain))
+                == equivalence._exact_key(check_spec(shuffled)))

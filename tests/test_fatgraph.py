@@ -674,6 +674,48 @@ class TestAgainstEdgeOracle:
                 list(fatgraph.iter_isomorphisms_tagged(s1, s2))
 
 
+class TestWalkCache:
+    """Each graph walks from each dart at most once per reflection flag,
+    and its code table groups those walks."""
+
+    def test_each_dart_walked_once_per_flag(self, monkeypatch):
+        walks = []
+        real = fatgraph._map_code
+
+        def counting(*args):
+            walks.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(fatgraph, "_map_code", counting)
+        spine = banana_spine()
+        mirror = reflected_spine(spine)
+        for _ in range(2):
+            assert spine.graph.is_connected()
+            for s1, s2 in ((spine, spine), (mirror, spine), (spine, mirror)):
+                list(fatgraph.iter_isomorphisms_tagged(s1, s2, True))
+        # both graphs, on the same darts, walked under both flags
+        assert mirror.graph.darts == spine.graph.darts
+        assert sorted(walks) == sorted(4 * spine.graph.darts)
+
+    def test_code_table_groups_walks_by_code(self, census_spines):
+        for spine in census_spines:
+            graph = spine.graph
+            for reflect in (False, True):
+                rotation = graph.rotation if not reflect else {
+                    v: k for k, v in graph.rotation.items()}
+                table = graph.code_table(reflect)
+                starts = [order[0] for orders in table.values()
+                          for order in orders]
+                assert sorted(starts) == list(graph.darts)
+                for code, orders in table.items():
+                    assert [o[0] for o in orders] == sorted(o[0] for o in orders)
+                    for order in orders:
+                        assert _map_code(rotation, graph.involution,
+                                         order[0]) == (code, order)
+            assert min(graph.code_table()) == _canonical_code(
+                graph.rotation, graph.involution, graph.darts)
+
+
 class TestIsomorphism:
     def test_self_isomorphism(self):
         spine = banana_spine()
