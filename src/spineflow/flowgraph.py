@@ -51,12 +51,6 @@ class FlowGraph:
     edges: tuple[FlowEdge, ...]
     accumulation_edges: tuple[tuple[str, str], ...]
 
-    def edge(self, label: str) -> FlowEdge:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise InputError(f"unknown edge {label!r}") from None
-
     # Derived lookup tables, built on first use and kept in the
     # instance ``__dict__`` (``cached_property`` writes there directly,
     # so the frozen dataclass allows it).
@@ -247,12 +241,24 @@ def validate_itinerary(graph: FlowGraph, word: ItineraryWord) -> bool:
 
 @dataclass(frozen=True)
 class PeriodicWord:
-    """A closed directed walk, stored in its least rotation."""
+    """A closed directed walk, stored in its least rotation.
+
+    The public constructor normalizes: ``PeriodicWord(cycle)`` stores
+    ``least_rotation(cycle)``.  ``periodic_words`` builds its words with
+    ``_from_least``, which stores a cycle that is already least as it
+    is.
+    """
 
     cycle: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "cycle", least_rotation(self.cycle))
+
+    @classmethod
+    def _from_least(cls, cycle: tuple[str, ...]) -> "PeriodicWord":
+        word = object.__new__(cls)
+        object.__setattr__(word, "cycle", cycle)
+        return word
 
     def __len__(self) -> int:
         return len(self.cycle)
@@ -268,7 +274,7 @@ def least_rotation(labels: Iterable[str]) -> tuple[str, ...]:
 def periodic_words(graph: FlowGraph, max_len: int) -> list[PeriodicWord]:
     """Closed directed walks of length <= max_len through torus
     vertices, one representative per rotation class, sorted by length
-    then lexicographically.
+    then lexicographically by label.
 
     Each class is grown once, from its least-labelled edge, as in the
     necklace enumeration of Fredricksen, Kessler and Maiorana.  Edges
@@ -282,12 +288,16 @@ def periodic_words(graph: FlowGraph, max_len: int) -> list[PeriodicWord]:
     and no set of copies is kept.  Words are label sequences, so edge
     labels must be distinct, as ``build_flow_graph`` makes them; an
     ``InputError`` is raised otherwise.
+
+    The rank walks are sorted by (length, ranks), which is the label
+    order since ranks follow it, and each is mapped to labels and made
+    a ``PeriodicWord`` once, without normalizing it again.
     """
     if not 1 <= max_len <= MAX_WORD_LENGTH:
         raise CapacityError(
             f"max_len must be between 1 and {MAX_WORD_LENGTH}, got {max_len}")
     ranked = sorted(graph.edges, key=lambda e: e.label)
-    labels = [e.label for e in ranked]
+    labels = tuple(e.label for e in ranked)
     if len(set(labels)) < len(labels):
         raise InputError("periodic words need distinct edge labels")
     out_edges: dict[str, list[tuple[int, str]]] = {
@@ -316,10 +326,9 @@ def periodic_words(graph: FlowGraph, max_len: int) -> list[PeriodicWord]:
             cycles.append((rank,))
         if max_len > 1:
             extend(e.src, e.dst, [rank], 1)
-    words = [PeriodicWord(tuple(map(labels.__getitem__, cycle)))
-             for cycle in cycles]
-    words.sort(key=lambda w: (len(w.cycle), w.cycle))
-    return words
+    cycles.sort(key=lambda cycle: (len(cycle), cycle))
+    word = PeriodicWord._from_least
+    return [word(tuple(map(labels.__getitem__, cycle))) for cycle in cycles]
 
 
 def word_counts(words: Iterable[PeriodicWord]) -> dict[int, int]:
@@ -332,10 +341,14 @@ def word_counts(words: Iterable[PeriodicWord]) -> dict[int, int]:
 def path_sign(graph: FlowGraph, walk: Iterable[str]) -> int:
     """Product of edge signs along a head-to-tail compatible walk.
     The empty walk has sign +1."""
+    by_label = graph._by_label
     sign = 1
     previous = None
     for label in walk:
-        edge = graph.edge(label)
+        try:
+            edge = by_label[label]
+        except KeyError:
+            raise InputError(f"unknown edge {label!r}") from None
         if previous is not None and previous.dst != edge.src:
             raise InputError(
                 f"walk breaks at {previous.label} -> {edge.label}: "

@@ -368,6 +368,9 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
                          "matrices are written in the torus bases")
 
     pieces = []
+    # pieces with equal spines share one Spine, and so one set of walk
+    # tables
+    spines: dict[tuple, Spine] = {}
     if not isinstance(obj["pieces"], list):
         raise InputError(f"{path}/pieces: expected an array")
     for i, raw in enumerate(obj["pieces"]):
@@ -375,6 +378,8 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
         if not isinstance(raw, dict) or "id" not in raw or "spine" not in raw:
             raise InputError(f"{ppath}: expected an object with id and spine")
         spine = spine_from_json(raw["spine"], f"{ppath}/spine")
+        spine = spines.setdefault((spine.graph.vertices, spine.graph.edges,
+                                   tuple(sorted(spine.colors.items()))), spine)
         if not isinstance(raw.get("dehn", {}), dict):
             raise InputError(f"{ppath}/dehn: expected an object")
         dehn = {}

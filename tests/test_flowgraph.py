@@ -6,10 +6,11 @@ import pytest
 import oracles
 from chains import banana_chain
 from spineflow import (CapacityError, FlowEdge, FlowGraph, InputError,
-                       ItineraryWord, build_flow_graph, flow_graph_to_edge_text,
-                       flow_graph_to_json, is_transitive, negate_seed,
-                       orientation_classes, path_sign, periodic_words,
-                       seed_orientation, validate_itinerary, word_counts)
+                       ItineraryWord, PeriodicWord, build_flow_graph,
+                       flow_graph_to_edge_text, flow_graph_to_json, flowgraph,
+                       is_transitive, negate_seed, orientation_classes,
+                       path_sign, periodic_words, seed_orientation,
+                       validate_itinerary, word_counts)
 from spineflow.flowgraph import least_rotation
 
 
@@ -218,9 +219,30 @@ class TestPeriodicWords:
                    if sorted(w.cycle) == ["P.e0", "P.e2"]) == 1
 
     def test_canonical_rotation_storage(self, banana_spec):
-        graph = build_flow_graph(banana_spec)
-        for word in periodic_words(graph, 4):
-            assert word.cycle == least_rotation(word.cycle)
+        for spec, max_len in ((banana_spec, 4),
+                              (banana_chain(banana_spec, [1] * 8), 12)):
+            graph = build_flow_graph(spec)
+            for word in periodic_words(graph, max_len):
+                assert word.cycle == least_rotation(word.cycle)
+
+    def test_public_constructor_normalizes(self):
+        assert PeriodicWord(("P.e2", "P.e0")).cycle == ("P.e0", "P.e2")
+
+    def test_words_are_not_normalized_again(self, banana_spec, monkeypatch):
+        # the necklace rule emits every class as its least rotation, so
+        # no word is rotated after it is found
+        graph = build_flow_graph(banana_chain(banana_spec, [1] * 8))
+        calls = []
+
+        def counting(labels):
+            calls.append(labels)
+            return least_rotation(labels)
+
+        monkeypatch.setattr(flowgraph, "least_rotation", counting)
+        words = periodic_words(graph, 12)
+        assert words and calls == []
+        PeriodicWord(words[-1].cycle)
+        assert len(calls) == 1
 
     def test_counts_match_walk_oracle(self, census_specs, banana_spec):
         for spec in list(census_specs) + [banana_spec]:
@@ -239,7 +261,7 @@ class TestPeriodicWords:
 
     def test_duplicate_labels_rejected(self):
         # two loops both labelled "X.e0": a word ("X.e0",) could be
-        # either, and edge("X.e0") sees only one of them
+        # either, and the label table keeps only one of them
         loop = FlowEdge("X.e0", "T0", "T0", "X", 0, 1)
         graph = FlowGraph(("T0",), (), (loop, loop), ())
         with pytest.raises(InputError, match="distinct edge labels"):

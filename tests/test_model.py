@@ -231,3 +231,24 @@ class TestSerialization:
         with pytest.raises(InputError) as err:
             spec_from_json(payload)
         assert "/matrices/1" in str(err.value)
+
+    def test_equal_spines_are_shared(self, necklace_spec):
+        first, second = necklace_spec.pieces
+        assert first.spine is second.spine
+        # the same map, its rotation cycles listed in another order and
+        # each written from another dart
+        payload = spec_to_json(necklace_spec)
+        rotation = payload["pieces"][1]["spine"]["rotation"]
+        rotation[:] = [cycle[1:] + cycle[:1] for cycle in reversed(rotation)]
+        spec = spec_from_json(payload)
+        assert spec.pieces[0].spine is spec.pieces[1].spine
+
+    def test_spines_differing_in_colors_are_not_shared(self, necklace_spec):
+        payload = spec_to_json(necklace_spec)
+        colors = payload["pieces"][1]["spine"]["colors"]
+        for key, color in colors.items():
+            colors[key] = EXIT if color == ENTRANCE else ENTRANCE
+        first, second = spec_from_json(payload).pieces
+        assert first.spine is not second.spine
+        assert first.spine.graph == second.spine.graph
+        assert first.spine.colors != second.spine.colors
