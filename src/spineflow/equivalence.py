@@ -29,7 +29,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InputError, read_bool, read_index, read_int, read_str
+from .errors import (InputError, read_bool, read_index, read_int, read_pair,
+                     read_str)
 from .fatgraph import induced_face_map, iter_isomorphisms_tagged
 from .model import (CheckedSpec, GluingMatrix, ModelFlowSpec, ModelPiece,
                     TorusId, check_spec, seed_orientation, torus_label)
@@ -158,7 +159,8 @@ class EquivalenceWitness:
             raise InputError(f"{path or '/'}: expected an object")
 
         def pair(value, where: str) -> tuple[int, int]:
-            return read_int(value[0], where, 0), read_int(value[1], where, 1)
+            first, second = read_pair(value, where)
+            return read_int(first, where, 0), read_int(second, where, 1)
 
         try:
             return cls(
@@ -227,19 +229,24 @@ def _match_matrices(m1: GluingMatrix, m2: GluingMatrix, mode: EquivalenceMode
 
 def _piece_isomorphisms(p1: ModelPiece, o1: dict[int, int],
                         p2: ModelPiece, o2: dict[int, int],
-                        allow_reflection: bool
+                        allow_reflection: bool, listed: Optional[list] = None
                         ) -> list[tuple[dict[int, int], bool, dict[int, int]]]:
     """Dart bijections p1 -> p2 preserving colors, coefficients and
     orbit orientations, with their reflection flags and face maps as
-    ``iter_isomorphisms_tagged`` yields them."""
+    ``iter_isomorphisms_tagged`` yields them.  ``listed``, when given,
+    is that search's list for the two spines, made earlier."""
+    if listed is None:
+        listed = iter_isomorphisms_tagged(p1.spine, p2.spine, allow_reflection)
     out = []
-    g1, g2 = p1.spine.graph, p2.spine.graph
-    for sigma, reflect, faces in iter_isomorphisms_tagged(
-            p1.spine, p2.spine, allow_reflection):
-        images = (g2.vertex_of[sigma[cycle[0]]] for cycle in g1.vertices)
-        if all(p1.dehn[v] == p2.dehn[w] and o1[v] == o2[w]
+    starts = [cycle[0] for cycle in p1.spine.graph.vertices]
+    vertex_of2 = p2.spine.graph.vertex_of
+    dehn1, dehn2 = p1.dehn, p2.dehn
+    for iso in listed:
+        sigma = iso[0]
+        images = (vertex_of2[sigma[d]] for d in starts)
+        if all(dehn1[v] == dehn2[w] and o1[v] == o2[w]
                for v, w in enumerate(images)):
-            out.append((sigma, reflect, faces))
+            out.append(iso)
     return out
 
 
@@ -314,7 +321,15 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
 
 def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
             allow_reflection: bool) -> Optional[EquivalenceWitness]:
-    """``spec_equivalent`` on checked specifications."""
+    """``spec_equivalent`` on checked specifications.
+
+    The color-preserving isomorphisms of two spines are listed once per
+    pair of ``Spine`` objects, when the pair is first reached, and each
+    piece pair keeps the ones that also preserve its Dehn coefficients
+    and orbit orientations.  Pieces with equal spines share one object
+    after ``spec_from_json``, so a chain of k alike pieces lists one
+    spine pair instead of up to k^2 piece pairs.  Nothing is kept
+    between calls."""
     s1, s2 = c1.spec, c2.spec
     if len(s1.pieces) != len(s2.pieces):
         return None
@@ -323,6 +338,7 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     pieces2 = sorted(s2.pieces, key=lambda p: p.piece_id)
     links1 = _link_counts(s1, pieces1)
     links2 = _link_counts(s2, pieces2)
+    by_spines: dict[tuple[int, int], list] = {}
     candidates: dict[tuple[int, int], list] = {}
 
     def isomorphisms(i: int, j: int) -> list:
@@ -330,12 +346,16 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
         bijections pieces1[i] -> pieces2[j]."""
         if (i, j) not in candidates:
             p1, p2 = pieces1[i], pieces2[j]
+            spines = (id(p1.spine), id(p2.spine))
+            if spines not in by_spines:
+                by_spines[spines] = list(iter_isomorphisms_tagged(
+                    p1.spine, p2.spine, allow_reflection))
             candidates[(i, j)] = [
                 (sigma, reflect,
                  {f: (p2.piece_id, g) for f, g in faces.items()})
                 for sigma, reflect, faces in _piece_isomorphisms(
                     p1, c1.signs[p1.piece_id], p2, c2.signs[p2.piece_id],
-                    allow_reflection)]
+                    allow_reflection, by_spines[spines])]
         return candidates[(i, j)]
 
     def piece_fits(perm: tuple[int, ...], j: int) -> bool:

@@ -1,7 +1,6 @@
 """Exception classes shared by all spineflow modules, and the strict
-integer, index, boolean and string readers that every JSON parser uses."""
-
-import re
+integer, index, pair, boolean and string readers that every JSON parser
+uses."""
 
 
 class SpineflowError(Exception):
@@ -59,7 +58,8 @@ def read_index(value, path: str, *index) -> int:
     like ``read_int``, so two distinct keys never read as one index.
     So does a key with more digits than Python's integer-string
     conversion limit (``sys.get_int_max_str_digits``)."""
-    if type(value) is str and re.fullmatch(r"0|[1-9][0-9]*", value):
+    if (type(value) is str and value.isascii() and value.isdigit()
+            and (value[0] != "0" or value == "0")):
         try:
             return int(value)
         except ValueError:
@@ -69,6 +69,18 @@ def read_index(value, path: str, *index) -> int:
                    f"got {value!r}")
     pointer = "/".join((path, *map(str, index)))
     raise InputError(f"{pointer}: {problem}")
+
+
+def read_pair(value, path: str, *index) -> tuple:
+    """The two entries of a JSON array of exactly two.  Anything else,
+    including a longer array and an object with two keys, raises
+    ``InputError`` naming the JSON pointer like ``read_int``, instead of
+    being unpacked or cut short."""
+    if type(value) is not list or len(value) != 2:
+        pointer = "/".join((path, *map(str, index)))
+        raise InputError(f"{pointer}: expected an array of two entries, "
+                         f"got {value!r}")
+    return value[0], value[1]
 
 
 def read_bool(value, path: str, *index) -> bool:

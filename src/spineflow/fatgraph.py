@@ -297,14 +297,18 @@ def surface_invariants(graph: FatGraph) -> SurfaceInvariants:
     return SurfaceInvariants(v, e, b, chi, twog // 2)
 
 
-def validate_spine(graph: FatGraph, colors: dict[int, str]) -> ValidationReport:
-    """Check the four spine conditions plus the genus sanity check.
+def validate_spine(graph: FatGraph, colors: dict[int, str],
+                   report: Optional[ValidationReport] = None
+                   ) -> ValidationReport:
+    """Check the four spine conditions plus the genus sanity check,
+    adding them to ``report`` (a new one by default), which is returned.
 
     The coloring must be total on the boundary cycles (``InputError``
     otherwise); a failing condition is reported, not raised.
     """
     _check_colors_total(graph, colors)
-    report = ValidationReport()
+    if report is None:
+        report = ValidationReport()
 
     report.add("condition 1 (connected)", graph.is_connected())
 

@@ -85,15 +85,16 @@ def build_flow_graph(spec: ModelFlowSpec,
                      ) -> FlowGraph:
     """Quotient graph of a valid specification under an orientation.
 
-    ``orientation`` defaults to the propagation of the recorded seeds;
-    a supplied assignment must be total on the vertical orbits and
-    anti-aligned across every edge, otherwise the data cannot describe
-    the flow and an ``InputError`` is raised.
+    ``orientation`` defaults to the propagation of the recorded seeds,
+    anti-aligned by construction; a supplied assignment must be total on
+    the vertical orbits and anti-aligned across every edge, otherwise
+    the data cannot describe the flow and an ``InputError`` is raised.
     """
     pair_of = check_spec(spec).pair_of
     if orientation is None:
         orientation = seed_orientation(spec)
-    _check_orientation(spec, orientation)
+    else:
+        _check_orientation(spec, orientation)
 
     tori = tuple(f"T{k}" for k in range(len(spec.pairing)))
     orbits = []

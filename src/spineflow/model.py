@@ -20,8 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import InputError, OrientationConflictError, read_index, read_int
+from .errors import (InputError, OrientationConflictError, read_index,
+                     read_int, read_pair, read_str)
 from .fatgraph import (ENTRANCE, EXIT, Spine, spine_from_json, spine_to_json,
                        validate_spine)
 from .report import ValidationReport
@@ -164,11 +166,15 @@ class OrientationAssignment:
 # operations
 # ----------------------------------------------------------------------
 
-def validate_piece(piece: ModelPiece) -> ValidationReport:
-    """Spine conditions plus one check per Dehn coefficient."""
-    report = ValidationReport()
-    spine_report = validate_spine(piece.spine.graph, piece.spine.colors)
-    report.extend(spine_report, prefix="spine ")
+def validate_piece(piece: ModelPiece,
+                   report: Optional[ValidationReport] = None
+                   ) -> ValidationReport:
+    """Spine conditions plus one check per Dehn coefficient, added to
+    ``report`` (a new one by default), which is returned."""
+    if report is None:
+        report = ValidationReport()
+    validate_spine(piece.spine.graph, piece.spine.colors,
+                   report.under("spine "))
     vertices = set(piece.vertices())
     missing = sorted(vertices - set(piece.dehn))
     extra = sorted(set(piece.dehn) - vertices)
@@ -270,18 +276,16 @@ def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
     ids = spec.piece_ids()
     report.add("piece ids unique", len(set(ids)) == len(ids), str(ids))
     for piece in spec.pieces:
-        report.extend(validate_piece(piece), prefix=f"piece {piece.piece_id}: ")
+        validate_piece(piece, report.under(f"piece {piece.piece_id}: "))
 
-    exits = [t for piece in spec.pieces for t in piece.exits()]
-    entrances = [t for piece in spec.pieces for t in piece.entrances()]
-    sources = [src for src, _ in spec.pairing]
-    targets = [dst for _, dst in spec.pairing]
-    report.add("pairing sources are the exit tori",
-               sorted(sources) == sorted(exits),
-               f"sources {sorted(sources)} vs exits {sorted(exits)}")
-    report.add("pairing targets are the entrance tori",
-               sorted(targets) == sorted(entrances),
-               f"targets {sorted(targets)} vs entrances {sorted(entrances)}")
+    exits = sorted(t for piece in spec.pieces for t in piece.exits())
+    entrances = sorted(t for piece in spec.pieces for t in piece.entrances())
+    sources = sorted(src for src, _ in spec.pairing)
+    targets = sorted(dst for _, dst in spec.pairing)
+    report.add("pairing sources are the exit tori", sources == exits,
+               f"sources {sources} vs exits {exits}")
+    report.add("pairing targets are the entrance tori", targets == entrances,
+               f"targets {targets} vs entrances {entrances}")
     report.add("one matrix per glued torus",
                len(spec.matrices) == len(spec.pairing),
                f"{len(spec.matrices)} matrices, {len(spec.pairing)} pairs")
@@ -402,12 +406,10 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
         raise InputError(f"{path}/pairing: expected an array")
     for k, raw in enumerate(obj["pairing"]):
         kpath = f"{path}/pairing/{k}"
-        try:
-            src, dst = raw
-        except (TypeError, ValueError) as err:
-            raise InputError(f"{kpath}: expected a pair of torus ids") from err
-        pairing.append((parse_torus_label(str(src), kpath + "/0"),
-                        parse_torus_label(str(dst), kpath + "/1")))
+        src, dst = read_pair(raw, kpath)
+        pairing.append(
+            (parse_torus_label(read_str(src, kpath, 0), kpath + "/0"),
+             parse_torus_label(read_str(dst, kpath, 1), kpath + "/1")))
 
     if not isinstance(obj["matrices"], dict):
         raise InputError(f"{path}/matrices: expected an object")

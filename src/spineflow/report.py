@@ -9,10 +9,10 @@ operations that build reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -20,17 +20,22 @@ class Check:
 
 @dataclass
 class ValidationReport:
-    """An ordered list of named checks with an overall verdict."""
+    """An ordered list of named checks with an overall verdict.
+
+    ``prefix`` goes before the name of every check that ``add`` records,
+    so a report from ``under`` files a part's checks straight into the
+    whole's list."""
 
     checks: list[Check] = field(default_factory=list)
+    prefix: str = field(default="", repr=False, compare=False)
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(Check(name, bool(passed), detail))
+        self.checks.append(Check(self.prefix + name, bool(passed), detail))
 
-    def extend(self, other: "ValidationReport", prefix: str = "") -> None:
-        for check in other.checks:
-            self.checks.append(
-                Check(prefix + check.name, check.passed, check.detail))
+    def under(self, prefix: str) -> "ValidationReport":
+        """A report adding to this one's checks, each name preceded by
+        ``prefix``."""
+        return ValidationReport(self.checks, self.prefix + prefix)
 
     @property
     def passed(self) -> bool:

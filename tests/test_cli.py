@@ -287,12 +287,20 @@ class TestShapeErrors:
          lambda s: s["pairing"][1].__setitem__(0, "P.c00")),
         ("spec", "/orientation_seed/GHOST",
          lambda s: s["orientation_seed"].update(GHOST=[7, 1])),
+        ("spec", "/pairing/0",
+         lambda s: s["pairing"].__setitem__(
+             0, {label: n for n, label in enumerate(s["pairing"][0], 1)})),
+        ("spec", "/pairing/0",
+         lambda s: s["pairing"][0].append(s["pairing"][0][1])),
+        ("spec", "/pairing/0/1",
+         lambda s: s["pairing"][0].__setitem__(1, 1)),
     ], ids=["bases", "dehn", "darts", "edges", "head_orbit", "string-dart",
             "string-edges", "float-matrix-entry", "bool-seed-sign",
             "bool-piece-id", "int-piece-id", "float-piece-id",
             "int-body-letter", "list-body-letter", "spaced-color-key",
             "duplicate-color-key", "duplicate-dehn-key", "padded-torus-label",
-            "unknown-seed-piece"])
+            "unknown-seed-piece", "object-pair", "three-entry-pair",
+            "int-torus-label"])
     def test_exits_two_with_pointer(self, capsys, tmp_path, kind, pointer, edit):
         data = load(BANANA if kind == "spec" else WORD_TAIL)
         edit(data)

@@ -411,6 +411,10 @@ class TestVerifyWitness:
          lambda w: w["dart_maps"]["P"].update({" 2": w["dart_maps"]["P"]["2"]})),
         ("/w/twists/00", lambda w: w["twists"].update({"00": [0, 0]})),
         ("/w/twists/-1", lambda w: w["twists"].update({"-1": [0, 0]})),
+        ("/w/twists/0", lambda w: w["twists"]["0"].append(7)),
+        ("/w/twists/0", lambda w: w["twists"].update({"0": [0]})),
+        ("/w/basis_signs/P.c0",
+         lambda w: w["basis_signs"].update({"P.c0": {"1": 1, "-1": 1}})),
     ])
     def test_witness_json_rejects_non_integers(self, banana_spec, pointer,
                                                edit):
@@ -513,6 +517,32 @@ def test_chain_miss_builds_each_candidate_list_once(banana_spec, monkeypatch):
                          copy.orientation_seed)
     assert spec_equivalent(chain, miss, EquivalenceMode.ISOTOPY) is None
     assert 0 < len(calls) <= k * k
+
+
+@pytest.mark.parametrize("miss", [False, True], ids=["hit", "miss"])
+def test_alike_chain_lists_one_spine_pair(banana_spec, monkeypatch, miss):
+    """The pieces of a 7-piece chain share one spine, and so do those of
+    its moved copy: one decision lists the isomorphisms of that one
+    spine pair once, where it listed them once per piece pair."""
+    calls = []
+    real = equivalence.iter_isomorphisms_tagged
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "iter_isomorphisms_tagged", counting)
+    k = 7
+    chain = banana_chain(banana_spec, list(range(2, 2 + 2 * k)))
+    copy = moved_chain(chain, EquivalenceMode.ISOTOPY, shift=3)
+    if miss:
+        copy = ModelFlowSpec(copy.pieces, copy.pairing,
+                             copy.matrices[:-1] + (GluingMatrix(1, 0, 99, 1),),
+                             copy.orientation_seed)
+    assert len({id(p.spine) for p in chain.pieces + copy.pieces}) == 2
+    found = spec_equivalent(chain, copy, EquivalenceMode.ISOTOPY)
+    assert (found is None) == miss
+    assert calls == [(chain.pieces[0].spine, copy.pieces[0].spine, False)]
 
 
 def test_repeated_chain_decision_walks_nothing(banana_spec, monkeypatch):
