@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .census import (census_pieces, negate_seed, spec_census, spine_census,
                      spine_is_orientation_rigid)
 from .equivalence import (EquivalenceMode, EquivalenceWitness,
-                          NormalizedMatrix, normalize_matrix, spec_equivalent,
-                          verify_witness)
+                          normalize_matrix, spec_equivalent, verify_witness)
 from .errors import (CapacityError, InputError, OrientabilityError,
                      OrientationConflictError, SpineflowError, StructureError)
 from .fatgraph import (ENTRANCE, EXIT, FatGraph, Spine, SurfaceInvariants,
@@ -47,7 +46,6 @@ __all__ = [
     "ItineraryWord",
     "ModelFlowSpec",
     "ModelPiece",
-    "NormalizedMatrix",
     "OrientabilityError",
     "OrientationAssignment",
     "OrientationConflictError",

@@ -126,34 +126,34 @@ def _weakly_connected(checked: CheckedSpec) -> bool:
     return len(reachable(0, links)) == len(spec.pairing)
 
 
-def spec_census(max_pieces: int, max_edges: int,
-                dedupe: bool = True) -> list[ModelFlowSpec]:
-    """Model-flow specifications with up to ``max_pieces`` pieces drawn
-    from the census spines with up to ``max_edges`` edges.
-
-    With ``dedupe`` (the default) only one representative per EXACT
-    equivalence class (without reflection) survives: the first one in
-    the raw order, found by a dict lookup of its canonical key
-    (``equivalence._exact_key``), so no pairwise search runs.
-    ``spec_census(2, 6)`` keeps 928 of 2,167 raw specifications in
-    about a second.
-    """
+def _candidates(max_pieces: int, max_edges: int) -> list[CheckedSpec]:
+    """The specifications of ``spec_census`` before deduplication: over
+    each census piece, then over each unordered pair of them."""
     if not 1 <= max_pieces <= 2:
         raise CapacityError(f"max_pieces must be 1 or 2, got {max_pieces}")
     spines = census_pieces(max_edges)
-    specs: list[CheckedSpec] = []
     tuples = [(s,) for s in spines]
     if max_pieces >= 2:
         tuples += [(a, b) for i, a in enumerate(spines)
                    for b in spines[i:]]
-    for spine_tuple in tuples:
-        specs.extend(_specs_for(list(spine_tuple)))
-    if dedupe:
-        kept: dict[tuple, CheckedSpec] = {}
-        for checked in specs:
-            kept.setdefault(_exact_key(checked), checked)
-        specs = list(kept.values())
-    return [checked.spec for checked in specs]
+    return [checked for spine_tuple in tuples
+            for checked in _specs_for(list(spine_tuple))]
+
+
+def spec_census(max_pieces: int, max_edges: int) -> list[ModelFlowSpec]:
+    """Model-flow specifications with up to ``max_pieces`` pieces drawn
+    from the census spines with up to ``max_edges`` edges, one per
+    EXACT equivalence class (without reflection).
+
+    Each class keeps the first of ``_candidates`` in it, found by a dict
+    lookup of its canonical key (``equivalence._exact_key``), so no
+    pairwise search runs.  ``spec_census(2, 6)`` keeps 928 of 2,167
+    candidates in about a second.
+    """
+    kept: dict[tuple, ModelFlowSpec] = {}
+    for checked in _candidates(max_pieces, max_edges):
+        kept.setdefault(_exact_key(checked), checked.spec)
+    return list(kept.values())
 
 
 def negate_seed(spec: ModelFlowSpec, piece_id: str) -> ModelFlowSpec:

@@ -66,27 +66,10 @@ class EquivalenceMode(enum.Enum):
                          + ", ".join(m.value for m in cls))
 
 
-@dataclass(frozen=True)
-class NormalizedMatrix:
+def normalize_matrix(matrix: GluingMatrix) -> GluingMatrix:
     """Canonical representative of a gluing matrix modulo vertical
     twists and basis flips on both sides: c > 0, a and d reduced mod c,
-    b pinned by the surviving determinant."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def rows(self) -> list[list[int]]:
-        return [[self.a, self.b], [self.c, self.d]]
-
-
-def normalize_matrix(matrix: GluingMatrix) -> NormalizedMatrix:
-    """Orbit-canonical form of a gluing matrix.
+    b pinned by the surviving determinant.
 
     The moves generate, on each side, every integer matrix
     [[+-1, n], [0, +-1]].  Acting by them sends (a, d) to
@@ -108,7 +91,7 @@ def normalize_matrix(matrix: GluingMatrix) -> NormalizedMatrix:
         if best is None or (a, d, b) < best:
             best = (a, d, b)
     a, d, b = best
-    return NormalizedMatrix(a, b, c, d)
+    return GluingMatrix(a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -229,14 +212,11 @@ def _match_matrices(m1: GluingMatrix, m2: GluingMatrix, mode: EquivalenceMode
 
 def _piece_isomorphisms(p1: ModelPiece, o1: dict[int, int],
                         p2: ModelPiece, o2: dict[int, int],
-                        allow_reflection: bool, listed: Optional[list] = None
+                        listed: list
                         ) -> list[tuple[dict[int, int], bool, dict[int, int]]]:
-    """Dart bijections p1 -> p2 preserving colors, coefficients and
-    orbit orientations, with their reflection flags and face maps as
-    ``iter_isomorphisms_tagged`` yields them.  ``listed``, when given,
-    is that search's list for the two spines, made earlier."""
-    if listed is None:
-        listed = iter_isomorphisms_tagged(p1.spine, p2.spine, allow_reflection)
+    """The entries of ``listed``, the ``iter_isomorphisms_tagged`` list
+    for the two spines, whose dart bijections p1 -> p2 also preserve
+    Dehn coefficients and orbit orientations."""
     out = []
     starts = [cycle[0] for cycle in p1.spine.graph.vertices]
     vertex_of2 = p2.spine.graph.vertex_of
@@ -355,7 +335,7 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
                  {f: (p2.piece_id, g) for f, g in faces.items()})
                 for sigma, reflect, faces in _piece_isomorphisms(
                     p1, c1.signs[p1.piece_id], p2, c2.signs[p2.piece_id],
-                    allow_reflection, by_spines[spines])]
+                    by_spines[spines])]
         return candidates[(i, j)]
 
     def piece_fits(perm: tuple[int, ...], j: int) -> bool:
@@ -540,8 +520,7 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
             raise InputError(f"dart map of piece {p1.piece_id!r} is not a "
                              "bijection onto the target darts")
         reflect = witness.reflected.get(p1.piece_id, False)
-        rot2 = g2.rotation if not reflect else {
-            v: k for k, v in g2.rotation.items()}
+        rot2 = g2.inverse_rotation if reflect else g2.rotation
         for d in g1.darts:
             if sigma[g1.rotation[d]] != rot2[sigma[d]]:
                 return False

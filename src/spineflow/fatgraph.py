@@ -22,10 +22,11 @@ cycles by ``ENTRANCE`` / ``EXIT``.  The spine conditions are:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import (CapacityError, InputError, OrientabilityError,
-                     StructureError, read_index, read_int)
+                     StructureError, read_index, read_int, read_pair)
 from .report import ValidationReport
 from .walks import two_color
 
@@ -35,6 +36,11 @@ COLORS = (ENTRANCE, EXIT)
 
 #: largest edge count the exhaustive spine census will attempt
 MAX_CENSUS_EDGES = 9
+
+
+class PairingError(StructureError):
+    """A ``StructureError`` in the edge pairs of a fat graph rather than
+    in its rotation cycles."""
 
 
 class FatGraph:
@@ -47,15 +53,15 @@ class FatGraph:
 
     def __init__(self, rotation_cycles: Iterable[Iterable[int]],
                  edge_pairs: Iterable[Iterable[int]]):
-        cycles = [tuple(int(d) for d in c) for c in rotation_cycles]
-        pairs = [tuple(int(d) for d in p) for p in edge_pairs]
+        cycles = [tuple(c) for c in rotation_cycles]
+        pairs = [tuple(p) for p in edge_pairs]
         darts = [d for c in cycles for d in c]
         if not darts:
             raise StructureError("a fat graph needs at least one dart")
+        if any(type(d) is not int or d <= 0 for d in darts):
+            raise StructureError("darts must be positive integers")
         if len(set(darts)) != len(darts):
             raise StructureError("rotation cycles overlap or repeat darts")
-        if any(d <= 0 for d in darts):
-            raise StructureError("darts must be positive integers")
         self.darts: tuple[int, ...] = tuple(sorted(darts))
 
         rotation: dict[int, int] = {}
@@ -68,16 +74,18 @@ class FatGraph:
 
         involution: dict[int, int] = {}
         for pair in pairs:
-            if len(pair) != 2 or pair[0] == pair[1]:
-                raise StructureError(f"edge pair {pair!r} is not two distinct darts")
+            if (len(pair) != 2 or pair[0] == pair[1]
+                    or any(type(d) is not int for d in pair)):
+                raise PairingError(
+                    f"edge pair {pair!r} is not two distinct integer darts")
             a, b = pair
             for x, y in ((a, b), (b, a)):
                 if x in involution:
-                    raise StructureError(f"dart {x} appears in two edges")
+                    raise PairingError(f"dart {x} appears in two edges")
                 involution[x] = y
         if set(involution) != set(self.darts):
             missing = sorted(set(self.darts) ^ set(involution))
-            raise StructureError(f"edge pairing does not match darts: {missing}")
+            raise PairingError(f"edge pairing does not match darts: {missing}")
         self.involution: dict[int, int] = involution
 
         # canonical vertex / edge orders: sorted by smallest dart
@@ -87,8 +95,6 @@ class FatGraph:
             sorted(tuple(sorted(p)) for p in pairs))
         self.vertex_of: dict[int, int] = {
             d: i for i, c in enumerate(self.vertices) for d in c}
-        self.edge_of: dict[int, int] = {
-            d: i for i, p in enumerate(self.edges) for d in p}
         self._faces: Optional[tuple[tuple[int, ...], ...]] = None
         self._face_of: Optional[dict[int, int]] = None
         # per reflection flag: start dart -> (code, order), and the
@@ -116,6 +122,12 @@ class FatGraph:
         _, order = self.rooted_walk(self.darts[0])
         return len(order) == len(self.darts)
 
+    @cached_property
+    def inverse_rotation(self) -> dict[int, int]:
+        """Dart -> the dart before it around its vertex.  Built on first
+        use; callers must not mutate it."""
+        return {v: k for k, v in self.rotation.items()}
+
     def rooted_walk(self, start: int, reflect: bool = False
                     ) -> tuple[tuple[int, ...], list[int]]:
         """``_map_code`` from ``start``, along the inverse rotation when
@@ -125,9 +137,7 @@ class FatGraph:
         walks = self._walks[reflect]
         walk = walks.get(start)
         if walk is None:
-            rotation = self.rotation
-            if reflect:
-                rotation = {v: k for k, v in rotation.items()}
+            rotation = self.inverse_rotation if reflect else self.rotation
             walk = walks[start] = _map_code(rotation, self.involution, start)
         return walk
 
@@ -641,18 +651,22 @@ def spine_from_json(obj, path: str = "") -> Spine:
     for key in ("darts", "rotation", "edges", "colors"):
         if key not in obj:
             raise InputError(f"{path}/{key}: missing")
-    arrays = {}
     for key in ("rotation", "edges"):
         if not isinstance(obj[key], list) or not all(
                 isinstance(item, list) for item in obj[key]):
             raise InputError(f"{path}/{key}: expected an array of integer arrays")
-        where = f"{path}/{key}"
-        arrays[key] = [[read_int(d, where, i, j) for j, d in enumerate(item)]
-                       for i, item in enumerate(obj[key])]
+    where = f"{path}/rotation"
+    rotation = [[read_int(d, where, i, j) for j, d in enumerate(item)]
+                for i, item in enumerate(obj["rotation"])]
+    where = f"{path}/edges"
+    edges = [[read_int(d, where, i, j)
+              for j, d in enumerate(read_pair(item, where, i))]
+             for i, item in enumerate(obj["edges"])]
     try:
-        graph = FatGraph(arrays["rotation"], arrays["edges"])
+        graph = FatGraph(rotation, edges)
     except StructureError as err:
-        raise InputError(f"{path}/rotation: {err}") from err
+        key = "edges" if isinstance(err, PairingError) else "rotation"
+        raise InputError(f"{path}/{key}: {err}") from err
     if not isinstance(obj["darts"], list):
         raise InputError(f"{path}/darts: expected an array of integers")
     where = f"{path}/darts"

@@ -27,8 +27,7 @@ from typing import Iterable, Optional
 
 from .errors import CapacityError, InputError
 from .fatgraph import ENTRANCE
-from .model import (ModelFlowSpec, OrientationAssignment, check_spec,
-                    seed_orientation)
+from .model import ModelFlowSpec, check_spec
 from .walks import reachable
 
 MAX_WORD_LENGTH = 12
@@ -80,21 +79,13 @@ def orbit_label(piece_id: str, vertex: int) -> str:
     return f"{piece_id}.v{vertex}"
 
 
-def build_flow_graph(spec: ModelFlowSpec,
-                     orientation: Optional[OrientationAssignment] = None
-                     ) -> FlowGraph:
-    """Quotient graph of a valid specification under an orientation.
-
-    ``orientation`` defaults to the propagation of the recorded seeds,
-    anti-aligned by construction; a supplied assignment must be total on
-    the vertical orbits and anti-aligned across every edge, otherwise
-    the data cannot describe the flow and an ``InputError`` is raised.
-    """
-    pair_of = check_spec(spec).pair_of
-    if orientation is None:
-        orientation = seed_orientation(spec)
-    else:
-        _check_orientation(spec, orientation)
+def build_flow_graph(spec: ModelFlowSpec) -> FlowGraph:
+    """Quotient graph of a valid specification, its edge signs read from
+    the propagation of the recorded seeds.  The other orientation
+    classes are the specifications with some seeds negated
+    (``census.negate_seed``)."""
+    checked = check_spec(spec)
+    pair_of, signs = checked.pair_of, checked.signs
 
     tori = tuple(f"T{k}" for k in range(len(spec.pairing)))
     orbits = []
@@ -112,7 +103,7 @@ def build_flow_graph(spec: ModelFlowSpec,
             d_out = b if d_in == a else a
             src = tori[pair_of[(pid, face_of[d_in])]]
             dst = tori[pair_of[(pid, face_of[d_out])]]
-            sign = orientation.sign(pid, graph.vertex_of[d_in])
+            sign = signs[pid][graph.vertex_of[d_in]]
             edges.append(FlowEdge(f"{pid}.e{i}", src, dst, pid, i, sign))
 
         for f, cycle in enumerate(graph.boundary_cycles()):
@@ -124,26 +115,6 @@ def build_flow_graph(spec: ModelFlowSpec,
 
     return FlowGraph(tori, tuple(orbits), tuple(edges),
                      tuple(sorted(accumulation)))
-
-
-def _check_orientation(spec: ModelFlowSpec,
-                       orientation: OrientationAssignment) -> None:
-    expected = {(piece.piece_id, v)
-                for piece in spec.pieces for v in piece.vertices()}
-    if set(orientation.signs) != expected:
-        raise InputError("orientation assignment does not cover exactly the "
-                         "vertical orbits of the specification")
-    if any(s not in (1, -1) for s in orientation.signs.values()):
-        raise InputError("orientation signs must be +-1")
-    for piece in spec.pieces:
-        graph = piece.spine.graph
-        for a, b in graph.edges:
-            sa = orientation.sign(piece.piece_id, graph.vertex_of[a])
-            sb = orientation.sign(piece.piece_id, graph.vertex_of[b])
-            if sa != -sb:
-                raise InputError(
-                    f"orientation is not anti-aligned across edge "
-                    f"({a}, {b}) of piece {piece.piece_id!r}")
 
 
 # ----------------------------------------------------------------------

@@ -150,11 +150,6 @@ class OrientationAssignment:
     def sign(self, piece_id: str, vertex: int) -> int:
         return self.signs[(piece_id, vertex)]
 
-    def negated(self, piece_id: str) -> "OrientationAssignment":
-        return OrientationAssignment({
-            key: -s if key[0] == piece_id else s
-            for key, s in self.signs.items()})
-
     def to_json(self) -> dict:
         out: dict[str, dict[str, int]] = {}
         for (pid, v), s in sorted(self.signs.items()):

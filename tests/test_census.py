@@ -45,7 +45,7 @@ class TestCensusPieces:
 
 
 class TestSpecCensus:
-    def test_all_valid_and_deduped(self, census_specs):
+    def test_all_valid_and_pairwise_inequivalent(self, census_specs):
         for spec in census_specs:
             assert validate_spec(spec).passed
         for i, a in enumerate(census_specs):

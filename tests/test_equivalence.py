@@ -4,13 +4,13 @@ import random
 import pytest
 
 import oracles
+import spineflow.census as census
 import spineflow.equivalence as equivalence
 import spineflow.fatgraph as fatgraph
 from chains import banana_chain
 from spineflow import (EquivalenceMode, EquivalenceWitness, GluingMatrix,
                        InputError, ModelFlowSpec, ModelPiece, negate_seed,
-                       normalize_matrix, spec_census, spec_equivalent,
-                       verify_witness)
+                       normalize_matrix, spec_equivalent, verify_witness)
 from spineflow.fatgraph import induced_face_map
 from spineflow.model import (check_spec, seed_orientation, torus_label,
                              validate_spec)
@@ -36,7 +36,8 @@ def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
         per_piece = [equivalence._piece_isomorphisms(
             p1, {v: o1.sign(p1.piece_id, v) for v in p1.vertices()},
             p2, {v: o2.sign(p2.piece_id, v) for v in p2.vertices()},
-            allow_reflection)
+            list(fatgraph.iter_isomorphisms_tagged(p1.spine, p2.spine,
+                                                   allow_reflection)))
             for p1, p2 in zip(pieces1, pieces2)]
         for combo in itertools.product(*per_piece):
             witness = assemble(s1, s2, pieces1, pieces2, combo, mode)
@@ -573,8 +574,8 @@ class TestExactKey:
 
     @staticmethod
     def spec_set(banana_spec):
-        base = (spec_census(2, 4, dedupe=False)
-                + spec_census(1, 6, dedupe=False))
+        base = [c.spec for c in (census._candidates(2, 4)
+                                 + census._candidates(1, 6))]
         specs = base + [negate_seed(spec, pid)
                         for spec in base for pid in spec.piece_ids()]
         for k in (2, 3, 4):

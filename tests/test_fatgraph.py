@@ -252,6 +252,18 @@ class TestConstruction:
         with pytest.raises(StructureError):
             FatGraph([[1, 2, 3, 4]], [[1, 2]])
 
+    @pytest.mark.parametrize("cycles, pairs", [
+        ([["1", "2"]], [["1", 2.0]]),
+        ([[1.0, 2]], [[1, 2]]),
+        ([[True, 2]], [[1, 2]]),
+        ([[1, 2]], [[1, 2.0]]),
+        ([[1, 2]], [[True, 2]]),
+    ], ids=["strings", "float-rotation", "bool-rotation", "float-edge",
+            "bool-edge"])
+    def test_darts_must_be_ints_not_coerced(self, cycles, pairs):
+        with pytest.raises(StructureError, match="integer"):
+            FatGraph(cycles, pairs)
+
 
 class TestBoundaryCycles:
     def test_single_loop(self):
@@ -696,6 +708,21 @@ class TestWalkCache:
         # both graphs, on the same darts, walked under both flags
         assert mirror.graph.darts == spine.graph.darts
         assert sorted(walks) == sorted(4 * spine.graph.darts)
+
+    def test_reflected_walks_share_one_inverse_rotation(self, monkeypatch):
+        rotations = []
+        real = fatgraph._map_code
+
+        def recording(rotation, *args):
+            rotations.append(rotation)
+            return real(rotation, *args)
+
+        monkeypatch.setattr(fatgraph, "_map_code", recording)
+        graph = banana_spine().graph
+        graph.code_table(True)
+        assert len(rotations) == len(graph.darts)
+        assert len({id(rotation) for rotation in rotations}) == 1
+        assert all(rotations[0][graph.rotation[d]] == d for d in graph.darts)
 
     def test_code_table_groups_walks_by_code(self, census_spines):
         for spine in census_spines:

@@ -6,11 +6,10 @@ import pytest
 import oracles
 from chains import banana_chain
 from spineflow import (CapacityError, FlowEdge, FlowGraph, InputError,
-                       ItineraryWord, OrientationAssignment, PeriodicWord,
-                       build_flow_graph, flow_graph_to_edge_text,
-                       flow_graph_to_json, flowgraph, is_transitive,
-                       negate_seed, orientation_classes, path_sign,
-                       periodic_words, seed_orientation, validate_itinerary,
+                       ItineraryWord, PeriodicWord, build_flow_graph,
+                       flow_graph_to_edge_text, flow_graph_to_json, flowgraph,
+                       is_transitive, negate_seed, orientation_classes,
+                       path_sign, periodic_words, validate_itinerary,
                        word_counts)
 from spineflow.flowgraph import least_rotation
 
@@ -50,8 +49,7 @@ class TestBuildFlowGraph:
 
     def test_negating_the_piece_flips_every_sign(self, banana_spec):
         base = build_flow_graph(banana_spec)
-        flipped = build_flow_graph(
-            banana_spec, seed_orientation(banana_spec).negated("P"))
+        flipped = build_flow_graph(negate_seed(banana_spec, "P"))
         assert [(e.src, e.dst) for e in base.edges] == \
             [(e.src, e.dst) for e in flipped.edges]
         assert all(a.sign == -b.sign
@@ -72,34 +70,6 @@ class TestBuildFlowGraph:
             for orbit in ("P.v0", "P.v1"):
                 assert (torus, orbit) in acc
                 assert (orbit, torus) in acc
-
-    def test_inconsistent_orientation_rejected(self, banana_spec):
-        from spineflow import OrientationAssignment
-        bad = OrientationAssignment({("P", 0): 1, ("P", 1): 1})
-        with pytest.raises(InputError):
-            build_flow_graph(banana_spec, bad)
-
-    def test_supplied_orientation_is_checked_seeded_one_is_not(
-            self, banana_spec, monkeypatch):
-        chain = banana_chain(banana_spec, [2, 3, 4, 5, 6, 7])
-        checked = []
-        real = flowgraph._check_orientation
-
-        def counting(*args):
-            checked.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(flowgraph, "_check_orientation", counting)
-        seeded = build_flow_graph(chain)
-        assert checked == []
-        orientation = seed_orientation(chain)
-        assert build_flow_graph(chain, orientation) == seeded
-        assert len(checked) == 1
-        # anti-aligned in C0 and C2, aligned across every edge of C1
-        signs = dict(orientation.signs)
-        signs[("C1", 1)] = signs[("C1", 0)]
-        with pytest.raises(InputError, match="anti-aligned"):
-            build_flow_graph(chain, OrientationAssignment(signs))
 
     def test_invalid_spec_rejected(self, banana_spec):
         from spineflow import GluingMatrix, ModelFlowSpec
@@ -431,8 +401,7 @@ class TestPathSign:
 
     def test_two_cycle_sign_is_seed_independent(self, banana_spec):
         plus = build_flow_graph(banana_spec)
-        minus = build_flow_graph(
-            banana_spec, seed_orientation(banana_spec).negated("P"))
+        minus = build_flow_graph(negate_seed(banana_spec, "P"))
         walk = ["P.e0", "P.e2"]
         assert path_sign(plus, walk) == path_sign(minus, walk) == 1
 
