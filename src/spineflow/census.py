@@ -87,48 +87,11 @@ def census_pieces(max_edges: int) -> list[Spine]:
     return out
 
 
-def _specs_for(spines: list[Spine]) -> list[CheckedSpec]:
-    """All valid, connected specifications over the given piece tuple,
-    one per pooled exit -> entrance bijection, each checked once."""
-    pieces = [unsurgered_piece(f"P{i}", spine)
-              for i, spine in enumerate(spines)]
-    exits = [t for piece in pieces for t in piece.exits()]
-    entrances = [t for piece in pieces for t in piece.entrances()]
-    if len(exits) != len(entrances) or not exits:
-        return []
-    specs = []
-    for image in itertools.permutations(entrances):
-        pairing = tuple(zip(exits, image))
-        spec = ModelFlowSpec(
-            pieces=tuple(pieces),
-            pairing=pairing,
-            matrices=tuple(STANDARD_GLUING for _ in pairing),
-            orientation_seed={piece.piece_id: (0, 1) for piece in pieces},
-        )
-        try:
-            checked = check_spec(spec)
-        except InputError:
-            continue
-        if _weakly_connected(checked):
-            specs.append(checked)
-    return specs
-
-
-def _weakly_connected(checked: CheckedSpec) -> bool:
-    """The glued tori must hang together through the pieces: two are
-    linked when one piece has boundary on both."""
-    spec = checked.spec
-    links: dict[int, set[int]] = {k: set() for k in range(len(spec.pairing))}
-    for piece in spec.pieces:
-        ks = {checked.pair_of[t] for t in piece.boundary_tori()}
-        for k in ks:
-            links[k] |= ks
-    return len(reachable(0, links)) == len(spec.pairing)
-
-
 def _candidates(max_pieces: int, max_edges: int) -> list[CheckedSpec]:
     """The specifications of ``spec_census`` before deduplication: over
-    each census piece, then over each unordered pair of them."""
+    each census piece, then over each unordered pair of them, one per
+    pooled exit -> entrance bijection whose pairs join the pieces, each
+    checked once."""
     if not 1 <= max_pieces <= 2:
         raise CapacityError(f"max_pieces must be 1 or 2, got {max_pieces}")
     spines = census_pieces(max_edges)
@@ -136,8 +99,29 @@ def _candidates(max_pieces: int, max_edges: int) -> list[CheckedSpec]:
     if max_pieces >= 2:
         tuples += [(a, b) for i, a in enumerate(spines)
                    for b in spines[i:]]
-    return [checked for spine_tuple in tuples
-            for checked in _specs_for(list(spine_tuple))]
+    found = []
+    for spine_tuple in tuples:
+        pieces = tuple(unsurgered_piece(f"P{i}", spine)
+                       for i, spine in enumerate(spine_tuple))
+        exits = [t for piece in pieces for t in piece.exits()]
+        entrances = [t for piece in pieces for t in piece.entrances()]
+        if len(exits) != len(entrances) or not exits:
+            continue
+        for image in itertools.permutations(entrances):
+            pairing = tuple(zip(exits, image))
+            links = {piece.piece_id: [] for piece in pieces}
+            for (src, _), (dst, _) in pairing:
+                links[src].append(dst)
+                links[dst].append(src)
+            if len(reachable("P0", links)) < len(pieces):
+                continue  # a disconnected manifold
+            found.append(check_spec(ModelFlowSpec(
+                pieces=pieces,
+                pairing=pairing,
+                matrices=tuple(STANDARD_GLUING for _ in pairing),
+                orientation_seed={piece.piece_id: (0, 1) for piece in pieces},
+            )))
+    return found
 
 
 def spec_census(max_pieces: int, max_edges: int) -> list[ModelFlowSpec]:

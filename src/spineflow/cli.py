@@ -79,6 +79,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as err:
         raise InputError(
             f"{path}: line {err.lineno} column {err.colno}: {err.msg}") from err
+    except RecursionError as err:
+        raise InputError(f"{path}: nested too deeply to read") from err
     except ValueError as err:
         # not UTF-8, or an integer past Python's int-string digit limit
         raise InputError(f"{path}: {err}") from err

@@ -29,8 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import (InputError, read_bool, read_index, read_int, read_pair,
-                     read_str)
+from .errors import InputError, Opt, Table, conform
 from .fatgraph import induced_face_map, iter_isomorphisms_tagged
 from .model import (CheckedSpec, GluingMatrix, ModelFlowSpec, ModelPiece,
                     TorusId, check_spec, seed_orientation, torus_label)
@@ -94,6 +93,17 @@ def normalize_matrix(matrix: GluingMatrix) -> GluingMatrix:
     return GluingMatrix(a, b, c, d)
 
 
+#: the JSON shape of a witness (see ``errors.conform``); every section
+#: may be left out
+WITNESS_SHAPE = {
+    "piece_map": Opt(Table(str, str)),
+    "dart_maps": Opt(Table(str, Table(int, int))),
+    "basis_signs": Opt(Table(str, (int, int))),
+    "twists": Opt(Table(int, (int, int))),
+    "reflected": Opt(Table(str, bool)),
+}
+
+
 @dataclass(frozen=True)
 class EquivalenceWitness:
     """A replayable equivalence: where every piece, dart and torus
@@ -138,31 +148,16 @@ class EquivalenceWitness:
 
     @classmethod
     def from_json(cls, obj, path: str = "") -> "EquivalenceWitness":
-        if not isinstance(obj, dict):
-            raise InputError(f"{path or '/'}: expected an object")
-
-        def pair(value, where: str) -> tuple[int, int]:
-            first, second = read_pair(value, where)
-            return read_int(first, where, 0), read_int(second, where, 1)
-
-        try:
-            return cls(
-                piece_map={str(k): read_str(v, f"{path}/piece_map", k)
-                           for k, v in obj.get("piece_map", {}).items()},
-                dart_maps={str(p): {read_index(d, f"{path}/dart_maps", p, d):
-                                    read_int(img, f"{path}/dart_maps", p, d)
-                                    for d, img in m.items()}
-                           for p, m in obj.get("dart_maps", {}).items()},
-                basis_signs={str(k): pair(v, f"{path}/basis_signs/{k}")
-                             for k, v in obj.get("basis_signs", {}).items()},
-                twists={read_index(k, f"{path}/twists", k):
-                        pair(v, f"{path}/twists/{k}")
-                        for k, v in obj.get("twists", {}).items()},
-                reflected={str(k): read_bool(v, f"{path}/reflected", k)
-                           for k, v in obj.get("reflected", {}).items()},
-            )
-        except (TypeError, ValueError, KeyError, IndexError) as err:
-            raise InputError(f"{path}: malformed witness: {err}") from err
+        conform(obj, WITNESS_SHAPE, path)
+        return cls(
+            piece_map=dict(obj.get("piece_map", {})),
+            dart_maps={p: {int(d): img for d, img in m.items()}
+                       for p, m in obj.get("dart_maps", {}).items()},
+            basis_signs={k: tuple(v)
+                         for k, v in obj.get("basis_signs", {}).items()},
+            twists={int(k): tuple(v) for k, v in obj.get("twists", {}).items()},
+            reflected=dict(obj.get("reflected", {})),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,24 @@
-"""Exception classes shared by all spineflow modules, and the strict
-integer, index, pair, boolean and string readers that every JSON parser
-uses."""
+"""Exception classes shared by all spineflow modules, and ``conform``,
+the one shape walk that every JSON reader runs before it builds
+anything.  Shapes:
+
+* ``int``, ``str`` and ``bool`` match only that exact JSON type
+  (``true``, ``1.0`` and ``"1"`` are not integers);
+* ``[s]`` is an array of ``s``; ``(s, t)`` an array of exactly two;
+* a dict is an object with those members, each required unless it is
+  an ``Opt``; other members are left alone;
+* ``Table(keys, s)`` is an object with any keys, each of its values an
+  ``s``; ``int`` keys must be canonical decimal indices (``read_index``);
+* ``None`` is any value, left to the reader's semantic checks.
+
+The first wrong value raises ``InputError`` naming its JSON pointer,
+the deepest wrong value: a string among a spine's edge pairs is
+reported at the entry, not at the array.  Readers then build their
+objects with no type tests, so shape errors come before semantic ones.
+"""
+
+from itertools import count, repeat
+from typing import NamedTuple
 
 
 class SpineflowError(Exception):
@@ -39,25 +57,94 @@ class OrientationConflictError(SpineflowError):
         self.cycle = list(cycle)
 
 
-def read_int(value, path: str, *index) -> int:
-    """An integer from parsed JSON.  Anything else, including ``true``,
-    ``1.0`` and ``"1"``, raises ``InputError`` naming the JSON pointer
-    ``path`` followed by the ``index`` components, instead of being
-    coerced.  The pointer is only built on failure: parsers call this
-    once per number."""
-    if type(value) is not int:
-        pointer = "/".join((path, *map(str, index)))
-        raise InputError(f"{pointer}: expected an integer, got {value!r}")
-    return value
+class Opt(NamedTuple):
+    """A member that may be absent, and also null when ``null``."""
+
+    shape: object
+    null: bool = False
 
 
-def read_index(value, path: str, *index) -> int:
-    """A non-negative index from text such as a JSON object key, in
-    canonical ASCII decimal only.  Anything else, including ``" 1"``,
-    ``"01"`` and ``"-1"``, raises ``InputError`` naming the JSON pointer
-    like ``read_int``, so two distinct keys never read as one index.
-    So does a key with more digits than Python's integer-string
-    conversion limit (``sys.get_int_max_str_digits``)."""
+class Table(NamedTuple):
+    keys: type
+    values: object
+
+
+class _Mismatch(Exception):
+    """A value of the wrong shape.  ``keys`` gathers its JSON pointer,
+    innermost key first, as the walk unwinds, so no pointer is built
+    unless a value is wrong."""
+
+    def __init__(self, problem: str, *keys):
+        super().__init__(problem)
+        self.keys = list(keys)
+
+    def at(self, path: str) -> InputError:
+        pointer = "/".join((path, *map(str, reversed(self.keys))))
+        return InputError(f"{pointer or '/'}: {self}")
+
+
+_EXPECTED = {int: "an integer", str: "a string", bool: "true or false"}
+
+
+def conform(value, shape, path: str = "") -> None:
+    """Raise ``InputError`` at ``path`` plus the JSON pointer of the
+    first value in ``value`` that does not have ``shape``."""
+    try:
+        _walk(value, shape)
+    except _Mismatch as wrong:
+        raise wrong.at(path) from None
+
+
+def _walk(value, shape) -> None:
+    if shape is None:
+        return
+    kind = type(shape)
+    if kind is type:
+        if type(value) is not shape:
+            raise _Mismatch(f"expected {_EXPECTED[shape]}, got {value!r}")
+        return
+    if kind is tuple:
+        if type(value) is not list or len(value) != 2:
+            raise _Mismatch(f"expected an array of two entries, got {value!r}")
+        if type(value[0]) is shape[0] and type(value[1]) is shape[1]:
+            return  # two right leaves
+        entries = ((0, value[0], shape[0]), (1, value[1], shape[1]))
+    elif kind is list:
+        if type(value) is not list:
+            raise _Mismatch("expected an array")
+        if type(shape[0]) is type and set(map(type, value)) <= {shape[0]}:
+            return  # leaves are tested without a call per entry
+        entries = zip(count(), value, repeat(shape[0]))
+    elif type(value) is not dict:
+        raise _Mismatch("expected an object")
+    elif kind is Table:
+        if shape.keys is int:
+            for key in value:
+                _index(key, key)
+        inner = shape.values
+        if type(inner) is type and set(map(type, value.values())) <= {inner}:
+            return
+        entries = zip(value, value.values(), repeat(inner))
+    else:
+        entries = []
+        for key, member in shape.items():
+            if type(member) is Opt:
+                if key not in value or (member.null and value[key] is None):
+                    continue
+                member = member.shape
+            elif key not in value:
+                raise _Mismatch("missing", key)
+            entries.append((key, value[key], member))
+    key = None
+    try:
+        for key, item, inner in entries:
+            _walk(item, inner)
+    except _Mismatch as wrong:
+        wrong.keys.append(key)
+        raise
+
+
+def _index(value, *keys) -> int:
     if (type(value) is str and value.isascii() and value.isdigit()
             and (value[0] != "0" or value == "0")):
         try:
@@ -67,37 +154,18 @@ def read_index(value, path: str, *index) -> int:
     else:
         problem = (f"expected a non-negative integer in canonical decimal, "
                    f"got {value!r}")
-    pointer = "/".join((path, *map(str, index)))
-    raise InputError(f"{pointer}: {problem}")
+    raise _Mismatch(problem, *keys)
 
 
-def read_pair(value, path: str, *index) -> tuple:
-    """The two entries of a JSON array of exactly two.  Anything else,
-    including a longer array and an object with two keys, raises
-    ``InputError`` naming the JSON pointer like ``read_int``, instead of
-    being unpacked or cut short."""
-    if type(value) is not list or len(value) != 2:
-        pointer = "/".join((path, *map(str, index)))
-        raise InputError(f"{pointer}: expected an array of two entries, "
-                         f"got {value!r}")
-    return value[0], value[1]
-
-
-def read_bool(value, path: str, *index) -> bool:
-    """A boolean from parsed JSON: only ``true`` and ``false``.  Anything
-    else, including ``"false"``, ``0`` and ``null``, raises
-    ``InputError`` naming the JSON pointer like ``read_int``."""
-    if type(value) is not bool:
-        pointer = "/".join((path, *map(str, index)))
-        raise InputError(f"{pointer}: expected true or false, got {value!r}")
-    return value
-
-
-def read_str(value, path: str, *index) -> str:
-    """A string from parsed JSON.  Anything else, including ``1``,
-    ``true`` and ``null``, raises ``InputError`` naming the JSON pointer
-    like ``read_int``, instead of being turned into its ``str()``."""
-    if type(value) is not str:
-        pointer = "/".join((path, *map(str, index)))
-        raise InputError(f"{pointer}: expected a string, got {value!r}")
-    return value
+def read_index(value, path: str, *index) -> int:
+    """A non-negative index from text such as a JSON object key, in
+    canonical ASCII decimal only.  Anything else, including ``" 1"``,
+    ``"01"`` and ``"-1"``, raises ``InputError`` naming the JSON pointer
+    ``path`` followed by the ``index`` components, so two distinct keys
+    never read as one index.  So does a key with more digits than
+    Python's integer-string conversion limit
+    (``sys.get_int_max_str_digits``)."""
+    try:
+        return _index(value, *reversed(index))
+    except _Mismatch as wrong:
+        raise wrong.at(path) from None

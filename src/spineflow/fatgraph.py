@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import (CapacityError, InputError, OrientabilityError,
-                     StructureError, read_index, read_int, read_pair)
+                     StructureError, Table, conform)
 from .report import ValidationReport
 from .walks import two_color
 
@@ -429,13 +429,6 @@ def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = Fals
                 yield sigma, reflect, faces
 
 
-def iter_isomorphisms(s1: Spine, s2: Spine,
-                      allow_reflection: bool = False) -> Iterator[dict[int, int]]:
-    """All color-preserving dart bijections from s1 to s2."""
-    for sigma, _, _ in iter_isomorphisms_tagged(s1, s2, allow_reflection):
-        yield sigma
-
-
 def fatgraph_isomorphic(s1: Spine, s2: Spine,
                         allow_reflection: bool = False) -> Optional[dict[int, int]]:
     """Least color-preserving isomorphism, or None.
@@ -443,7 +436,9 @@ def fatgraph_isomorphic(s1: Spine, s2: Spine,
     "Least" compares the tuple of images of the darts of s1 in sorted
     order, so the answer is independent of search order.
     """
-    return min(iter_isomorphisms(s1, s2, allow_reflection), default=None,
+    return min((sigma for sigma, _, _
+                in iter_isomorphisms_tagged(s1, s2, allow_reflection)),
+               default=None,
                key=lambda sigma: [sigma[d] for d in s1.graph.darts])
 
 
@@ -645,38 +640,22 @@ def spine_to_json(spine: Spine) -> dict:
     }
 
 
+#: the JSON shape of a spine (see ``errors.conform``)
+SPINE_SHAPE = {"darts": [int], "rotation": [[int]], "edges": [(int, int)],
+               "colors": Table(int, str)}
+
+
 def spine_from_json(obj, path: str = "") -> Spine:
-    if not isinstance(obj, dict):
-        raise InputError(f"{path or '/'}: expected an object")
-    for key in ("darts", "rotation", "edges", "colors"):
-        if key not in obj:
-            raise InputError(f"{path}/{key}: missing")
-    for key in ("rotation", "edges"):
-        if not isinstance(obj[key], list) or not all(
-                isinstance(item, list) for item in obj[key]):
-            raise InputError(f"{path}/{key}: expected an array of integer arrays")
-    where = f"{path}/rotation"
-    rotation = [[read_int(d, where, i, j) for j, d in enumerate(item)]
-                for i, item in enumerate(obj["rotation"])]
-    where = f"{path}/edges"
-    edges = [[read_int(d, where, i, j)
-              for j, d in enumerate(read_pair(item, where, i))]
-             for i, item in enumerate(obj["edges"])]
+    conform(obj, SPINE_SHAPE, path)
     try:
-        graph = FatGraph(rotation, edges)
+        graph = FatGraph(obj["rotation"], obj["edges"])
+    except PairingError as err:
+        raise InputError(f"{path}/edges: {err}") from err
     except StructureError as err:
-        key = "edges" if isinstance(err, PairingError) else "rotation"
-        raise InputError(f"{path}/{key}: {err}") from err
-    if not isinstance(obj["darts"], list):
-        raise InputError(f"{path}/darts: expected an array of integers")
-    where = f"{path}/darts"
-    darts = sorted(read_int(d, where, i) for i, d in enumerate(obj["darts"]))
-    if sorted(graph.darts) != darts:
+        raise InputError(f"{path}/rotation: {err}") from err
+    if list(graph.darts) != sorted(obj["darts"]):
         raise InputError(f"{path}/darts: does not match rotation cycles")
-    if not isinstance(obj["colors"], dict):
-        raise InputError(f"{path}/colors: expected an object")
-    colors = {read_index(key, f"{path}/colors", key): value
-              for key, value in obj["colors"].items()}
+    colors = {int(key): value for key, value in obj["colors"].items()}
     try:
         _check_colors_total(graph, colors)
     except InputError as err:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, Opt, conform
 from .fatgraph import ENTRANCE
 from .model import ModelFlowSpec, check_spec
 from .walks import reachable
@@ -141,6 +141,11 @@ def is_transitive(graph: FlowGraph) -> bool:
             and len(reachable(root, pred)) == count)
 
 
+#: the JSON shape of an itinerary word (see ``errors.conform``)
+WORD_SHAPE = {"body": [str], "head_orbit": Opt(str, null=True),
+              "tail_orbit": Opt(str, null=True)}
+
+
 @dataclass(frozen=True)
 class ItineraryWord:
     """A finite window of an itinerary: a body of glued-torus ids with
@@ -160,17 +165,7 @@ class ItineraryWord:
 
     @classmethod
     def from_json(cls, obj, path: str = "") -> "ItineraryWord":
-        if not isinstance(obj, dict) or "body" not in obj:
-            raise InputError(f"{path or '/'}: expected an object with a body")
-        if not isinstance(obj["body"], list):
-            raise InputError(f"{path}/body: expected an array of torus ids")
-        for key in ("head_orbit", "tail_orbit"):
-            if obj.get(key) is not None and not isinstance(obj[key], str):
-                raise InputError(f"{path}/{key}: expected an orbit id string")
-        for i, letter in enumerate(obj["body"]):
-            if not isinstance(letter, str):
-                raise InputError(f"{path}/body/{i}: expected a torus id "
-                                 f"string, got {letter!r}")
+        conform(obj, WORD_SHAPE, path)
         return cls(tuple(obj["body"]),
                    obj.get("head_orbit"), obj.get("tail_orbit"))
 

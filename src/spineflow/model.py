@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (InputError, OrientationConflictError, read_index,
-                     read_int, read_pair, read_str)
+from .errors import (InputError, Opt, OrientationConflictError, Table,
+                     conform, read_index)
 from .fatgraph import (ENTRANCE, EXIT, Spine, spine_from_json, spine_to_json,
                        validate_spine)
 from .report import ValidationReport
@@ -59,6 +59,10 @@ class DehnCoefficient:
 UNSURGERED = DehnCoefficient(1, 0)
 
 
+#: the JSON shape of a gluing matrix (see ``errors.conform``)
+MATRIX_SHAPE = ((int, int), (int, int))
+
+
 @dataclass(frozen=True)
 class GluingMatrix:
     """Rows [[a, b], [c, d]] in the (vertical, horizontal) bases of the
@@ -78,12 +82,9 @@ class GluingMatrix:
 
     @classmethod
     def from_rows(cls, rows, path: str = "") -> "GluingMatrix":
-        try:
-            (a, b), (c, d) = rows
-        except (TypeError, ValueError) as err:
-            raise InputError(f"{path}: expected a 2x2 integer matrix") from err
-        return cls(read_int(a, path, 0, 0), read_int(b, path, 0, 1),
-                   read_int(c, path, 1, 0), read_int(d, path, 1, 1))
+        conform(rows, MATRIX_SHAPE, path)
+        (a, b), (c, d) = rows
+        return cls(a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -356,12 +357,19 @@ def spec_to_json(spec: ModelFlowSpec) -> dict:
     }
 
 
+#: the JSON shape of a specification; each spine is left to
+#: ``spine_from_json``
+SPEC_SHAPE = {
+    "pieces": [{"id": str, "spine": None,
+                "dehn": Opt(Table(int, (int, int)))}],
+    "pairing": [(str, str)],
+    "matrices": Table(int, MATRIX_SHAPE),
+    "orientation_seed": Table(str, (int, int)),
+}
+
+
 def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
-    if not isinstance(obj, dict):
-        raise InputError(f"{path or '/'}: expected an object")
-    for key in ("pieces", "pairing", "matrices", "orientation_seed"):
-        if key not in obj:
-            raise InputError(f"{path}/{key}: missing")
+    conform(obj, SPEC_SHAPE, path)
     if "bases" in obj:
         raise InputError(f"{path}/bases: not part of the format; the "
                          "matrices are written in the torus bases")
@@ -370,67 +378,34 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
     # pieces with equal spines share one Spine, and so one set of walk
     # tables
     spines: dict[tuple, Spine] = {}
-    if not isinstance(obj["pieces"], list):
-        raise InputError(f"{path}/pieces: expected an array")
     for i, raw in enumerate(obj["pieces"]):
-        ppath = f"{path}/pieces/{i}"
-        if not isinstance(raw, dict) or "id" not in raw or "spine" not in raw:
-            raise InputError(f"{ppath}: expected an object with id and spine")
-        spine = spine_from_json(raw["spine"], f"{ppath}/spine")
+        spine = spine_from_json(raw["spine"], f"{path}/pieces/{i}/spine")
         spine = spines.setdefault((spine.graph.vertices, spine.graph.edges,
                                    tuple(sorted(spine.colors.items()))), spine)
-        if not isinstance(raw.get("dehn", {}), dict):
-            raise InputError(f"{ppath}/dehn: expected an object")
-        dehn = {}
-        for key, value in raw.get("dehn", {}).items():
-            dpath = f"{ppath}/dehn/{key}"
-            vertex = read_index(key, dpath)
-            try:
-                p, q = value
-            except (TypeError, ValueError) as err:
-                raise InputError(f"{dpath}: expected a pair [p, q]") from err
-            dehn[vertex] = DehnCoefficient(read_int(p, dpath, 0),
-                                           read_int(q, dpath, 1))
-        if not isinstance(raw["id"], str):
-            raise InputError(f"{ppath}/id: expected a piece id string, "
-                             f"got {raw['id']!r}")
+        dehn = {int(key): DehnCoefficient(p, q)
+                for key, (p, q) in raw.get("dehn", {}).items()}
         pieces.append(ModelPiece(raw["id"], spine, dehn))
 
-    pairing = []
-    if not isinstance(obj["pairing"], list):
-        raise InputError(f"{path}/pairing: expected an array")
-    for k, raw in enumerate(obj["pairing"]):
-        kpath = f"{path}/pairing/{k}"
-        src, dst = read_pair(raw, kpath)
-        pairing.append(
-            (parse_torus_label(read_str(src, kpath, 0), kpath + "/0"),
-             parse_torus_label(read_str(dst, kpath, 1), kpath + "/1")))
+    pairing = tuple(
+        (parse_torus_label(src, f"{path}/pairing/{k}/0"),
+         parse_torus_label(dst, f"{path}/pairing/{k}/1"))
+        for k, (src, dst) in enumerate(obj["pairing"]))
 
-    if not isinstance(obj["matrices"], dict):
-        raise InputError(f"{path}/matrices: expected an object")
-    matrices = []
+    rows = obj["matrices"]
     for k in range(len(pairing)):
-        if str(k) not in obj["matrices"]:
+        if str(k) not in rows:
             raise InputError(f"{path}/matrices/{k}: missing")
-        matrices.append(GluingMatrix.from_rows(obj["matrices"][str(k)],
-                                               f"{path}/matrices/{k}"))
-    extra = sorted(set(obj["matrices"]) - {str(k) for k in range(len(pairing))})
+    extra = sorted(set(rows) - {str(k) for k in range(len(pairing))})
     if extra:
         raise InputError(f"{path}/matrices/{extra[0]}: no such pairing index")
+    matrices = tuple(GluingMatrix(*rows[str(k)][0], *rows[str(k)][1])
+                     for k in range(len(pairing)))
 
-    seeds = {}
-    if not isinstance(obj["orientation_seed"], dict):
-        raise InputError(f"{path}/orientation_seed: expected an object")
     piece_ids = {piece.piece_id for piece in pieces}
-    for pid, raw in obj["orientation_seed"].items():
-        spath = f"{path}/orientation_seed/{pid}"
+    for pid in obj["orientation_seed"]:
         if pid not in piece_ids:
-            raise InputError(f"{spath}: no piece with this id")
-        try:
-            v, s = raw
-        except (TypeError, ValueError) as err:
-            raise InputError(f"{spath}: expected a pair [vertex, sign]") from err
-        seeds[pid] = (read_int(v, spath, 0), read_int(s, spath, 1))
+            raise InputError(f"{path}/orientation_seed/{pid}: no piece with "
+                             "this id")
+    seeds = {pid: tuple(seed) for pid, seed in obj["orientation_seed"].items()}
 
-    return ModelFlowSpec(tuple(pieces), tuple(pairing), tuple(matrices),
-                         seeds)
+    return ModelFlowSpec(tuple(pieces), pairing, matrices, seeds)

@@ -228,6 +228,15 @@ class TestErrors:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("opening", ["[", '{"a":'])
+    def test_deep_nesting_exits_two(self, capsys, tmp_path, opening):
+        bad = tmp_path / "deep.json"
+        bad.write_text(opening * 200_000)
+        code, out, err = invoke(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
+
     def test_schema_error_reports_pointer(self, capsys, tmp_path):
         spec = load(BANANA)
         del spec["matrices"]["1"]
@@ -264,7 +273,7 @@ class TestShapeErrors:
         ("word", "/head_orbit", lambda w: w.update(head_orbit=["x"])),
         ("spec", "/pieces/0/spine/darts/0",
          lambda s: s["pieces"][0]["spine"]["darts"].__setitem__(0, "1")),
-        ("spec", "/pieces/0/spine/edges",
+        ("spec", "/pieces/0/spine/edges/0",
          lambda s: s["pieces"][0]["spine"].update(
              edges=["12", "34", "56", "78"])),
         ("spec", "/matrices/0/1/0",

@@ -416,6 +416,11 @@ class TestVerifyWitness:
         ("/w/twists/0", lambda w: w["twists"].update({"0": [0]})),
         ("/w/basis_signs/P.c0",
          lambda w: w["basis_signs"].update({"P.c0": {"1": 1, "-1": 1}})),
+        ("/w/piece_map", lambda w: w.update(piece_map=[])),
+        ("/w/dart_maps/P", lambda w: w.update(dart_maps={"P": [1, 2]})),
+        ("/w/twists", lambda w: w.update(twists=5)),
+        ("/w/reflected", lambda w: w.update(reflected="x")),
+        ("/w/basis_signs", lambda w: w.update(basis_signs=None)),
     ])
     def test_witness_json_rejects_non_integers(self, banana_spec, pointer,
                                                edit):

@@ -1,7 +1,7 @@
 import pytest
 
 from spineflow import InputError
-from spineflow.errors import read_index, read_pair
+from spineflow.errors import conform, read_index
 
 
 class TestReadIndex:
@@ -22,12 +22,15 @@ class TestReadIndex:
 
 
 class TestReadPair:
+    """The pair shape ``(s, t)`` of ``conform``."""
+
     def test_two_entries(self):
-        assert read_pair([1, "a"], "/p") == (1, "a")
+        conform([1, "a"], (None, None), "/p/0")
+        conform([1, "a"], (int, str), "/p/0")
 
     @pytest.mark.parametrize("value", [[1], [1, 2, 3], [], (1, 2), "ab",
                                        {"a": 1, "b": 2}, None])
     def test_anything_else_is_rejected(self, value):
         with pytest.raises(InputError,
                            match="^/p/0: expected an array of two entries"):
-            read_pair(value, "/p", 0)
+            conform(value, (None, None), "/p/0")

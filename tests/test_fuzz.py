@@ -1,11 +1,14 @@
-"""Seeded mutation fuzz test of the CLI on the specification fixtures.
+"""Seeded mutation fuzz tests of the CLI on the specification fixtures
+and of the witness reader.
 
 Each mutant changes one value of a fixture at a random JSON path: it
 replaces the value, deletes it, or adds a new one beside it.  Every
 subcommand that reads a specification must then end with exit status
 0, 1 or 2, with no exception escaping ``cli.run`` and no traceback on
 stderr: a malformed input is an ``InputError`` and exit 2, never a
-crash.
+crash.  Likewise a mutated witness is read or rejected with an
+``InputError``, and one that is read replays to a verdict or an
+``InputError``.
 """
 
 import copy
@@ -13,6 +16,8 @@ import json
 import random
 from pathlib import Path
 
+from spineflow import (EquivalenceMode, EquivalenceWitness, InputError,
+                       spec_equivalent, verify_witness)
 from spineflow.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -101,3 +106,20 @@ def test_mutants_never_crash_the_cli(tmp_path, capsys):
             err_text = capsys.readouterr().err
             assert code in (0, 1, 2), (argv[0], n, text)
             assert "Traceback" not in err_text, (argv[0], n, text)
+
+
+def test_witness_mutants_read_or_raise_input_error(banana_spec):
+    rng = random.Random(SEED)
+    doc = spec_equivalent(banana_spec, banana_spec,
+                          EquivalenceMode.ISOTOPY).to_json()
+    for n in range(MUTANTS):
+        mutant = mutate(rng, doc)
+        try:
+            witness = EquivalenceWitness.from_json(mutant)
+            for mode in EquivalenceMode:
+                verify_witness(banana_spec, banana_spec, witness, mode)
+        except InputError:
+            continue
+        except Exception as err:  # report the mutant, not just the error
+            raise AssertionError(
+                f"raised {err!r} on witness mutant {n}: {mutant}") from err
