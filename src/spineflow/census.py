@@ -35,11 +35,11 @@ from __future__ import annotations
 import itertools
 
 from .equivalence import _exact_key
-from .errors import CapacityError, InputError, OrientationConflictError
+from .errors import CapacityError, InputError
 from .fatgraph import (Spine, enumerate_spines, is_bipartite,
                        iter_isomorphisms_tagged, surface_invariants)
 from .model import (CheckedSpec, GluingMatrix, ModelFlowSpec, check_spec,
-                    propagate_orientations, unsurgered_piece)
+                    unsurgered_piece)
 from .walks import reachable
 
 STANDARD_GLUING = GluingMatrix(0, 1, 1, 0)
@@ -51,24 +51,22 @@ def spine_census(max_edges: int) -> list[Spine]:
 
 def spine_is_orientation_rigid(spine: Spine) -> bool:
     """False when some color-preserving automorphism swaps the two
-    sides of the vertex bipartition while fixing every boundary cycle.
+    sides of ``FatGraph.vertex_sides`` while fixing every boundary
+    cycle; True for a spine that is not bipartite.
 
     Such an automorphism reverses every orbit direction and induces the
     identity on the boundary tori, so it is compatible with every
     pairing: no specification built on the spine can distinguish the
     two orientation choices.
     """
-    piece = unsurgered_piece("X", spine)
-    try:
-        signs = propagate_orientations(piece, (0, 1))
-    except OrientationConflictError:
-        return True
     graph = spine.graph
+    if not is_bipartite(graph):
+        return True
+    side = [sides[v] for v, (sides, _) in enumerate(graph.vertex_sides)]
     for sigma, _, faces in iter_isomorphisms_tagged(spine, spine):
-        if not all(signs[graph.vertex_of[sigma[cycle[0]]]] == -signs[v]
-                   for v, cycle in enumerate(graph.vertices)):
-            continue
-        if all(f == g for f, g in faces.items()):
+        if (all(f == g for f, g in faces.items())
+                and all(side[graph.vertex_of[sigma[cycle[0]]]] != side[v]
+                        for v, cycle in enumerate(graph.vertices))):
             return False
     return True
 

@@ -21,7 +21,8 @@ from .equivalence import (EquivalenceMode, normalize_matrix, spec_equivalent)
 from .errors import InputError, SpineflowError
 from .fatgraph import spine_to_json
 from .flowgraph import (ItineraryWord, build_flow_graph, flow_graph_to_edge_text,
-                        flow_graph_to_json, is_transitive, validate_itinerary)
+                        flow_graph_to_json, is_transitive, periodic_words,
+                        validate_itinerary, word_counts)
 from .model import (GluingMatrix, orientation_classes, spec_from_json,
                     validate_spec)
 
@@ -224,7 +225,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "periodic":
-        from .flowgraph import periodic_words, word_counts
         graph = build_flow_graph(_load_spec(args.spec))
         words = periodic_words(graph, args.max_len)
         counts = word_counts(words)

@@ -13,11 +13,13 @@ anything.  Shapes:
 
 The first wrong value raises ``InputError`` naming its JSON pointer,
 the deepest wrong value: a string among a spine's edge pairs is
-reported at the entry, not at the array.  Readers then build their
-objects with no type tests, so shape errors come before semantic ones.
+reported at the entry, not at the array; its keys are escaped by
+``pointer_token`` and its value quoted by ``quote``.  Readers then
+build their objects with no type tests, so shape errors come first.
 """
 
-from itertools import count, repeat
+import reprlib
+from itertools import count, islice, repeat
 from typing import NamedTuple
 
 
@@ -57,6 +59,32 @@ class OrientationConflictError(SpineflowError):
         self.cycle = list(cycle)
 
 
+class _Quote(reprlib.Repr):
+    """``repr`` cut with ``...`` past ten entries, two levels, or 40
+    characters of a string or number; objects keep their key order."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlevel, self.maxlist, self.maxdict = 2, 10, 10
+        self.maxstring = self.maxother = 40
+
+    def repr_dict(self, x, level):
+        if level <= 0 and x:
+            return "{...}"
+        items = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}"
+                 for k, v in islice(x.items(), self.maxdict)]
+        return "{%s}" % ", ".join(items + ["..."] * (len(x) > self.maxdict))
+
+
+#: how messages quote input values: short ones as ``repr``, huge ones short
+quote = _Quote().repr
+
+
+def pointer_token(key) -> str:
+    """A JSON pointer token, ``~`` as ``~0`` and ``/`` as ``~1``."""
+    return str(key).replace("~", "~0").replace("/", "~1")
+
+
 class Opt(NamedTuple):
     """A member that may be absent, and also null when ``null``."""
 
@@ -79,7 +107,7 @@ class _Mismatch(Exception):
         self.keys = list(keys)
 
     def at(self, path: str) -> InputError:
-        pointer = "/".join((path, *map(str, reversed(self.keys))))
+        pointer = "/".join((path, *map(pointer_token, reversed(self.keys))))
         return InputError(f"{pointer or '/'}: {self}")
 
 
@@ -101,11 +129,11 @@ def _walk(value, shape) -> None:
     kind = type(shape)
     if kind is type:
         if type(value) is not shape:
-            raise _Mismatch(f"expected {_EXPECTED[shape]}, got {value!r}")
+            raise _Mismatch(f"expected {_EXPECTED[shape]}, got {quote(value)}")
         return
     if kind is tuple:
         if type(value) is not list or len(value) != 2:
-            raise _Mismatch(f"expected an array of two entries, got {value!r}")
+            raise _Mismatch(f"expected an array of two entries, got {quote(value)}")
         if type(value[0]) is shape[0] and type(value[1]) is shape[1]:
             return  # two right leaves
         entries = ((0, value[0], shape[0]), (1, value[1], shape[1]))
@@ -153,7 +181,7 @@ def _index(value, *keys) -> int:
             problem = f"an index of {len(value)} digits is too long"
     else:
         problem = (f"expected a non-negative integer in canonical decimal, "
-                   f"got {value!r}")
+                   f"got {quote(value)}")
     raise _Mismatch(problem, *keys)
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import (CapacityError, InputError, OrientabilityError,
-                     StructureError, Table, conform)
+                     StructureError, Table, conform, quote)
 from .report import ValidationReport
 from .walks import two_color
 
@@ -97,9 +97,6 @@ class FatGraph:
             d: i for i, c in enumerate(self.vertices) for d in c}
         self._faces: Optional[tuple[tuple[int, ...], ...]] = None
         self._face_of: Optional[dict[int, int]] = None
-        # per reflection flag: start dart -> (code, order), and the
-        # grouped code table once every start dart has been walked
-        self._walks: tuple[dict, dict] = ({}, {})
         self._code_tables: list[Optional[dict]] = [None, None]
 
     # -- basic queries -------------------------------------------------
@@ -117,10 +114,9 @@ class FatGraph:
 
     def is_connected(self) -> bool:
         """True when the darts form a single orbit under rotation and
-        involution, i.e. the underlying graph is connected: the map walk
-        of ``_map_code`` from the least dart reaches every dart."""
-        _, order = self.rooted_walk(self.darts[0])
-        return len(order) == len(self.darts)
+        involution, i.e. the underlying graph is connected: the
+        ``least_walk`` reaches every dart."""
+        return len(self.least_walk[1]) == len(self.darts)
 
     @cached_property
     def inverse_rotation(self) -> dict[int, int]:
@@ -128,36 +124,29 @@ class FatGraph:
         use; callers must not mutate it."""
         return {v: k for k, v in self.rotation.items()}
 
-    def rooted_walk(self, start: int, reflect: bool = False
-                    ) -> tuple[tuple[int, ...], list[int]]:
-        """``_map_code`` from ``start``, along the inverse rotation when
-        ``reflect``.  Cached per start dart and flag, so each walk runs
-        at most once in the life of the graph; callers must not mutate
-        the order."""
-        walks = self._walks[reflect]
-        walk = walks.get(start)
-        if walk is None:
-            rotation = self.inverse_rotation if reflect else self.rotation
-            walk = walks[start] = _map_code(rotation, self.involution, start)
-        return walk
+    @cached_property
+    def least_walk(self) -> tuple[tuple[int, ...], list[int]]:
+        """``_map_code`` from the least dart.  Built on first use;
+        callers must not mutate the order."""
+        return _map_code(self.rotation, self.involution, self.darts[0])
 
     def code_table(self, reflect: bool = False
                    ) -> dict[tuple[int, ...], list[list[int]]]:
-        """The ``rooted_walk`` of every start dart, grouped by code: each
-        code maps to the walk orders that give it, by ascending start
-        dart.  Cached; callers must not mutate it.  The orders under one
-        code are the images of one walk under the automorphisms of the
-        map, and the least code is the canonical code of its class."""
+        """The ``_map_code`` from every start dart (along the inverse
+        rotation when ``reflect``; from the least dart unreflected, the
+        ``least_walk``), grouped by code: each code maps to the walk
+        orders that give it, by ascending start dart.  Cached; callers
+        must not mutate it.  The orders under one code are the images
+        of one walk under the automorphisms of the map, and the least
+        code is the canonical code of its class."""
         table = self._code_tables[reflect]
         if table is None:
             table = {}
+            rotation = self.inverse_rotation if reflect else self.rotation
             for d in self.darts:
-                code, order = self.rooted_walk(d, reflect)
+                code, order = (self.least_walk if d == self.darts[0] and not reflect
+                               else _map_code(rotation, self.involution, d))
                 table.setdefault(code, []).append(order)
-            # one code tuple per group: the cache lives as long as the graph
-            self._walks[reflect].update((order[0], (code, order))
-                                        for code, orders in table.items()
-                                        for order in orders)
             self._code_tables[reflect] = table
         return table
 
@@ -165,21 +154,16 @@ class FatGraph:
         """Orbits of rotation . involution, each rotated to start at its
         smallest dart, sorted by that dart.  Cached."""
         if self._faces is None:
-            phi = {d: self.rotation[self.involution[d]] for d in self.darts}
-            seen: set[int] = set()
-            faces = []
+            # each orbit is met first at its smallest dart, in dart order
+            faces, seen = [], set()
             for d0 in self.darts:
-                if d0 in seen:
-                    continue
-                cycle = [d0]
-                seen.add(d0)
-                d = phi[d0]
-                while d != d0:
-                    cycle.append(d)
-                    seen.add(d)
-                    d = phi[d]
-                faces.append(tuple(cycle))
-            self._faces = tuple(sorted(faces, key=lambda c: c[0]))
+                if d0 not in seen:
+                    cycle = [d0]
+                    while (d := self.rotation[self.involution[cycle[-1]]]) != d0:
+                        cycle.append(d)
+                    seen.update(cycle)
+                    faces.append(tuple(cycle))
+            self._faces = tuple(faces)
         return self._faces
 
     def face_of(self) -> dict[int, int]:
@@ -190,15 +174,24 @@ class FatGraph:
                              for d in c}
         return self._face_of
 
-    def vertex_neighbors(self) -> dict[int, list[int]]:
-        """Vertex adjacency lists, one entry per edge end in edge order;
-        a loop lists its vertex twice among its own neighbors."""
-        neighbors: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
+    @cached_property
+    def vertex_sides(self) -> tuple[tuple[dict[int, int], Optional[list[int]]], ...]:
+        """Vertex -> the ``(sides, odd cycle)`` of the first ``two_color``
+        run that reached it, each rooted at the least vertex not yet
+        reached, on one adjacency entry per edge end in edge order.  A
+        run stops at an odd cycle, so its component may take several."""
+        neighbors: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for a, b in self.edges:
             va, vb = self.vertex_of[a], self.vertex_of[b]
             neighbors[va].append(vb)
             neighbors[vb].append(va)
-        return neighbors
+        runs: list = [None] * self.vertex_count
+        for root in range(self.vertex_count):
+            if runs[root] is None:
+                run = two_color(root, neighbors)
+                for v in run[0]:
+                    runs[v] = runs[v] or run
+        return tuple(runs)
 
     def relabeled(self, mapping: dict[int, int]) -> "FatGraph":
         """Copy of the graph with every dart ``d`` renamed ``mapping[d]``."""
@@ -259,10 +252,10 @@ def _check_colors_total(graph: FatGraph, colors: dict[int, str]) -> None:
     if set(colors) != set(range(len(faces))):
         raise InputError(
             f"coloring must assign exactly the boundary cycles 0..{len(faces) - 1}, "
-            f"got keys {sorted(colors)}")
+            f"got keys {quote(sorted(colors))}")
     bad = {i: v for i, v in colors.items() if v not in COLORS}
     if bad:
-        raise InputError(f"colors must be ENTRANCE or EXIT, got {bad}")
+        raise InputError(f"colors must be ENTRANCE or EXIT, got {quote(bad)}")
 
 
 # ----------------------------------------------------------------------
@@ -346,19 +339,10 @@ def validate_spine(graph: FatGraph, colors: dict[int, str],
 
 
 def is_bipartite(graph: FatGraph) -> bool:
-    """True when the vertex graph admits a proper 2-coloring.  The spine
-    conditions do not force this, so it is checked separately wherever
-    orientations must propagate."""
-    neighbors = graph.vertex_neighbors()
-    covered: set[int] = set()
-    for root in range(graph.vertex_count):
-        if root in covered:
-            continue
-        sides, odd_cycle = two_color(root, neighbors)
-        if odd_cycle is not None:
-            return False
-        covered.update(sides)
-    return True
+    """True when no run of ``FatGraph.vertex_sides`` met an odd cycle.
+    The spine conditions do not force this, so it is checked separately
+    wherever orientations must propagate."""
+    return all(odd_cycle is None for _, odd_cycle in graph.vertex_sides)
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +354,7 @@ def induced_face_map(g1: FatGraph, g2: FatGraph, sigma: dict[int, int],
     """Boundary-cycle correspondence induced by a dart bijection, or
     None when the bijection does not respect the cycles.  Under
     reflection the image of the cycle through d is the cycle through
-    involution(sigma(d))."""
+    involution(sigma(d)).  Witness replay checks every dart with it."""
     face1 = g1.face_of()
     face2 = g2.face_of()
     inv2 = g2.involution
@@ -391,20 +375,21 @@ def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = Fals
                              ) -> Iterator[tuple[dict[int, int], bool,
                                                  dict[int, int]]]:
     """All color-preserving dart bijections from s1 to s2, each with its
-    reflection flag and its ``induced_face_map``, in a fixed
+    reflection flag and its boundary-cycle map, in a fixed
     deterministic order: by ascending image of the least dart of s1,
     reflections last when enabled.
 
     An isomorphism of connected maps is fixed by the image of one dart,
     so the image dart ``t`` extends to one exactly when the walk of s2
     from ``t`` (along the inverse rotation under reflection) gives the
-    same code as the walk of s1 from its least dart, and then the two
-    walks list each dart and its image in the same place.  Both come
-    from the graphs' cached walks: the code of s1 is looked up in the
-    ``code_table`` of s2, so repeated searches on the same graphs walk
-    nothing again.  Graphs that agree in dart count, valences and
-    colored boundary lengths but are not both connected raise
-    ``InputError``.
+    same code as the ``least_walk`` of s1, and then the two walks list
+    each dart and its image in the same place.  The code of s1 is
+    looked up in the cached ``code_table`` of s2, so repeated searches
+    on the same graphs walk nothing again.  Each boundary cycle maps to
+    the cycle through the image of its first dart (through the
+    involution of s2 under reflection).  Graphs that agree in dart
+    count, valences and colored boundary lengths but are not both
+    connected raise ``InputError``.
     """
     g1, g2 = s1.graph, s2.graph
     if len(g1.darts) != len(g2.darts):
@@ -417,14 +402,17 @@ def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = Fals
                       for i, c in enumerate(g2.boundary_cycles()))
     if profile1 != profile2:
         return
-    code1, order1 = g1.rooted_walk(g1.darts[0])
+    code1, order1 = g1.least_walk
     if len(order1) != len(g1.darts) or not g2.is_connected():
         raise InputError("isomorphism search expects connected fat graphs")
+    firsts = [c[0] for c in g1.boundary_cycles()]
+    face2 = g2.face_of()
     reflections = (False, True) if allow_reflection else (False,)
     for reflect in reflections:
+        side = g2.involution if reflect else dict(zip(g2.darts, g2.darts))
         for order2 in g2.code_table(reflect).get(code1, ()):
             sigma = dict(zip(order1, order2))
-            faces = induced_face_map(g1, g2, sigma, reflect)
+            faces = {f: face2[side[sigma[d]]] for f, d in enumerate(firsts)}
             if all(s1.colors[f] == s2.colors[g] for f, g in faces.items()):
                 yield sigma, reflect, faces
 

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (InputError, Opt, OrientationConflictError, Table,
-                     conform, read_index)
+                     conform, pointer_token, quote, read_index)
 from .fatgraph import (ENTRANCE, EXIT, Spine, spine_from_json, spine_to_json,
                        validate_spine)
 from .report import ValidationReport
-from .walks import two_color
 
 #: boundary torus id: (piece id, boundary cycle index)
 TorusId = tuple[str, int]
@@ -40,7 +39,8 @@ def torus_label(torus: TorusId) -> str:
 def parse_torus_label(label: str, path: str = "") -> TorusId:
     head, sep, tail = label.rpartition(".c")
     if not sep:
-        raise InputError(f"{path}: torus id {label!r} is not of the form PIECE.cN")
+        raise InputError(
+            f"{path}: torus id {quote(label)} is not of the form PIECE.cN")
     return head, read_index(tail, path)
 
 
@@ -95,9 +95,6 @@ class ModelPiece:
 
     def vertices(self) -> range:
         return range(self.spine.graph.vertex_count)
-
-    def boundary_tori(self) -> list[TorusId]:
-        return [(self.piece_id, i) for i in sorted(self.spine.colors)]
 
     def exits(self) -> list[TorusId]:
         return [(self.piece_id, i) for i in self.spine.boundary_ids(EXIT)]
@@ -185,14 +182,15 @@ def validate_piece(piece: ModelPiece,
 
 def propagate_orientations(piece: ModelPiece,
                            seed: tuple[int, int]) -> dict[int, int]:
-    """Propagation of the seed sign with a flip across every edge: a
-    2-coloring of the vertex graph rooted at the seed vertex.
+    """Propagation of the seed sign with a flip across every edge: the
+    seed vertex's side of ``FatGraph.vertex_sides`` gets the seed sign.
 
     Returns the unique assignment extending the seed.  Errors come in a
     fixed order: a loop edge anywhere in the piece raises
     ``OrientationConflictError`` with the one-vertex cycle ``[v]``; an
-    odd cycle in the seed's component raises it with that cycle; a
-    vertex the seed cannot reach raises ``InputError``.
+    odd cycle in the seed's component raises it with the cycle that the
+    coloring met there; a vertex the seed cannot reach raises
+    ``InputError``.
     """
     graph = piece.spine.graph
     seed_vertex, seed_sign = seed
@@ -208,30 +206,16 @@ def propagate_orientations(piece: ModelPiece,
                 f"loop edge at vertex {va} in piece {piece.piece_id!r}: "
                 "a vertical orbit cannot be anti-aligned with itself", [va])
 
-    sides, odd_cycle = two_color(seed_vertex, graph.vertex_neighbors())
+    sides, odd_cycle = graph.vertex_sides[seed_vertex]
     if odd_cycle is not None:
         raise OrientationConflictError(
             f"odd cycle in piece {piece.piece_id!r}", odd_cycle)
-    signs = {v: -seed_sign if side else seed_sign for v, side in sides.items()}
-    if len(signs) != graph.vertex_count:
+    if len(sides) != graph.vertex_count:
         raise InputError(
             f"piece {piece.piece_id!r} is disconnected; orientation cannot reach "
-            f"vertices {sorted(set(range(graph.vertex_count)) - set(signs))}")
-    return signs
-
-
-def _propagated(piece: ModelPiece, seed) -> dict[int, int]:
-    """``propagate_orientations(piece, seed)``, run once per piece and
-    seed.  A successful result is kept on the frozen piece, keyed by
-    the seed, so validation and every later reader of the same piece
-    share it; callers must not mutate it.  Errors are not kept: they
-    are raised again, with the same message, on the next call."""
-    seed = tuple(seed)
-    cache = piece.__dict__.setdefault("_orientation_cache", {})
-    signs = cache.get(seed)
-    if signs is None:
-        signs = cache[seed] = propagate_orientations(piece, seed)
-    return signs
+            f"vertices {sorted(set(range(graph.vertex_count)) - set(sides))}")
+    return {v: seed_sign if side == sides[seed_vertex] else -seed_sign
+            for v, side in sides.items()}
 
 
 def seed_orientation(spec: ModelFlowSpec) -> OrientationAssignment:
@@ -240,9 +224,9 @@ def seed_orientation(spec: ModelFlowSpec) -> OrientationAssignment:
     for piece in spec.pieces:
         if piece.piece_id not in spec.orientation_seed:
             raise InputError(f"no orientation seed for piece {piece.piece_id!r}")
-        per_piece = _propagated(piece, spec.orientation_seed[piece.piece_id])
-        for v, s in per_piece.items():
-            signs[(piece.piece_id, v)] = s
+        seed = spec.orientation_seed[piece.piece_id]
+        signs.update(((piece.piece_id, v), s) for v, s
+                     in propagate_orientations(piece, seed).items())
     return OrientationAssignment(signs)
 
 
@@ -301,7 +285,7 @@ def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
             report.add(name, False, "no seed")
             continue
         try:
-            _propagated(piece, seed)
+            propagate_orientations(piece, seed)
             report.add(name, True)
         except (OrientationConflictError, InputError) as err:
             report.add(name, False, str(err))
@@ -329,7 +313,8 @@ def check_spec(spec: ModelFlowSpec, name: str = "specification") -> CheckedSpec:
         raise InputError(f"{name} is invalid ({names})")
     return CheckedSpec(
         spec,
-        {piece.piece_id: _propagated(piece, spec.orientation_seed[piece.piece_id])
+        {piece.piece_id: propagate_orientations(
+            piece, spec.orientation_seed[piece.piece_id])
          for piece in spec.pieces},
         {torus: k for k, pair in enumerate(spec.pairing) for torus in pair})
 
@@ -404,8 +389,8 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
     piece_ids = {piece.piece_id for piece in pieces}
     for pid in obj["orientation_seed"]:
         if pid not in piece_ids:
-            raise InputError(f"{path}/orientation_seed/{pid}: no piece with "
-                             "this id")
+            raise InputError(f"{path}/orientation_seed/{pointer_token(pid)}: "
+                             "no piece with this id")
     seeds = {pid: tuple(seed) for pid, seed in obj["orientation_seed"].items()}
 
     return ModelFlowSpec(tuple(pieces), pairing, matrices, seeds)

@@ -326,6 +326,67 @@ class TestShapeErrors:
         assert err.startswith(f"error: {bad}{pointer}: ")
 
 
+class TestLongValues:
+    """A huge input value is quoted short in the error, at its pointer;
+    a short one reads in full."""
+
+    @pytest.mark.parametrize("pointer, edit", [
+        ("/pairing/0",
+         lambda s: s["pairing"].__setitem__(0, list(range(100_000)))),
+        ("/pieces/0/dehn/0",
+         lambda s: s["pieces"][0]["dehn"].__setitem__("0", "9" * 50_000)),
+        ("/pairing/0/0",
+         lambda s: s["pairing"][0].__setitem__(0, "P" * 50_000)),
+        ("/pairing/0/0",
+         lambda s: s["pairing"][0].__setitem__(0, "P.c" + "x" * 50_000)),
+        ("/pieces/0/spine/colors",
+         lambda s: s["pieces"][0]["spine"]["colors"].update(
+             {str(k): "EXIT" for k in range(100_000)})),
+        ("/pieces/0/spine/colors",
+         lambda s: s["pieces"][0]["spine"]["colors"].__setitem__(
+             "0", "EXIT" * 20_000)),
+    ], ids=["pair-entry", "dehn-value", "torus-label", "torus-index",
+            "color-keys", "color-value"])
+    def test_message_is_short(self, capsys, tmp_path, pointer, edit):
+        data = load(BANANA)
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}{pointer}: ")
+        assert len(err) < 1000
+        assert "..." in err
+
+    def test_short_value_reads_in_full(self, capsys, tmp_path):
+        data = load(BANANA)
+        data["pieces"][0]["spine"]["edges"][0] = "12"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        _, _, err = invoke(capsys, "validate", str(bad))
+        assert err == (f"error: {bad}/pieces/0/spine/edges/0: expected an "
+                       "array of two entries, got '12'\n")
+
+
+class TestPointerEscape:
+    """Object keys in error pointers are escaped as RFC 6901 asks: ``~``
+    as ``~0`` and ``/`` as ``~1``.  The file name is not escaped."""
+
+    @pytest.mark.parametrize("pointer, seeds", [
+        ("/orientation_seed/P~10/1", {"P": [0, 1], "P/0": [0, True]}),
+        ("/orientation_seed/a~0b~1c", {"P": [0, 1], "a~b/c": [0, 1]}),
+    ], ids=["bad-sign", "unknown-piece"])
+    def test_seed_key(self, capsys, tmp_path, pointer, seeds):
+        data = load(BANANA)
+        data["orientation_seed"] = seeds
+        bad = tmp_path / "b~a/d.json"
+        bad.parent.mkdir()
+        bad.write_text(json.dumps(data))
+        code, _, err = invoke(capsys, "validate", str(bad))
+        assert code == 2
+        assert err.startswith(f"error: {bad}{pointer}: ")
+
+
 class TestJsonWriter:
     """``_json_text`` writes the bytes of ``json.dumps(indent=2,
     sort_keys=True)`` for the payload types, and refuses the rest."""
@@ -394,41 +455,41 @@ def test_non_utf8_file_exits_two(capsys, tmp_path):
 
 
 class TestPropagationCount:
-    """Validation and the later orientation readers of one request share
-    one propagation per piece and seed."""
+    """Validation and the later orientation readers of one request read
+    one vertex 2-coloring per graph, and a changed seed reads the same
+    coloring again."""
 
     @pytest.fixture
     def counter(self, monkeypatch):
-        import spineflow.model as model
+        import spineflow.fatgraph as fatgraph
         calls = []
-        original = model.propagate_orientations
+        original = fatgraph.two_color
 
-        def counting(piece, seed):
-            calls.append((piece.piece_id, tuple(seed)))
-            return original(piece, seed)
+        def counting(root, neighbors):
+            calls.append(root)
+            return original(root, neighbors)
 
-        monkeypatch.setattr(model, "propagate_orientations", counting)
+        monkeypatch.setattr(fatgraph, "two_color", counting)
         return calls
 
-    def test_transitive_propagates_once(self, capsys, counter):
+    def test_transitive_colors_once(self, capsys, counter):
         code, _, _ = invoke(capsys, "transitive", BANANA)
         assert code == 0
-        assert counter == [("P", (0, 1))]
+        assert counter == [0]
 
-    def test_exact_equiv_propagates_once_per_piece(self, capsys, counter):
+    def test_exact_equiv_colors_once_per_graph(self, capsys, counter):
         code, _, _ = invoke(capsys, "equiv", BANANA, TWISTED, "--mode", "exact")
         assert code == 1
-        assert counter == [("P", (0, 1)), ("P", (0, 1))]
+        assert counter == [0, 0]
 
     def test_changed_seed_takes_effect(self, banana_spec, counter):
         from spineflow import build_flow_graph
         first = build_flow_graph(banana_spec)
+        assert counter == [0]
         banana_spec.orientation_seed["P"] = (0, -1)
         second = build_flow_graph(banana_spec)
         assert [e.sign for e in second.edges] == [-e.sign for e in first.edges]
-        assert counter == [("P", (0, 1)), ("P", (0, -1))]
-        build_flow_graph(banana_spec)
-        assert len(counter) == 2
+        assert counter == [0]
 
 
 class TestThinAdapter:

@@ -1,7 +1,7 @@
 import pytest
 
 from spineflow import InputError
-from spineflow.errors import conform, read_index
+from spineflow.errors import conform, pointer_token, quote, read_index
 
 
 class TestReadIndex:
@@ -34,3 +34,29 @@ class TestReadPair:
         with pytest.raises(InputError,
                            match="^/p/0: expected an array of two entries"):
             conform(value, (None, None), "/p/0")
+
+
+class TestQuote:
+    """Input values in messages are quoted short: a huge value never
+    makes a huge message, and a short one reads as ``repr``."""
+
+    @pytest.mark.parametrize("value", ["12", 1.5, None, True, [1, "a"],
+                                       {"b": 1, "a": [2, 3]}, list(range(10))])
+    def test_short_values_read_as_repr(self, value):
+        assert quote(value) == repr(value)
+
+    @pytest.mark.parametrize("value", [list(range(100_000)), "x" * 50_000,
+                                       {str(k): [k] * 100 for k in range(1000)},
+                                       [[["deep"] * 100] * 100] * 100])
+    def test_long_values_are_cut(self, value):
+        assert len(quote(value)) < 1000
+        assert "..." in quote(value)
+
+
+class TestPointerEscape:
+    """Object keys in a JSON pointer are escaped as RFC 6901 asks."""
+
+    def test_tilde_and_slash(self):
+        assert pointer_token("a~b/c") == "a~0b~1c"
+        assert pointer_token("~1") == "~01"
+        assert pointer_token(3) == "3"

@@ -1,14 +1,17 @@
 import itertools
 import math
+from typing import Iterator
 
 import pytest
 
 from spineflow import (ENTRANCE, EXIT, DehnCoefficient, FatGraph, GluingMatrix,
                        InputError, ModelFlowSpec, ModelPiece,
-                       OrientationConflictError, Spine, orientation_classes,
-                       propagate_orientations, seed_orientation, spec_from_json,
-                       spec_to_json, unsurgered_piece, validate_piece,
+                       OrientationConflictError, Spine, is_bipartite,
+                       orientation_classes, propagate_orientations,
+                       seed_orientation, spec_from_json, spec_to_json,
+                       spine_census, unsurgered_piece, validate_piece,
                        validate_spec)
+from spineflow.walks import reachable, two_color
 
 
 def banana_piece(piece_id="P") -> ModelPiece:
@@ -120,6 +123,132 @@ class TestPropagation:
             propagate_orientations(banana_piece(), (9, 1))
         with pytest.raises(InputError):
             propagate_orientations(banana_piece(), (0, 2))
+
+
+def reference_neighbors(graph: FatGraph) -> dict[int, list[int]]:
+    """Vertex adjacency lists, one entry per edge end in edge order."""
+    neighbors: dict[int, list[int]] = {v: [] for v in range(graph.vertex_count)}
+    for a, b in graph.edges:
+        va, vb = graph.vertex_of[a], graph.vertex_of[b]
+        neighbors[va].append(vb)
+        neighbors[vb].append(va)
+    return neighbors
+
+
+def reference_propagate(piece: ModelPiece, seed) -> dict[int, int]:
+    """Propagation by a 2-coloring rooted at the seed vertex, on an
+    adjacency built for the call: the reference for the one cached
+    coloring that ``propagate_orientations`` reads."""
+    graph = piece.spine.graph
+    seed_vertex, seed_sign = seed
+    if seed_vertex not in range(graph.vertex_count):
+        raise InputError(f"seed vertex {seed_vertex} not in piece {piece.piece_id!r}")
+    if seed_sign not in (1, -1):
+        raise InputError(f"seed sign must be +-1, got {seed_sign}")
+
+    for a, b in graph.edges:
+        va = graph.vertex_of[a]
+        if va == graph.vertex_of[b]:
+            raise OrientationConflictError(
+                f"loop edge at vertex {va} in piece {piece.piece_id!r}: "
+                "a vertical orbit cannot be anti-aligned with itself", [va])
+
+    sides, odd_cycle = two_color(seed_vertex, reference_neighbors(graph))
+    if odd_cycle is not None:
+        raise OrientationConflictError(
+            f"odd cycle in piece {piece.piece_id!r}", odd_cycle)
+    signs = {v: -seed_sign if side else seed_sign for v, side in sides.items()}
+    if len(signs) != graph.vertex_count:
+        raise InputError(
+            f"piece {piece.piece_id!r} is disconnected; orientation cannot reach "
+            f"vertices {sorted(set(range(graph.vertex_count)) - set(signs))}")
+    return signs
+
+
+def reference_is_bipartite(graph: FatGraph) -> bool:
+    neighbors = reference_neighbors(graph)
+    covered: set[int] = set()
+    for root in range(graph.vertex_count):
+        if root in covered:
+            continue
+        sides, odd_cycle = two_color(root, neighbors)
+        if odd_cycle is not None:
+            return False
+        covered.update(sides)
+    return True
+
+
+def all_rotation_systems(max_edges: int) -> Iterator[FatGraph]:
+    """Every rotation system on the darts 1..2E, E <= ``max_edges``,
+    under the pairing (1 2)(3 4)... and under (1 E+1)(2 E+2)...; for
+    E = 1 the two pairings are one."""
+    for e in range(1, max_edges + 1):
+        darts = range(1, 2 * e + 1)
+        pairings = [[[d, d + 1] for d in range(1, 2 * e, 2)]]
+        if e > 1:
+            pairings.append([[d, d + e] for d in range(1, e + 1)])
+        for images in itertools.permutations(darts):
+            image = dict(zip(darts, images))
+            cycles, seen = [], set()
+            for d in darts:
+                if d not in seen:
+                    cycle = [d]
+                    while image[cycle[-1]] != d:
+                        cycle.append(image[cycle[-1]])
+                    seen.update(cycle)
+                    cycles.append(cycle)
+            for pairs in pairings:
+                yield FatGraph(cycles, pairs)
+
+
+def outcome(propagate, piece, seed):
+    try:
+        return propagate(piece, seed), None
+    except (InputError, OrientationConflictError) as err:
+        return type(err), err
+
+
+class TestPropagationAgainstReference:
+    """The signs, errors and odd cycles read off the cached coloring
+    match a 2-coloring rooted at each seed, on every small rotation
+    system and on the census spines."""
+
+    @staticmethod
+    def assert_same(graph: FatGraph) -> int:
+        """Compare, and count the answers compared."""
+        assert is_bipartite(graph) == reference_is_bipartite(graph)
+        piece = unsurgered_piece("P", Spine(graph, {}))
+        neighbors = reference_neighbors(graph)
+        checked = 1  # the is_bipartite answer
+        for v, sign in itertools.product(range(graph.vertex_count), (1, -1)):
+            got, got_err = outcome(propagate_orientations, piece, (v, sign))
+            want, want_err = outcome(reference_propagate, piece, (v, sign))
+            assert got == want
+            checked += 1
+            if want_err is None:
+                continue
+            assert str(got_err) == str(want_err)
+            if want is not OrientationConflictError:
+                continue
+            cycle = got_err.cycle
+            assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
+            assert all(b in neighbors[a]
+                       for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            component = reachable(v, neighbors)
+            if str(want_err).startswith("loop edge") or v == min(component):
+                assert cycle == want_err.cycle
+            else:
+                assert set(cycle) <= component
+        return checked
+
+    def test_every_small_rotation_system(self):
+        graphs = list(all_rotation_systems(3))
+        assert len(graphs) == 1490
+        assert sum(map(self.assert_same, graphs)) == 8752
+
+    def test_census_spines(self):
+        for spine in spine_census(6):
+            self.assert_same(spine.graph)
 
 
 class TestOrientationClasses:
