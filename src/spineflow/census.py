@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import itertools
 
-from .equivalence import _exact_key
+from .equivalence import _least_pairs, _piece_labelings
 from .errors import CapacityError, InputError
 from .fatgraph import (Spine, enumerate_spines, is_bipartite,
                        iter_isomorphisms_tagged, surface_invariants)
-from .model import (CheckedSpec, GluingMatrix, ModelFlowSpec, check_spec,
-                    unsurgered_piece)
+from .model import GluingMatrix, ModelFlowSpec, check_spec, unsurgered_piece
 from .walks import reachable
 
 STANDARD_GLUING = GluingMatrix(0, 1, 1, 0)
@@ -85,11 +84,22 @@ def census_pieces(max_edges: int) -> list[Spine]:
     return out
 
 
-def _candidates(max_pieces: int, max_edges: int) -> list[CheckedSpec]:
-    """The specifications of ``spec_census`` before deduplication: over
-    each census piece, then over each unordered pair of them, one per
-    pooled exit -> entrance bijection whose pairs join the pieces, each
-    checked once."""
+def spec_census(max_pieces: int, max_edges: int) -> list[ModelFlowSpec]:
+    """Model-flow specifications with up to ``max_pieces`` pieces drawn
+    from the census spines with up to ``max_edges`` edges, one per
+    EXACT equivalence class (without reflection).
+
+    The candidates of one piece tuple differ only in their pairing, an
+    exit -> entrance bijection with one matrix per pair, so the tuple
+    is validated once, on the pairing of the i-th exit with the i-th
+    entrance, and the pairing-free half of its canonical key
+    (``equivalence._piece_labelings``) is taken once.  Each pairing
+    whose pairs join the pieces then costs one ``_least_pairs``, and a
+    specification is built only when its key is new, so each class
+    keeps its first pairing in ``itertools.permutations`` order and no
+    pairwise search runs.  ``spec_census(2, 6)`` validates 83 tuples
+    and keeps 928 of 2,167 pairings in about 0.1 s.
+    """
     if not 1 <= max_pieces <= 2:
         raise CapacityError(f"max_pieces must be 1 or 2, got {max_pieces}")
     spines = census_pieces(max_edges)
@@ -97,7 +107,7 @@ def _candidates(max_pieces: int, max_edges: int) -> list[CheckedSpec]:
     if max_pieces >= 2:
         tuples += [(a, b) for i, a in enumerate(spines)
                    for b in spines[i:]]
-    found = []
+    kept: dict[tuple, ModelFlowSpec] = {}
     for spine_tuple in tuples:
         pieces = tuple(unsurgered_piece(f"P{i}", spine)
                        for i, spine in enumerate(spine_tuple))
@@ -105,6 +115,10 @@ def _candidates(max_pieces: int, max_edges: int) -> list[CheckedSpec]:
         entrances = [t for piece in pieces for t in piece.entrances()]
         if len(exits) != len(entrances) or not exits:
             continue
+        matrices = tuple(STANDARD_GLUING for _ in exits)
+        seed = {piece.piece_id: (0, 1) for piece in pieces}
+        piece_keys, labelings = _piece_labelings(check_spec(ModelFlowSpec(
+            pieces, tuple(zip(exits, entrances)), matrices, seed)))
         for image in itertools.permutations(entrances):
             pairing = tuple(zip(exits, image))
             links = {piece.piece_id: [] for piece in pieces}
@@ -113,28 +127,9 @@ def _candidates(max_pieces: int, max_edges: int) -> list[CheckedSpec]:
                 links[dst].append(src)
             if len(reachable("P0", links)) < len(pieces):
                 continue  # a disconnected manifold
-            found.append(check_spec(ModelFlowSpec(
-                pieces=pieces,
-                pairing=pairing,
-                matrices=tuple(STANDARD_GLUING for _ in pairing),
-                orientation_seed={piece.piece_id: (0, 1) for piece in pieces},
-            )))
-    return found
-
-
-def spec_census(max_pieces: int, max_edges: int) -> list[ModelFlowSpec]:
-    """Model-flow specifications with up to ``max_pieces`` pieces drawn
-    from the census spines with up to ``max_edges`` edges, one per
-    EXACT equivalence class (without reflection).
-
-    Each class keeps the first of ``_candidates`` in it, found by a dict
-    lookup of its canonical key (``equivalence._exact_key``), so no
-    pairwise search runs.  ``spec_census(2, 6)`` keeps 928 of 2,167
-    candidates in about a second.
-    """
-    kept: dict[tuple, ModelFlowSpec] = {}
-    for checked in _candidates(max_pieces, max_edges):
-        kept.setdefault(_exact_key(checked), checked.spec)
+            key = piece_keys, _least_pairs(labelings, pairing, matrices)
+            if key not in kept:
+                kept[key] = ModelFlowSpec(pieces, pairing, matrices, dict(seed))
     return list(kept.values())
 
 

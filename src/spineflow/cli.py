@@ -209,7 +209,7 @@ def _dispatch(args) -> int:
     if args.command == "itinerary":
         graph = build_flow_graph(_load_spec(args.spec))
         word = ItineraryWord.from_json(_load_json(args.word), path=args.word)
-        verdict = validate_itinerary(graph, word)
+        verdict = validate_itinerary(graph, word, path=args.word)
         _emit({"realizable": verdict},
               [f"realizable: {str(verdict).lower()}"], args.format)
         return 0 if verdict else 1

@@ -432,36 +432,50 @@ def _piece_key(piece: ModelPiece, signs: dict[int, int]
 def _exact_key(checked: CheckedSpec) -> tuple:
     """Canonical key of a checked specification under EXACT equivalence
     without reflection: two keys are equal exactly when ``_search(c1,
-    c2, EXACT, False)`` finds a witness.
+    c2, EXACT, False)`` finds a witness.  It is the piece half of
+    ``_piece_labelings`` and the pair half of ``_least_pairs``."""
+    piece_keys, labelings = _piece_labelings(checked)
+    return piece_keys, _least_pairs(labelings, checked.spec.pairing,
+                                    checked.spec.matrices)
 
-    The pieces are sorted by ``_piece_key``.  Each pair is written as
-    (piece rank, face rank) of its exit, the same of its entrance, and
-    its matrix entries, and the key takes the least sorted list of
-    pairs over the orders of pieces with equal keys and over the walks
-    of each piece that reach its key (McKay & Piperno, "Practical graph
-    isomorphism II", 2014, without refinement: the branching is
-    factorial in the number of equal pieces).
+
+def _piece_labelings(checked: CheckedSpec) -> tuple[tuple, list[dict]]:
+    """The half of ``_exact_key`` that the pairing does not touch: the
+    sorted piece keys, and one labeling of the boundary tori per order
+    of the pieces with equal keys and per choice of the walks of each
+    piece that reach its key.
+
+    The pieces are sorted by ``_piece_key``.  A labeling maps each
+    torus (piece id, face) to (piece rank, face rank); ``_least_pairs``
+    takes the least sorted pair list over all of them (McKay & Piperno,
+    "Practical graph isomorphism II", 2014, without refinement: the
+    branching is factorial in the number of equal pieces).
     """
-    spec = checked.spec
     keyed = sorted(((*_piece_key(piece, checked.signs[piece.piece_id]),
-                     piece.piece_id) for piece in spec.pieces),
+                     piece.piece_id) for piece in checked.spec.pieces),
                    key=lambda item: item[0])
     groups = [[(pid, ranks) for _, ranks, pid in group]
               for _, group in itertools.groupby(keyed, key=lambda item: item[0])]
-    pairs = [(src, dst, (m.a, m.b, m.c, m.d))
-             for (src, dst), m in zip(spec.pairing, spec.matrices)]
-    least = None
+    labelings = []
     for orders in itertools.product(*map(itertools.permutations, groups)):
         placed = [member for order in orders for member in order]
         for choice in itertools.product(*(ranks for _, ranks in placed)):
-            rank = {(pid, face): (i, r)
-                    for i, ((pid, _), faces) in enumerate(zip(placed, choice))
-                    for face, r in faces.items()}
-            relabeled = sorted((rank[src], rank[dst], entries)
-                               for src, dst, entries in pairs)
-            if least is None or relabeled < least:
-                least = relabeled
-    return tuple(key for key, _, _ in keyed), tuple(least)
+            labelings.append({(pid, face): (i, r)
+                              for i, ((pid, _), faces)
+                              in enumerate(zip(placed, choice))
+                              for face, r in faces.items()})
+    return tuple(key for key, _, _ in keyed), labelings
+
+
+def _least_pairs(labelings: list[dict], pairing, matrices) -> tuple:
+    """The half of ``_exact_key`` that reads the pairing: each pair
+    written as the labels of its exit and entrance and its matrix
+    entries, and the least sorted list of them over ``labelings``."""
+    pairs = [(src, dst, (m.a, m.b, m.c, m.d))
+             for (src, dst), m in zip(pairing, matrices)]
+    return tuple(min(sorted((rank[src], rank[dst], entries)
+                            for src, dst, entries in pairs)
+                     for rank in labelings))
 
 
 # ----------------------------------------------------------------------

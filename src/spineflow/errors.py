@@ -59,6 +59,10 @@ class OrientationConflictError(SpineflowError):
         self.cycle = list(cycle)
 
 
+#: the longest string or number that messages quote in full
+_MAX_TEXT = 40
+
+
 class _Quote(reprlib.Repr):
     """``repr`` cut with ``...`` past ten entries, two levels, or 40
     characters of a string or number; objects keep their key order."""
@@ -66,7 +70,7 @@ class _Quote(reprlib.Repr):
     def __init__(self):
         super().__init__()
         self.maxlevel, self.maxlist, self.maxdict = 2, 10, 10
-        self.maxstring = self.maxother = 40
+        self.maxstring = self.maxother = _MAX_TEXT
 
     def repr_dict(self, x, level):
         if level <= 0 and x:
@@ -81,8 +85,11 @@ quote = _Quote().repr
 
 
 def pointer_token(key) -> str:
-    """A JSON pointer token, ``~`` as ``~0`` and ``/`` as ``~1``."""
-    return str(key).replace("~", "~0").replace("/", "~1")
+    """A JSON pointer token, ``~`` as ``~0`` and ``/`` as ``~1``, a key
+    past ``quote``'s 40 characters cut to its first 40 and ``...``."""
+    text = str(key)
+    cut = text[:_MAX_TEXT] + "..." * (len(text) > _MAX_TEXT)
+    return cut.replace("~", "~0").replace("/", "~1")
 
 
 class Opt(NamedTuple):

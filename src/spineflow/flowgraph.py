@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import CapacityError, InputError, Opt, conform
+from .errors import CapacityError, InputError, Opt, conform, quote
 from .fatgraph import ENTRANCE
 from .model import ModelFlowSpec, check_spec
 from .walks import reachable
@@ -170,23 +170,27 @@ class ItineraryWord:
                    obj.get("head_orbit"), obj.get("tail_orbit"))
 
 
-def validate_itinerary(graph: FlowGraph, word: ItineraryWord) -> bool:
+def validate_itinerary(graph: FlowGraph, word: ItineraryWord,
+                       path: str = "") -> bool:
     """Decide whether the word is realizable in the augmented graph.
 
     Consecutive body letters must be joined by an edge; a head orbit
     needs an orbit -> first letter accumulation edge, a tail orbit a
     last letter -> orbit one.  A word with no body is realizable only
     as the constant itinerary of a vertical orbit: head and tail must
-    both be present and equal.
+    both be present and equal.  An unknown torus or orbit raises
+    ``InputError`` at ``path`` plus its pointer in the word.
     """
     tori = graph._torus_set
     orbits = graph._orbit_set
     for t in word.body:
         if t not in tori:
-            raise InputError(f"unknown torus {t!r}")
+            raise InputError(f"{path}/body/{word.body.index(t)}: "
+                             f"unknown torus {quote(t)}")
     for orbit in (word.head_orbit, word.tail_orbit):
         if orbit is not None and orbit not in orbits:
-            raise InputError(f"unknown orbit {orbit!r}")
+            end = "head" if orbit == word.head_orbit else "tail"
+            raise InputError(f"{path}/{end}_orbit: unknown orbit {quote(orbit)}")
 
     if not word.body:
         return (word.head_orbit is not None
@@ -315,7 +319,7 @@ def path_sign(graph: FlowGraph, walk: Iterable[str]) -> int:
         try:
             edge = by_label[label]
         except KeyError:
-            raise InputError(f"unknown edge {label!r}") from None
+            raise InputError(f"unknown edge {quote(label)}") from None
         if previous is not None and previous.dst != edge.src:
             raise InputError(
                 f"walk breaks at {previous.label} -> {edge.label}: "

@@ -382,7 +382,8 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
             raise InputError(f"{path}/matrices/{k}: missing")
     extra = sorted(set(rows) - {str(k) for k in range(len(pairing))})
     if extra:
-        raise InputError(f"{path}/matrices/{extra[0]}: no such pairing index")
+        raise InputError(f"{path}/matrices/{pointer_token(extra[0])}: "
+                         "no such pairing index")
     matrices = tuple(GluingMatrix(*rows[str(k)][0], *rows[str(k)][1])
                      for k in range(len(pairing)))
 

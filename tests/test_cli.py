@@ -345,8 +345,15 @@ class TestLongValues:
         ("/pieces/0/spine/colors",
          lambda s: s["pieces"][0]["spine"]["colors"].__setitem__(
              "0", "EXIT" * 20_000)),
+        ("/orientation_seed/" + "x" * 40 + ".../1",
+         lambda s: s["orientation_seed"].__setitem__("x" * 50_000, [0, "+"])),
+        ("/orientation_seed/" + "x" * 40 + "...",
+         lambda s: s["orientation_seed"].__setitem__("x" * 50_000, [0, 1])),
+        ("/matrices/" + "9" * 40 + "...",
+         lambda s: s["matrices"].__setitem__("9" * 4000, [[0, 1], [1, 0]])),
     ], ids=["pair-entry", "dehn-value", "torus-label", "torus-index",
-            "color-keys", "color-value"])
+            "color-keys", "color-value", "seed-key-bad-sign",
+            "seed-key-unknown-piece", "matrix-key"])
     def test_message_is_short(self, capsys, tmp_path, pointer, edit):
         data = load(BANANA)
         edit(data)
@@ -355,6 +362,20 @@ class TestLongValues:
         code, out, err = invoke(capsys, "validate", str(bad))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {bad}{pointer}: ")
+        assert len(err) < 1000
+        assert "..." in err
+
+    @pytest.mark.parametrize("pointer, word", [
+        ("/body/1", {"body": ["T0", "T" + "0" * 50_000]}),
+        ("/head_orbit", {"body": ["T0"], "head_orbit": "P.v" + "0" * 50_000}),
+        ("/tail_orbit", {"body": ["T0"], "tail_orbit": "O" * 50_000}),
+    ], ids=["body-letter", "head-orbit", "tail-orbit"])
+    def test_long_word_id_is_cut(self, capsys, tmp_path, pointer, word):
+        bad = tmp_path / "word.json"
+        bad.write_text(json.dumps(word))
+        code, out, err = invoke(capsys, "itinerary", BANANA, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}{pointer}: unknown ")
         assert len(err) < 1000
         assert "..." in err
 
@@ -443,7 +464,8 @@ class TestOverlongIntegers:
         bad.write_text(json.dumps(spec))
         code, out, err = invoke(capsys, "validate", str(bad))
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {bad}/pieces/0/dehn/{key}: ")
+        assert err == (f"error: {bad}/pieces/0/dehn/{key[:40]}...: "
+                       f"an index of {len(key)} digits is too long\n")
 
 
 def test_non_utf8_file_exits_two(capsys, tmp_path):

@@ -4,7 +4,6 @@ import random
 import pytest
 
 import oracles
-import spineflow.census as census
 import spineflow.equivalence as equivalence
 import spineflow.fatgraph as fatgraph
 from chains import banana_chain
@@ -14,6 +13,7 @@ from spineflow import (EquivalenceMode, EquivalenceWitness, GluingMatrix,
 from spineflow.fatgraph import induced_face_map
 from spineflow.model import (check_spec, seed_orientation, torus_label,
                              validate_spec)
+from test_census import _candidates
 
 MODES = list(EquivalenceMode)
 
@@ -579,8 +579,7 @@ class TestExactKey:
 
     @staticmethod
     def spec_set(banana_spec):
-        base = [c.spec for c in (census._candidates(2, 4)
-                                 + census._candidates(1, 6))]
+        base = [c.spec for c in (_candidates(2, 4) + _candidates(1, 6))]
         specs = base + [negate_seed(spec, pid)
                         for spec in base for pid in spec.piece_ids()]
         for k in (2, 3, 4):

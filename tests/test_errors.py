@@ -60,3 +60,9 @@ class TestPointerEscape:
         assert pointer_token("a~b/c") == "a~0b~1c"
         assert pointer_token("~1") == "~01"
         assert pointer_token(3) == "3"
+
+    def test_long_key_is_cut_before_escaping(self):
+        assert pointer_token("x" * 40) == "x" * 40
+        assert pointer_token("x" * 41) == "x" * 40 + "..."
+        assert pointer_token("a/" * 30) == "a~1" * 20 + "..."
+        assert pointer_token("~" * 50_000) == "~0" * 40 + "..."

@@ -192,6 +192,24 @@ class TestItineraries:
         with pytest.raises(InputError):
             validate_itinerary(graph, ItineraryWord(("T0",), head_orbit="X.v0"))
 
+    @pytest.mark.parametrize("word, message", [
+        (ItineraryWord(("T0", "T9", "T7")),
+         "w.json/body/1: unknown torus 'T9'"),
+        (ItineraryWord(("T0", "T0", "T9", "T9")),
+         "w.json/body/2: unknown torus 'T9'"),
+        (ItineraryWord(("T0",), "X.v0", "Y.v0"),
+         "w.json/head_orbit: unknown orbit 'X.v0'"),
+        (ItineraryWord(("T0",), "P.v0", "X.v0"),
+         "w.json/tail_orbit: unknown orbit 'X.v0'"),
+        (ItineraryWord((), "X.v0", "X.v0"),
+         "w.json/head_orbit: unknown orbit 'X.v0'"),
+    ], ids=["body", "repeated-letter", "head", "tail", "equal-ends"])
+    def test_unknown_ids_name_their_pointer(self, banana_spec, word, message):
+        graph = build_flow_graph(banana_spec)
+        with pytest.raises(InputError) as raised:
+            validate_itinerary(graph, word, path="w.json")
+        assert str(raised.value) == message
+
     def test_json_round_trip(self):
         word = ItineraryWord(("T0", "T1"), head_orbit="P.v0")
         assert ItineraryWord.from_json(word.to_json()) == word
@@ -430,6 +448,13 @@ class TestPathSign:
             path_sign(graph, ["P.e1", "P.e3"])
         with pytest.raises(InputError):
             path_sign(graph, ["Q.e0"])
+
+    def test_long_unknown_edge_is_quoted_short(self, banana_spec):
+        graph = build_flow_graph(banana_spec)
+        with pytest.raises(InputError) as raised:
+            path_sign(graph, ["P.e" + "0" * 50_000])
+        assert len(str(raised.value)) < 100
+        assert str(raised.value).startswith("unknown edge 'P.e000")
 
 
 class TestExports:
