@@ -84,12 +84,16 @@ class _Quote(reprlib.Repr):
 quote = _Quote().repr
 
 
+def shorten(text: str) -> str:
+    """``text`` past ``quote``'s 40 characters cut to its first 40 and
+    ``...``, for ids that messages name unquoted."""
+    return text[:_MAX_TEXT] + "..." * (len(text) > _MAX_TEXT)
+
+
 def pointer_token(key) -> str:
     """A JSON pointer token, ``~`` as ``~0`` and ``/`` as ``~1``, a key
-    past ``quote``'s 40 characters cut to its first 40 and ``...``."""
-    text = str(key)
-    cut = text[:_MAX_TEXT] + "..." * (len(text) > _MAX_TEXT)
-    return cut.replace("~", "~0").replace("/", "~1")
+    ``shorten``ed first."""
+    return shorten(str(key)).replace("~", "~0").replace("/", "~1")
 
 
 class Opt(NamedTuple):

@@ -455,12 +455,24 @@ def _map_code(rotation, involution, start: int
     return tuple(code), order
 
 
-def _canonical_code(rotation, involution, darts) -> tuple[int, ...]:
-    """The least breadth-first code over all start darts.  Two connected
-    maps have equal codes exactly when a dart bijection commutes with
-    their rotations and involutions, that is when they are isomorphic
-    without reflection (the map codes of Brinkmann & McKay's plantri)."""
-    return min(_map_code(rotation, involution, d)[0] for d in darts)
+def _code_beats(rotation, involution, start: int, code) -> bool:
+    """True when the ``_map_code`` from ``start`` is less than ``code``,
+    the code of the same map from another start.  The walk stops at its
+    first entry that differs from ``code``: a smaller entry beats it, a
+    larger one does not, and an equal code does not either."""
+    number = [-1] * len(rotation)
+    number[start] = 0
+    order = [start]
+    k = 0
+    for d in order:
+        for nxt in (rotation[d], involution[d]):
+            if number[nxt] < 0:
+                number[nxt] = len(order)
+                order.append(nxt)
+            if number[nxt] != code[k]:
+                return number[nxt] < code[k]
+            k += 1
+    return False
 
 
 def _rooted_even_hypermap_codes(n: int) -> Iterator[tuple[int, ...]]:
@@ -517,7 +529,9 @@ def _least_labeling(rotation, involution
     greedy: the walk goes round each vertex, gives each newly met dart
     the next free odd label and its partner the even label after it,
     and starts the next vertex at the least labeled dart not yet
-    placed.  The least key over those starts is returned.
+    placed.  The least key over those starts is returned; each greedy
+    walk stops at its first cycle greater than the cycle at the same
+    index of the least key so far.
     """
     n = len(rotation)
     valence = [0] * n
@@ -529,11 +543,14 @@ def _least_labeling(rotation, involution
             for d in cycle:
                 valence[d] = len(cycle)
 
-    def greedy(start: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    def greedy(start: int, best: Optional[tuple]) -> Optional[tuple]:
+        """The greedy key from ``start`` when it is less than ``best``
+        (or ``best`` is None), else None."""
         label = [0] * n
         by_label = [-1]
         placed = [False] * n
         cycles = []
+        tied = best is not None
         first, scan = start, 1
         while True:
             cycle = []
@@ -545,15 +562,25 @@ def _least_labeling(rotation, involution
                 placed[d] = True
                 cycle.append(label[d])
                 d = rotation[d]
-            cycles.append((len(cycle), tuple(cycle)))
+            entry = (len(cycle), tuple(cycle))
+            if tied:
+                other = best[len(cycles)]
+                if entry > other:
+                    return None
+                tied = entry == other
+            cycles.append(entry)
             while scan < len(by_label) and placed[by_label[scan]]:
                 scan += 1
             if scan == len(by_label):
-                return tuple(cycles)
+                return None if tied else tuple(cycles)
             first = by_label[scan]
 
     least = min(valence)
-    return min(greedy(start) for start in range(n) if valence[start] == least)
+    best = None
+    for start in range(n):
+        if valence[start] == least:
+            best = greedy(start, best) or best
+    return best
 
 
 def enumerate_spines(max_edges: int) -> Iterator[Spine]:
@@ -575,19 +602,22 @@ def enumerate_spines(max_edges: int) -> Iterator[Spine]:
     (x, y), so each class is visited once (McKay's canonical
     construction path): ``_rooted_even_hypermap_codes`` grows every
     rooted pair, and a pair is kept only at a root whose code no other
-    start point beats.  Its uncolored map is relabeled on darts 1..2E
-    paired (1, 2), (3, 4), ... to the least labeled rotation system of
-    its class (``_least_labeling``), and the maps go in the order of
-    those keys: within one edge count this is the order in which an
-    exhaustive pass over all labeled rotation systems first meets each
-    map.  (x, y) and (y, x) give the same map with the colors swapped.
-    So each map comes first with the cycle through dart 1 ENTRANCE,
-    then swapped when (y, x) is another class.
+    start point beats; each walk from another start stops at its first
+    entry that differs from the root's code (``_code_beats``).  Its
+    uncolored map is relabeled on darts 1..2E paired (1, 2), (3, 4), ...
+    to the least labeled rotation system of its class
+    (``_least_labeling``), and the maps go in the order of those keys:
+    within one edge count this is the order in which an exhaustive pass
+    over all labeled rotation systems first meets each map.  (x, y)
+    and (y, x) give the same map with the colors swapped.  So each map
+    comes first with the cycle through dart 1 ENTRANCE, then swapped
+    when (y, x) is another class.
 
     ``max_edges`` is capped at ``MAX_CENSUS_EDGES`` = 9 (E = 9 is odd
     and costs nothing).  E = 8 grows 23,797 rooted pairs and yields
-    3,090 spines in about a second; E = 10 would grow 2,180,461 and
-    take over a minute.
+    3,090 spines in about 0.6 s; E = 10 would grow 2,180,461 and yield
+    218,608 spines in about 55 s (Python 3.11, one core of a shared
+    two-core container).
     """
     if not 1 <= max_edges <= MAX_CENSUS_EDGES:
         raise CapacityError(
@@ -597,7 +627,7 @@ def enumerate_spines(max_edges: int) -> Iterator[Spine]:
         involution = [d ^ 1 for d in range(2 * e)]
         for code in _rooted_even_hypermap_codes(e):
             x, y = code[::2], code[1::2]
-            if _canonical_code(x, y, range(1, e)) < code:
+            if any(_code_beats(x, y, d, code) for d in range(1, e)):
                 continue
             rotation = [0] * (2 * e)
             for k in range(e):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import CapacityError, InputError, Opt, conform, quote
 from .fatgraph import ENTRANCE
@@ -146,10 +146,13 @@ WORD_SHAPE = {"body": [str], "head_orbit": Opt(str, null=True),
               "tail_orbit": Opt(str, null=True)}
 
 
-@dataclass(frozen=True)
-class ItineraryWord:
+class ItineraryWord(NamedTuple):
     """A finite window of an itinerary: a body of glued-torus ids with
-    optional constant orbit tails on either side."""
+    optional constant orbit tails on either side.
+
+    A named tuple, so immutable and hashable; it also unpacks as
+    ``body, head_orbit, tail_orbit`` and compares equal to the plain
+    3-tuple of its fields."""
 
     body: tuple[str, ...] = ()
     head_orbit: Optional[str] = None
@@ -179,35 +182,34 @@ def validate_itinerary(graph: FlowGraph, word: ItineraryWord,
     last letter -> orbit one.  A word with no body is realizable only
     as the constant itinerary of a vertical orbit: head and tail must
     both be present and equal.  An unknown torus or orbit raises
-    ``InputError`` at ``path`` plus its pointer in the word.
+    ``InputError`` at ``path`` plus its pointer in the word: the body
+    is checked first, then the head, then the tail.
     """
+    body, head, tail = word
     tori = graph._torus_set
-    orbits = graph._orbit_set
-    for t in word.body:
+    for t in body:
         if t not in tori:
-            raise InputError(f"{path}/body/{word.body.index(t)}: "
+            raise InputError(f"{path}/body/{body.index(t)}: "
                              f"unknown torus {quote(t)}")
-    for orbit in (word.head_orbit, word.tail_orbit):
-        if orbit is not None and orbit not in orbits:
-            end = "head" if orbit == word.head_orbit else "tail"
-            raise InputError(f"{path}/{end}_orbit: unknown orbit {quote(orbit)}")
+    orbits = graph._orbit_set
+    if head is not None and head not in orbits:
+        raise InputError(f"{path}/head_orbit: unknown orbit {quote(head)}")
+    if tail is not None and tail not in orbits:
+        raise InputError(f"{path}/tail_orbit: unknown orbit {quote(tail)}")
 
-    if not word.body:
-        return (word.head_orbit is not None
-                and word.head_orbit == word.tail_orbit)
+    if not body:
+        return head is not None and head == tail
 
     pairs = graph._edge_pairs
-    for src, dst in zip(word.body, word.body[1:]):
-        if (src, dst) not in pairs:
+    src = None  # no letter is None: every letter is a known torus
+    for dst in body:
+        if src is not None and (src, dst) not in pairs:
             return False
+        src = dst
     acc = graph._accumulation_set
-    if word.head_orbit is not None:
-        if (word.head_orbit, word.body[0]) not in acc:
-            return False
-    if word.tail_orbit is not None:
-        if (word.body[-1], word.tail_orbit) not in acc:
-            return False
-    return True
+    if head is not None and (head, body[0]) not in acc:
+        return False
+    return tail is None or (src, tail) in acc
 
 
 @dataclass(frozen=True)

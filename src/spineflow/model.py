@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (InputError, Opt, OrientationConflictError, Table,
-                     conform, pointer_token, quote, read_index)
+                     conform, pointer_token, quote, read_index, shorten)
 from .fatgraph import (ENTRANCE, EXIT, Spine, spine_from_json, spine_to_json,
                        validate_spine)
 from .report import ValidationReport
@@ -256,7 +256,7 @@ def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
     ids = spec.piece_ids()
     report.add("piece ids unique", len(set(ids)) == len(ids), str(ids))
     for piece in spec.pieces:
-        validate_piece(piece, report.under(f"piece {piece.piece_id}: "))
+        validate_piece(piece, report.under(f"piece {shorten(piece.piece_id)}: "))
 
     exits = sorted(t for piece in spec.pieces for t in piece.exits())
     entrances = sorted(t for piece in spec.pieces for t in piece.entrances())
@@ -279,7 +279,7 @@ def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
             report.add(name, True, f"det {matrix.det}")
 
     for piece in spec.pieces:
-        name = f"orientation of piece {piece.piece_id}"
+        name = f"orientation of piece {shorten(piece.piece_id)}"
         seed = spec.orientation_seed.get(piece.piece_id)
         if seed is None:
             report.add(name, False, "no seed")

@@ -379,6 +379,23 @@ class TestLongValues:
         assert len(err) < 1000
         assert "..." in err
 
+    @pytest.mark.parametrize("command", ["build-graph", "orient", "equiv"])
+    def test_long_piece_id_is_cut(self, capsys, tmp_path, command):
+        data = load(BANANA)
+        pid = "P" * 50_000
+        data["pieces"][0]["id"] = pid
+        data["pairing"] = [[pid + src[1:], pid + dst[1:]]
+                           for src, dst in data["pairing"]]
+        data["orientation_seed"] = {pid: [0, -2]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        files = [str(bad)] * (2 if command == "equiv" else 1)
+        code, out, err = invoke(capsys, command, *files)
+        assert (code, out) == (2, "")
+        assert f"(orientation of piece {'P' * 40}...)" in err
+        assert len(err) < 1000
+        assert "Traceback" not in err
+
     def test_short_value_reads_in_full(self, capsys, tmp_path):
         data = load(BANANA)
         data["pieces"][0]["spine"]["edges"][0] = "12"

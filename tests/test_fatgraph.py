@@ -16,8 +16,8 @@ from spineflow import (ENTRANCE, EXIT, FatGraph, InputError, OrientabilityError,
                        validate_spine)
 from spineflow import fatgraph
 from spineflow.errors import CapacityError
-from spineflow.fatgraph import (COLORS, _canonical_code, _map_code,
-                                _rooted_even_hypermap_codes)
+from spineflow.fatgraph import (COLORS, _code_beats, _least_labeling,
+                                _map_code, _rooted_even_hypermap_codes)
 from spineflow.walks import two_color
 
 
@@ -153,6 +153,43 @@ def reflected_spine(spine: Spine) -> Spine:
         assert len(targets) == 1
         colors[targets.pop()] = spine.colors[i]
     return Spine(graph, colors)
+
+
+def _canonical_code(rotation, involution, darts) -> tuple[int, ...]:
+    """The least breadth-first code over all start darts.  Two connected
+    maps have equal codes exactly when a dart bijection commutes with
+    their rotations and involutions, that is when they are isomorphic
+    without reflection (the map codes of Brinkmann & McKay's plantri).
+    The reference for the early-stopping ``_code_beats``."""
+    return min(_map_code(rotation, involution, d)[0] for d in darts)
+
+
+def greedy_labeling(rotation, involution, start: int) -> tuple:
+    """The whole greedy (length, darts) cycle key from ``start``, as
+    ``_least_labeling`` describes it: the reference for its early
+    abort."""
+    n = len(rotation)
+    label = [0] * n
+    by_label = [-1]
+    placed = [False] * n
+    cycles = []
+    first, scan = start, 1
+    while True:
+        cycle = []
+        d = first
+        while not placed[d]:
+            if not label[d]:
+                label[d], label[involution[d]] = len(by_label), len(by_label) + 1
+                by_label += (d, involution[d])
+            placed[d] = True
+            cycle.append(label[d])
+            d = rotation[d]
+        cycles.append((len(cycle), tuple(cycle)))
+        while scan < len(by_label) and placed[by_label[scan]]:
+            scan += 1
+        if scan == len(by_label):
+            return tuple(cycles)
+        first = by_label[scan]
 
 
 def canonical_code(graph: FatGraph) -> tuple[int, ...]:
@@ -482,6 +519,43 @@ class TestRootedHypermapCodes:
                 assert _map_code(x, y, 0)[0] == code
                 assert all(len(c) % 2 == 0
                            for c in cycles_of(x) + cycles_of(y))
+
+
+class TestEarlyStops:
+    """The census walks stop early and answer as the whole walks do."""
+
+    def test_code_beats_agrees_with_whole_codes(self):
+        compared = 0
+        for n in (2, 4, 6):
+            for code in _rooted_even_hypermap_codes(n):
+                x, y = code[::2], code[1::2]
+                for d in range(n):
+                    assert _code_beats(x, y, d, code) == \
+                        (_map_code(x, y, d)[0] < code)
+                    compared += 1
+        assert compared == 2 * 1 + 4 * 13 + 6 * 412
+
+    def test_least_labeling_is_least_greedy_key(self, six_edge_spines):
+        rng = random.Random(66)
+        for spine in six_edge_spines:
+            graph = spine.graph
+            n = len(graph.darts)
+            for _ in range(3):
+                # a random pair-preserving relabeling onto 0..n-1
+                edges = list(range(graph.edge_count))
+                rng.shuffle(edges)
+                new = {}
+                for k, image in enumerate(edges):
+                    flip = rng.randrange(2)
+                    new[2 * k + 1], new[2 * k + 2] = \
+                        2 * image + flip, 2 * image + 1 - flip
+                rotation, involution = [0] * n, [0] * n
+                for d in graph.darts:
+                    rotation[new[d]] = new[graph.rotation[d]]
+                    involution[new[d]] = new[graph.involution[d]]
+                assert _least_labeling(rotation, involution) == min(
+                    greedy_labeling(rotation, involution, start)
+                    for start in range(n))
 
 
 class TestRootedMapCodes:

@@ -214,6 +214,19 @@ class TestItineraries:
         word = ItineraryWord(("T0", "T1"), head_orbit="P.v0")
         assert ItineraryWord.from_json(word.to_json()) == word
 
+    def test_word_is_a_value(self):
+        word = ItineraryWord(("T0", "T1"), tail_orbit="P.v1")
+        with pytest.raises(AttributeError):
+            word.body = ()
+        twin = ItineraryWord.from_json(word.to_json())
+        assert twin == word and hash(twin) == hash(word)
+        assert word == (("T0", "T1"), None, "P.v1")
+        body, head, tail = word
+        assert (body, head, tail) == (word.body, None, "P.v1")
+        assert ItineraryWord() == ((), None, None)
+        assert repr(word) == ("ItineraryWord(body=('T0', 'T1'), "
+                              "head_orbit=None, tail_orbit='P.v1')")
+
 
 class TestPeriodicWords:
     def test_length_one_words_are_self_loops(self, banana_spec):
