@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import (CapacityError, InputError, OrientabilityError,
                      StructureError, Table, conform, quote)
-from .report import ValidationReport
+from .report import Check, ValidationReport
 from .walks import two_color
 
 ENTRANCE = "ENTRANCE"
@@ -174,15 +174,30 @@ class FatGraph:
                              for d in c}
         return self._face_of
 
-    @cached_property
+    @property
     def vertex_sides(self) -> tuple[tuple[dict[int, int], Optional[list[int]]], ...]:
         """Vertex -> the ``(sides, odd cycle)`` of the first ``two_color``
         run that reached it, each rooted at the least vertex not yet
         reached, on one adjacency entry per edge end in edge order.  A
-        run stops at an odd cycle, so its component may take several."""
+        run stops at an odd cycle, so its component may take several.
+        Built on first use, with ``loop_vertex``."""
+        return self._vertex_tables[0]
+
+    @property
+    def loop_vertex(self) -> Optional[int]:
+        """The vertex of the first loop edge in edge order, or None when
+        no edge joins a vertex to itself.  Built on first use, with
+        ``vertex_sides``."""
+        return self._vertex_tables[1]
+
+    @cached_property
+    def _vertex_tables(self) -> tuple[tuple, Optional[int]]:
         neighbors: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        loop = None
         for a, b in self.edges:
             va, vb = self.vertex_of[a], self.vertex_of[b]
+            if va == vb and loop is None:
+                loop = va
             neighbors[va].append(vb)
             neighbors[vb].append(va)
         runs: list = [None] * self.vertex_count
@@ -191,7 +206,7 @@ class FatGraph:
                 run = two_color(root, neighbors)
                 for v in run[0]:
                     runs[v] = runs[v] or run
-        return tuple(runs)
+        return tuple(runs), loop
 
     def relabeled(self, mapping: dict[int, int]) -> "FatGraph":
         """Copy of the graph with every dart ``d`` renamed ``mapping[d]``."""
@@ -226,13 +241,22 @@ def _rotate_min(cycle: tuple[int, ...]) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class Spine:
     """A fat graph plus a total ENTRANCE/EXIT coloring of its boundary
-    cycles (keyed by boundary-cycle index)."""
+    cycles (keyed by boundary-cycle index).  Immutable, the coloring
+    included: ``conditions`` is kept once computed."""
 
     graph: FatGraph
     colors: dict[int, str]
 
     def boundary_ids(self, color: str) -> list[int]:
         return [i for i in sorted(self.colors) if self.colors[i] == color]
+
+    @cached_property
+    def conditions(self) -> tuple[Check, ...]:
+        """The checks of ``validate_spine`` on this spine, in its order.
+        Computed on first use and kept, so a spine shared by pieces and
+        by repeated validations is checked once; a coloring that is not
+        total raises ``InputError`` at every use."""
+        return tuple(validate_spine(self.graph, self.colors).checks)
 
     def relabeled(self, mapping: dict[int, int]) -> "Spine":
         graph = self.graph.relabeled(mapping)

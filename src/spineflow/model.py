@@ -24,8 +24,7 @@ from typing import Optional
 
 from .errors import (InputError, Opt, OrientationConflictError, Table,
                      conform, pointer_token, quote, read_index, shorten)
-from .fatgraph import (ENTRANCE, EXIT, Spine, spine_from_json, spine_to_json,
-                       validate_spine)
+from .fatgraph import ENTRANCE, EXIT, Spine, spine_from_json, spine_to_json
 from .report import ValidationReport
 
 #: boundary torus id: (piece id, boundary cycle index)
@@ -162,22 +161,30 @@ class OrientationAssignment:
 def validate_piece(piece: ModelPiece,
                    report: Optional[ValidationReport] = None
                    ) -> ValidationReport:
-    """Spine conditions plus one check per Dehn coefficient, added to
-    ``report`` (a new one by default), which is returned."""
+    """The spine's cached ``Spine.conditions`` plus one check per Dehn
+    coefficient, added to ``report`` (a new one by default), which is
+    returned."""
     if report is None:
         report = ValidationReport()
-    validate_spine(piece.spine.graph, piece.spine.colors,
-                   report.under("spine "))
-    vertices = set(piece.vertices())
-    missing = sorted(vertices - set(piece.dehn))
-    extra = sorted(set(piece.dehn) - vertices)
+    spine = report.under("spine ")
+    for check in piece.spine.conditions:
+        spine.add(*check)
+    missing, extra = _dehn_gaps(piece)
     report.add("dehn coefficients total", not missing and not extra,
                f"missing {missing}, unknown {extra}" if missing or extra else "")
-    for v in sorted(set(piece.dehn) & vertices):
+    for v in sorted(set(piece.dehn) & set(piece.vertices())):
         coeff = piece.dehn[v]
         report.add(f"dehn coefficient at vertex {v}", coeff.is_valid(),
                    f"({coeff.p}, {coeff.q})")
     return report
+
+
+def _dehn_gaps(piece: ModelPiece) -> tuple[list[int], list[int]]:
+    """The vertices without a Dehn coefficient and the coefficient keys
+    that are no vertex, each sorted: the coefficients are total when
+    both are empty."""
+    vertices = set(piece.vertices())
+    return sorted(vertices - piece.dehn.keys()), sorted(piece.dehn.keys() - vertices)
 
 
 def propagate_orientations(piece: ModelPiece,
@@ -186,34 +193,35 @@ def propagate_orientations(piece: ModelPiece,
     seed vertex's side of ``FatGraph.vertex_sides`` gets the seed sign.
 
     Returns the unique assignment extending the seed.  Errors come in a
-    fixed order: a loop edge anywhere in the piece raises
-    ``OrientationConflictError`` with the one-vertex cycle ``[v]``; an
-    odd cycle in the seed's component raises it with the cycle that the
-    coloring met there; a vertex the seed cannot reach raises
-    ``InputError``.
+    fixed order: a loop edge anywhere in the piece (the cached
+    ``FatGraph.loop_vertex``) raises ``OrientationConflictError`` with
+    the one-vertex cycle ``[v]``; an odd cycle in the seed's component
+    raises it with the cycle that the coloring met there; a vertex the
+    seed cannot reach raises ``InputError``.  Messages quote the piece
+    id with ``quote``.
     """
     graph = piece.spine.graph
     seed_vertex, seed_sign = seed
     if seed_vertex not in range(graph.vertex_count):
-        raise InputError(f"seed vertex {seed_vertex} not in piece {piece.piece_id!r}")
+        raise InputError(
+            f"seed vertex {seed_vertex} not in piece {quote(piece.piece_id)}")
     if seed_sign not in (1, -1):
         raise InputError(f"seed sign must be +-1, got {seed_sign}")
 
-    for a, b in graph.edges:
-        va = graph.vertex_of[a]
-        if va == graph.vertex_of[b]:
-            raise OrientationConflictError(
-                f"loop edge at vertex {va} in piece {piece.piece_id!r}: "
-                "a vertical orbit cannot be anti-aligned with itself", [va])
+    loop = graph.loop_vertex
+    if loop is not None:
+        raise OrientationConflictError(
+            f"loop edge at vertex {loop} in piece {quote(piece.piece_id)}: "
+            "a vertical orbit cannot be anti-aligned with itself", [loop])
 
     sides, odd_cycle = graph.vertex_sides[seed_vertex]
     if odd_cycle is not None:
         raise OrientationConflictError(
-            f"odd cycle in piece {piece.piece_id!r}", odd_cycle)
+            f"odd cycle in piece {quote(piece.piece_id)}", odd_cycle)
     if len(sides) != graph.vertex_count:
         raise InputError(
-            f"piece {piece.piece_id!r} is disconnected; orientation cannot reach "
-            f"vertices {sorted(set(range(graph.vertex_count)) - set(sides))}")
+            f"piece {quote(piece.piece_id)} is disconnected; orientation cannot "
+            f"reach vertices {sorted(set(range(graph.vertex_count)) - set(sides))}")
     return {v: seed_sign if side == sides[seed_vertex] else -seed_sign
             for v, side in sides.items()}
 
@@ -248,47 +256,88 @@ def orientation_classes(spec: ModelFlowSpec
     return 2 ** len(ids), reps
 
 
+# The rules of a valid specification, one helper each: ``validate_spec``
+# itemizes them and ``check_spec`` reads only their verdicts.
+
+def _ids_unique(spec: ModelFlowSpec) -> bool:
+    return len({piece.piece_id for piece in spec.pieces}) == len(spec.pieces)
+
+
+def _pairing_sides(spec: ModelFlowSpec) -> tuple[list, list, list, list]:
+    """The pairing sources, the exit tori, the pairing targets and the
+    entrance tori, each sorted: the pairing is an EXIT -> ENTRANCE
+    bijection when the first two and the last two are equal."""
+    return (sorted(src for src, _ in spec.pairing),
+            sorted(t for piece in spec.pieces for t in piece.exits()),
+            sorted(dst for _, dst in spec.pairing),
+            sorted(t for piece in spec.pieces for t in piece.entrances()))
+
+
+def _one_matrix_per_pair(spec: ModelFlowSpec) -> bool:
+    return len(spec.matrices) == len(spec.pairing)
+
+
+def _matrix_defect(matrix: GluingMatrix) -> str:
+    """``"det"`` when |det| != 1, else ``"c"`` when c = 0 (the matrix
+    maps fibers to fibers), else ``""``: a gluing matrix."""
+    if abs(matrix.det) != 1:
+        return "det"
+    return "c" if matrix.c == 0 else ""
+
+
+def _seed_signs(spec: ModelFlowSpec, piece: ModelPiece
+                ) -> dict[int, int] | OrientationConflictError | InputError | None:
+    """What the piece's orientation seed propagates to: its signs, the
+    ``OrientationConflictError`` or ``InputError`` that stops it, or
+    None when the piece has no seed."""
+    seed = spec.orientation_seed.get(piece.piece_id)
+    if seed is None:
+        return None
+    try:
+        return propagate_orientations(piece, seed)
+    except (OrientationConflictError, InputError) as err:
+        return err
+
+
 def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
-    """Every piece valid, pairing a total EXIT -> ENTRANCE bijection,
-    every matrix unimodular with nonzero lower-left entry, and every
-    orientation seed propagating consistently."""
+    """The itemized report: every piece valid, pairing a total EXIT ->
+    ENTRANCE bijection, every matrix unimodular with nonzero lower-left
+    entry, and every orientation seed propagating consistently.
+
+    This is the one place that names checks and formats their details;
+    ids and torus lists are cut by ``quote``.  ``check_spec`` decides
+    the same verdict from the same rules without a report."""
     report = ValidationReport()
-    ids = spec.piece_ids()
-    report.add("piece ids unique", len(set(ids)) == len(ids), str(ids))
+    report.add("piece ids unique", _ids_unique(spec), quote(spec.piece_ids()))
     for piece in spec.pieces:
         validate_piece(piece, report.under(f"piece {shorten(piece.piece_id)}: "))
 
-    exits = sorted(t for piece in spec.pieces for t in piece.exits())
-    entrances = sorted(t for piece in spec.pieces for t in piece.entrances())
-    sources = sorted(src for src, _ in spec.pairing)
-    targets = sorted(dst for _, dst in spec.pairing)
+    sources, exits, targets, entrances = _pairing_sides(spec)
     report.add("pairing sources are the exit tori", sources == exits,
-               f"sources {sources} vs exits {exits}")
+               f"sources {quote(sources)} vs exits {quote(exits)}")
     report.add("pairing targets are the entrance tori", targets == entrances,
-               f"targets {targets} vs entrances {entrances}")
-    report.add("one matrix per glued torus",
-               len(spec.matrices) == len(spec.pairing),
+               f"targets {quote(targets)} vs entrances {quote(entrances)}")
+    report.add("one matrix per glued torus", _one_matrix_per_pair(spec),
                f"{len(spec.matrices)} matrices, {len(spec.pairing)} pairs")
     for k, matrix in enumerate(spec.matrices):
         name = f"matrix {k}"
-        if abs(matrix.det) != 1:
+        defect = _matrix_defect(matrix)
+        if defect == "det":
             report.add(name, False, f"|det| = {abs(matrix.det)} != 1")
-        elif matrix.c == 0:
+        elif defect == "c":
             report.add(name, False, "upper triangular (c = 0): maps fibers to fibers")
         else:
             report.add(name, True, f"det {matrix.det}")
 
     for piece in spec.pieces:
         name = f"orientation of piece {shorten(piece.piece_id)}"
-        seed = spec.orientation_seed.get(piece.piece_id)
-        if seed is None:
+        signs = _seed_signs(spec, piece)
+        if signs is None:
             report.add(name, False, "no seed")
-            continue
-        try:
-            propagate_orientations(piece, seed)
+        elif isinstance(signs, dict):
             report.add(name, True)
-        except (OrientationConflictError, InputError) as err:
-            report.add(name, False, str(err))
+        else:
+            report.add(name, False, str(signs))
     return report
 
 
@@ -304,18 +353,47 @@ class CheckedSpec:
     pair_of: dict[TorusId, int]
 
 
+def _verdict(spec: ModelFlowSpec) -> Optional[dict[str, dict[int, int]]]:
+    """The propagated signs of every piece when ``validate_spec(spec)``
+    would pass, else None: the same rules in the same order, stopping
+    at the first that fails.  Each seed propagates once."""
+    if not _ids_unique(spec):
+        return None
+    for piece in spec.pieces:
+        if not all(check.passed for check in piece.spine.conditions):
+            return None
+        if _dehn_gaps(piece) != ([], []):
+            return None
+        if not all(coeff.is_valid() for coeff in piece.dehn.values()):
+            return None
+    sources, exits, targets, entrances = _pairing_sides(spec)
+    if sources != exits or targets != entrances:
+        return None
+    if not _one_matrix_per_pair(spec) or any(map(_matrix_defect, spec.matrices)):
+        return None
+    signs = {}
+    for piece in spec.pieces:
+        piece_signs = _seed_signs(spec, piece)
+        if not isinstance(piece_signs, dict):
+            return None
+        signs[piece.piece_id] = piece_signs
+    return signs
+
+
 def check_spec(spec: ModelFlowSpec, name: str = "specification") -> CheckedSpec:
-    """Validate once and derive the shared tables, or raise
-    ``InputError`` naming ``name`` and every failed check."""
-    report = validate_spec(spec)
-    if not report.passed:
-        names = ", ".join(c.name for c in report.failures)
+    """Decide validity and derive the shared tables, or raise
+    ``InputError`` naming ``name`` and every failed check.
+
+    The verdict reads each piece's cached ``Spine.conditions`` and the
+    rules that ``validate_spec`` itemizes, with no report and no detail
+    text, and propagates each seed once.  Only an invalid specification
+    is passed to ``validate_spec``, which names the failed checks."""
+    signs = _verdict(spec)
+    if signs is None:
+        names = ", ".join(c.name for c in validate_spec(spec).failures)
         raise InputError(f"{name} is invalid ({names})")
     return CheckedSpec(
-        spec,
-        {piece.piece_id: propagate_orientations(
-            piece, spec.orientation_seed[piece.piece_id])
-         for piece in spec.pieces},
+        spec, signs,
         {torus: k for k, pair in enumerate(spec.pairing) for torus in pair})
 
 

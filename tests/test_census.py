@@ -6,7 +6,6 @@ import pytest
 
 import spineflow.census as census
 import spineflow.equivalence as equivalence
-import spineflow.model as model
 from spineflow import (ENTRANCE, EXIT, EquivalenceMode, FatGraph, GluingMatrix,
                        ModelFlowSpec, Spine, census_pieces, is_bipartite,
                        negate_seed, spec_census, spec_equivalent, spec_to_json,
@@ -106,13 +105,13 @@ class TestSpecCensus:
 
     def test_each_piece_tuple_validated_once(self, monkeypatch):
         validated = []
-        original = model.validate_spec
+        original = census.check_spec
 
-        def counting(spec):
+        def counting(spec, *args):
             validated.append(json.dumps(spec_to_json(spec), sort_keys=True))
-            return original(spec)
+            return original(spec, *args)
 
-        monkeypatch.setattr(model, "validate_spec", counting)
+        monkeypatch.setattr(census, "check_spec", counting)
         for max_edges, tuples in ((4, 3), (6, 83)):
             validated.clear()
             spec_census(max_pieces=2, max_edges=max_edges)

@@ -396,6 +396,27 @@ class TestLongValues:
         assert len(err) < 1000
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sign, status", [(1, 0), (-2, 1)])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_long_piece_id_report_is_cut(self, capsys, tmp_path, fmt, sign,
+                                         status):
+        # whole ids made about 450,000 bytes of report
+        data = load(BANANA)
+        pid = "P" * 50_000
+        data["pieces"][0]["id"] = pid
+        data["pairing"] = [[pid + src[1:], pid + dst[1:]]
+                           for src, dst in data["pairing"]]
+        data["orientation_seed"] = {pid: [0, sign]}
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "validate", str(bad), "--format", fmt)
+        assert (code, err) == (status, "")
+        assert len(out) < 5000
+        if fmt == "text":
+            assert f"exit tori: pass (sources [('{'P' * 17}..." in out
+        else:
+            assert json.loads(out)["passed"] is (sign == 1)
+
     def test_short_value_reads_in_full(self, capsys, tmp_path):
         data = load(BANANA)
         data["pieces"][0]["spine"]["edges"][0] = "12"

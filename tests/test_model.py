@@ -220,6 +220,9 @@ class TestPropagationAgainstReference:
         piece = unsurgered_piece("P", Spine(graph, {}))
         neighbors = reference_neighbors(graph)
         checked = 1  # the is_bipartite answer
+        assert graph.loop_vertex == next(
+            (graph.vertex_of[a] for a, b in graph.edges
+             if graph.vertex_of[a] == graph.vertex_of[b]), None)
         for v, sign in itertools.product(range(graph.vertex_count), (1, -1)):
             got, got_err = outcome(propagate_orientations, piece, (v, sign))
             want, want_err = outcome(reference_propagate, piece, (v, sign))
