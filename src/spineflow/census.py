@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 
 from .equivalence import _least_pairs, _piece_labelings
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, quote
 from .fatgraph import (Spine, enumerate_spines, is_bipartite,
                        iter_isomorphisms_tagged, surface_invariants)
 from .model import GluingMatrix, ModelFlowSpec, check_spec, unsurgered_piece
@@ -136,7 +136,7 @@ def spec_census(max_pieces: int, max_edges: int) -> list[ModelFlowSpec]:
 def negate_seed(spec: ModelFlowSpec, piece_id: str) -> ModelFlowSpec:
     """Copy of the specification with one piece's seed sign reversed."""
     if piece_id not in spec.orientation_seed:
-        raise InputError(f"unknown piece {piece_id!r}")
+        raise InputError(f"unknown piece {quote(piece_id)}")
     vertex, sign = spec.orientation_seed[piece_id]
     seeds = {**spec.orientation_seed, piece_id: (vertex, -sign)}
     return ModelFlowSpec(spec.pieces, spec.pairing, spec.matrices, seeds)

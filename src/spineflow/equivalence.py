@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InputError, Opt, Table, conform
+from .errors import InputError, Opt, Table, conform, quote
 from .fatgraph import induced_face_map, iter_isomorphisms_tagged
 from .model import (CheckedSpec, GluingMatrix, ModelFlowSpec, ModelPiece,
                     TorusId, check_spec, seed_orientation, torus_label)
@@ -429,21 +429,16 @@ def _piece_key(piece: ModelPiece, signs: dict[int, int]
     return (code, least), ranks
 
 
-def _exact_key(checked: CheckedSpec) -> tuple:
-    """Canonical key of a checked specification under EXACT equivalence
-    without reflection: two keys are equal exactly when ``_search(c1,
-    c2, EXACT, False)`` finds a witness.  It is the piece half of
-    ``_piece_labelings`` and the pair half of ``_least_pairs``."""
-    piece_keys, labelings = _piece_labelings(checked)
-    return piece_keys, _least_pairs(labelings, checked.spec.pairing,
-                                    checked.spec.matrices)
-
-
 def _piece_labelings(checked: CheckedSpec) -> tuple[tuple, list[dict]]:
-    """The half of ``_exact_key`` that the pairing does not touch: the
+    """The half of the census key that the pairing does not touch: the
     sorted piece keys, and one labeling of the boundary tori per order
     of the pieces with equal keys and per choice of the walks of each
     piece that reach its key.
+
+    The census key of a checked specification is the piece keys
+    together with ``_least_pairs`` over these labelings.  Two keys are
+    equal exactly when ``_search(c1, c2, EXACT, False)`` finds a
+    witness, so ``spec_census`` keeps one specification per key.
 
     The pieces are sorted by ``_piece_key``.  A labeling maps each
     torus (piece id, face) to (piece rank, face rank); ``_least_pairs``
@@ -468,7 +463,7 @@ def _piece_labelings(checked: CheckedSpec) -> tuple[tuple, list[dict]]:
 
 
 def _least_pairs(labelings: list[dict], pairing, matrices) -> tuple:
-    """The half of ``_exact_key`` that reads the pairing: each pair
+    """The half of the census key that reads the pairing: each pair
     written as the labels of its exit and entrance and its matrix
     entries, and the least sorted list of them over ``labelings``."""
     pairs = [(src, dst, (m.a, m.b, m.c, m.d))
@@ -523,10 +518,10 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
         sigma = witness.dart_maps[p1.piece_id]
         g1, g2 = p1.spine.graph, p2.spine.graph
         if sorted(sigma) != list(g1.darts):
-            raise InputError(f"dart map of piece {p1.piece_id!r} is not "
+            raise InputError(f"dart map of piece {quote(p1.piece_id)} is not "
                              "defined on exactly its darts")
         if sorted(sigma.values()) != list(g2.darts):
-            raise InputError(f"dart map of piece {p1.piece_id!r} is not a "
+            raise InputError(f"dart map of piece {quote(p1.piece_id)} is not a "
                              "bijection onto the target darts")
         reflect = witness.reflected.get(p1.piece_id, False)
         rot2 = g2.inverse_rotation if reflect else g2.rotation

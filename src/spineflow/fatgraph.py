@@ -242,13 +242,23 @@ def _rotate_min(cycle: tuple[int, ...]) -> tuple[int, ...]:
 class Spine:
     """A fat graph plus a total ENTRANCE/EXIT coloring of its boundary
     cycles (keyed by boundary-cycle index).  Immutable, the coloring
-    included: ``conditions`` is kept once computed."""
+    included: ``conditions`` and the boundary id table are kept once
+    computed."""
 
     graph: FatGraph
     colors: dict[int, str]
 
+    @cached_property
+    def _boundary_table(self) -> dict[str, tuple[int, ...]]:
+        """Color -> the sorted ids of its boundary cycles."""
+        ids = sorted(self.colors)
+        return {color: tuple(i for i in ids if self.colors[i] == color)
+                for color in COLORS}
+
     def boundary_ids(self, color: str) -> list[int]:
-        return [i for i in sorted(self.colors) if self.colors[i] == color]
+        """The sorted ids of the boundary cycles of ``color``, as a new
+        list."""
+        return list(self._boundary_table.get(color, ()))
 
     @cached_property
     def conditions(self) -> tuple[Check, ...]:

@@ -131,7 +131,7 @@ class ModelFlowSpec:
         for piece in self.pieces:
             if piece.piece_id == piece_id:
                 return piece
-        raise InputError(f"unknown piece {piece_id!r}")
+        raise InputError(f"unknown piece {quote(piece_id)}")
 
     def piece_ids(self) -> list[str]:
         return [piece.piece_id for piece in self.pieces]
@@ -161,30 +161,15 @@ class OrientationAssignment:
 def validate_piece(piece: ModelPiece,
                    report: Optional[ValidationReport] = None
                    ) -> ValidationReport:
-    """The spine's cached ``Spine.conditions`` plus one check per Dehn
-    coefficient, added to ``report`` (a new one by default), which is
+    """The piece part of the rule walk that ``validate_spec`` runs: the
+    spine's cached ``Spine.conditions`` under the prefix ``spine ``,
+    then the Dehn coefficients total, then one check per coefficient.
+    They are added to ``report`` (a new one by default), which is
     returned."""
     if report is None:
         report = ValidationReport()
-    spine = report.under("spine ")
-    for check in piece.spine.conditions:
-        spine.add(*check)
-    missing, extra = _dehn_gaps(piece)
-    report.add("dehn coefficients total", not missing and not extra,
-               f"missing {missing}, unknown {extra}" if missing or extra else "")
-    for v in sorted(set(piece.dehn) & set(piece.vertices())):
-        coeff = piece.dehn[v]
-        report.add(f"dehn coefficient at vertex {v}", coeff.is_valid(),
-                   f"({coeff.p}, {coeff.q})")
+    _piece_rules(piece, report)
     return report
-
-
-def _dehn_gaps(piece: ModelPiece) -> tuple[list[int], list[int]]:
-    """The vertices without a Dehn coefficient and the coefficient keys
-    that are no vertex, each sorted: the coefficients are total when
-    both are empty."""
-    vertices = set(piece.vertices())
-    return sorted(vertices - piece.dehn.keys()), sorted(piece.dehn.keys() - vertices)
 
 
 def propagate_orientations(piece: ModelPiece,
@@ -231,7 +216,7 @@ def seed_orientation(spec: ModelFlowSpec) -> OrientationAssignment:
     signs: dict[tuple[str, int], int] = {}
     for piece in spec.pieces:
         if piece.piece_id not in spec.orientation_seed:
-            raise InputError(f"no orientation seed for piece {piece.piece_id!r}")
+            raise InputError(f"no orientation seed for piece {quote(piece.piece_id)}")
         seed = spec.orientation_seed[piece.piece_id]
         signs.update(((piece.piece_id, v), s) for v, s
                      in propagate_orientations(piece, seed).items())
@@ -256,47 +241,99 @@ def orientation_classes(spec: ModelFlowSpec
     return 2 ** len(ids), reps
 
 
-# The rules of a valid specification, one helper each: ``validate_spec``
-# itemizes them and ``check_spec`` reads only their verdicts.
-
-def _ids_unique(spec: ModelFlowSpec) -> bool:
-    return len({piece.piece_id for piece in spec.pieces}) == len(spec.pieces)
-
-
-def _pairing_sides(spec: ModelFlowSpec) -> tuple[list, list, list, list]:
-    """The pairing sources, the exit tori, the pairing targets and the
-    entrance tori, each sorted: the pairing is an EXIT -> ENTRANCE
-    bijection when the first two and the last two are equal."""
-    return (sorted(src for src, _ in spec.pairing),
-            sorted(t for piece in spec.pieces for t in piece.exits()),
-            sorted(dst for _, dst in spec.pairing),
-            sorted(t for piece in spec.pieces for t in piece.entrances()))
-
-
-def _one_matrix_per_pair(spec: ModelFlowSpec) -> bool:
-    return len(spec.matrices) == len(spec.pairing)
-
-
-def _matrix_defect(matrix: GluingMatrix) -> str:
-    """``"det"`` when |det| != 1, else ``"c"`` when c = 0 (the matrix
-    maps fibers to fibers), else ``""``: a gluing matrix."""
-    if abs(matrix.det) != 1:
-        return "det"
-    return "c" if matrix.c == 0 else ""
+def _piece_rules(piece: ModelPiece,
+                 report: Optional[ValidationReport]) -> bool:
+    """The piece part of ``_rules``: with a report, add its checks;
+    without one, whether they all pass."""
+    if report is not None:
+        spine = report.under("spine ")
+        for check in piece.spine.conditions:
+            spine.add(*check)
+    elif not all(check.passed for check in piece.spine.conditions):
+        return False
+    vertices = set(piece.vertices())
+    total = piece.dehn.keys() == vertices
+    if report is None:
+        return total and all(coeff.is_valid() for coeff in piece.dehn.values())
+    report.add("dehn coefficients total", total, "" if total else
+               f"missing {sorted(vertices - piece.dehn.keys())}, "
+               f"unknown {sorted(piece.dehn.keys() - vertices)}")
+    for v in sorted(vertices & piece.dehn.keys()):
+        coeff = piece.dehn[v]
+        report.add(f"dehn coefficient at vertex {v}", coeff.is_valid(),
+                   f"({coeff.p}, {coeff.q})")
+    return True
 
 
-def _seed_signs(spec: ModelFlowSpec, piece: ModelPiece
-                ) -> dict[int, int] | OrientationConflictError | InputError | None:
-    """What the piece's orientation seed propagates to: its signs, the
-    ``OrientationConflictError`` or ``InputError`` that stops it, or
-    None when the piece has no seed."""
-    seed = spec.orientation_seed.get(piece.piece_id)
-    if seed is None:
+def _rules(spec: ModelFlowSpec, report: Optional[ValidationReport] = None
+           ) -> Optional[dict[str, dict[int, int]]]:
+    """The rules of a valid specification, in report order: piece ids
+    unique; per piece, ``_piece_rules``; pairing sources and targets;
+    one matrix per pair; each matrix; each seed's propagation.
+
+    With a report, every check is added with its name and detail, ids
+    and torus lists cut by ``quote`` and ``shorten``.  Without one, no
+    name or detail is made: the walk returns None at the first rule
+    that fails, and otherwise the propagated ``signs[piece id]``.  Each
+    seed propagates once."""
+    passed = len({piece.piece_id for piece in spec.pieces}) == len(spec.pieces)
+    if report is not None:
+        report.add("piece ids unique", passed, quote(spec.piece_ids()))
+    elif not passed:
         return None
-    try:
-        return propagate_orientations(piece, seed)
-    except (OrientationConflictError, InputError) as err:
-        return err
+
+    for piece in spec.pieces:
+        if report is not None:
+            _piece_rules(piece, report.under(f"piece {shorten(piece.piece_id)}: "))
+        elif not _piece_rules(piece, None):
+            return None
+
+    sources = sorted(src for src, _ in spec.pairing)
+    exits = sorted(t for piece in spec.pieces for t in piece.exits())
+    targets = sorted(dst for _, dst in spec.pairing)
+    entrances = sorted(t for piece in spec.pieces for t in piece.entrances())
+    if report is not None:
+        report.add("pairing sources are the exit tori", sources == exits,
+                   f"sources {quote(sources)} vs exits {quote(exits)}")
+        report.add("pairing targets are the entrance tori", targets == entrances,
+                   f"targets {quote(targets)} vs entrances {quote(entrances)}")
+    elif sources != exits or targets != entrances:
+        return None
+
+    passed = len(spec.matrices) == len(spec.pairing)
+    if report is not None:
+        report.add("one matrix per glued torus", passed,
+                   f"{len(spec.matrices)} matrices, {len(spec.pairing)} pairs")
+    elif not passed:
+        return None
+
+    for k, matrix in enumerate(spec.matrices):
+        # a gluing matrix is unimodular and does not map fibers to fibers
+        passed = abs(matrix.det) == 1 and matrix.c != 0
+        if report is not None:
+            report.add(f"matrix {k}", passed,
+                       f"det {matrix.det}" if passed
+                       else f"|det| = {abs(matrix.det)} != 1" if abs(matrix.det) != 1
+                       else "upper triangular (c = 0): maps fibers to fibers")
+        elif not passed:
+            return None
+
+    signs = {}
+    for piece in spec.pieces:
+        seed = spec.orientation_seed.get(piece.piece_id)
+        failure = "no seed"
+        if seed is not None:
+            try:
+                signs[piece.piece_id] = propagate_orientations(piece, seed)
+                failure = ""
+            except (OrientationConflictError, InputError) as err:
+                failure = str(err)
+        if report is not None:
+            report.add(f"orientation of piece {shorten(piece.piece_id)}",
+                       not failure, failure)
+        elif failure:
+            return None
+    return signs
 
 
 def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
@@ -304,40 +341,10 @@ def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
     ENTRANCE bijection, every matrix unimodular with nonzero lower-left
     entry, and every orientation seed propagating consistently.
 
-    This is the one place that names checks and formats their details;
-    ids and torus lists are cut by ``quote``.  ``check_spec`` decides
-    the same verdict from the same rules without a report."""
+    It is the rule walk ``_rules`` with a report: the one walk that
+    ``check_spec`` runs without one to decide validity."""
     report = ValidationReport()
-    report.add("piece ids unique", _ids_unique(spec), quote(spec.piece_ids()))
-    for piece in spec.pieces:
-        validate_piece(piece, report.under(f"piece {shorten(piece.piece_id)}: "))
-
-    sources, exits, targets, entrances = _pairing_sides(spec)
-    report.add("pairing sources are the exit tori", sources == exits,
-               f"sources {quote(sources)} vs exits {quote(exits)}")
-    report.add("pairing targets are the entrance tori", targets == entrances,
-               f"targets {quote(targets)} vs entrances {quote(entrances)}")
-    report.add("one matrix per glued torus", _one_matrix_per_pair(spec),
-               f"{len(spec.matrices)} matrices, {len(spec.pairing)} pairs")
-    for k, matrix in enumerate(spec.matrices):
-        name = f"matrix {k}"
-        defect = _matrix_defect(matrix)
-        if defect == "det":
-            report.add(name, False, f"|det| = {abs(matrix.det)} != 1")
-        elif defect == "c":
-            report.add(name, False, "upper triangular (c = 0): maps fibers to fibers")
-        else:
-            report.add(name, True, f"det {matrix.det}")
-
-    for piece in spec.pieces:
-        name = f"orientation of piece {shorten(piece.piece_id)}"
-        signs = _seed_signs(spec, piece)
-        if signs is None:
-            report.add(name, False, "no seed")
-        elif isinstance(signs, dict):
-            report.add(name, True)
-        else:
-            report.add(name, False, str(signs))
+    _rules(spec, report)
     return report
 
 
@@ -353,42 +360,16 @@ class CheckedSpec:
     pair_of: dict[TorusId, int]
 
 
-def _verdict(spec: ModelFlowSpec) -> Optional[dict[str, dict[int, int]]]:
-    """The propagated signs of every piece when ``validate_spec(spec)``
-    would pass, else None: the same rules in the same order, stopping
-    at the first that fails.  Each seed propagates once."""
-    if not _ids_unique(spec):
-        return None
-    for piece in spec.pieces:
-        if not all(check.passed for check in piece.spine.conditions):
-            return None
-        if _dehn_gaps(piece) != ([], []):
-            return None
-        if not all(coeff.is_valid() for coeff in piece.dehn.values()):
-            return None
-    sources, exits, targets, entrances = _pairing_sides(spec)
-    if sources != exits or targets != entrances:
-        return None
-    if not _one_matrix_per_pair(spec) or any(map(_matrix_defect, spec.matrices)):
-        return None
-    signs = {}
-    for piece in spec.pieces:
-        piece_signs = _seed_signs(spec, piece)
-        if not isinstance(piece_signs, dict):
-            return None
-        signs[piece.piece_id] = piece_signs
-    return signs
-
-
 def check_spec(spec: ModelFlowSpec, name: str = "specification") -> CheckedSpec:
     """Decide validity and derive the shared tables, or raise
     ``InputError`` naming ``name`` and every failed check.
 
-    The verdict reads each piece's cached ``Spine.conditions`` and the
-    rules that ``validate_spec`` itemizes, with no report and no detail
-    text, and propagates each seed once.  Only an invalid specification
-    is passed to ``validate_spec``, which names the failed checks."""
-    signs = _verdict(spec)
+    Validity is decided by the rule walk of ``validate_spec`` run
+    without a report: it makes no name or detail text, stops at the
+    first failing rule and propagates each seed once.  Only an invalid
+    specification is walked again, by ``validate_spec``, to name its
+    failed checks."""
+    signs = _rules(spec)
     if signs is None:
         names = ", ".join(c.name for c in validate_spec(spec).failures)
         raise InputError(f"{name} is invalid ({names})")

@@ -123,9 +123,11 @@ class TestSpecCensus:
     def test_matches_per_candidate_reference(self, max_pieces, max_edges):
         """The first candidate of each ``_exact_key``, every candidate
         validated on its own, in raw order."""
+        # imported here: test_equivalence imports this module
+        from test_equivalence import _exact_key
         reference: dict[tuple, ModelFlowSpec] = {}
         for checked in _candidates(max_pieces, max_edges):
-            reference.setdefault(equivalence._exact_key(checked), checked.spec)
+            reference.setdefault(_exact_key(checked), checked.spec)
         assert spec_census(max_pieces, max_edges) == list(reference.values())
 
     def test_dedup_runs_no_search(self, monkeypatch):

@@ -4,10 +4,13 @@ Each case stores the exit code and the SHA-256 of stdout of one
 in-process ``cli.run`` call.  A refactor that is meant to keep
 behaviour must keep every digest; a change that alters output on
 purpose re-records the table and says so in CHANGES.md.  Arguments
-ending in ``.json`` name files in ``tests/fixtures``.
+ending in ``.json`` name files in ``tests/fixtures``.  The failing
+``validate`` reports are pinned on copies of the banana fixture with
+defects planted (``DEFECTS``).
 """
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -100,6 +103,89 @@ GOLDEN = {
     "normalize-matrix matrix.json --format json": (0, "3e9dd6e667ff34a58f5b0eab0935b6f19fab77926daeb1874cf76b02fc749c60"),
     "normalize-matrix matrix.json --format text": (0, "31d7940e7afd0f0ee100a42ff3e0957b2bc7e3f5892e9f19d353020e22a54d71"),
 }
+
+
+def _put(*edits):
+    """A planting that sets each ``(path, value)`` of ``edits``, the
+    path written as slash-separated keys and list indices."""
+    def plant(spec):
+        for path, value in edits:
+            *keys, last = path.split("/")
+            target = spec
+            for key in keys:
+                target = target[int(key) if isinstance(target, list) else key]
+            target[int(last) if isinstance(target, list) else last] = value
+    return plant
+
+
+def _repeat_piece(spec):
+    spec["pieces"].append(spec["pieces"][0])
+
+
+def _long_piece_id(spec):
+    """The long-piece-id file of the CI job: the piece renamed to
+    50,000 ``P``s and its seed sign -2."""
+    p = "P" * 50000
+    spec["pieces"][0]["id"] = p
+    spec["pairing"] = [[p + a[1:], p + b[1:]] for a, b in spec["pairing"]]
+    spec["orientation_seed"] = {p: [0, -2]}
+
+
+BAD_MATRIX = ("matrices/0", [[0, 2], [2, 0]])
+BAD_DEHN = ("pieces/0/dehn/1", [2, 4])
+ZERO_SEED = ("orientation_seed/P", [0, 0])
+
+#: name -> planting of one defect (three for ``three-defects``) into
+#: the banana fixture
+DEFECTS = {
+    "det-4": _put(BAD_MATRIX),
+    "c-zero": _put(("matrices/0", [[1, 1], [0, 1]])),
+    "dehn-not-coprime": _put(BAD_DEHN),
+    "dehn-unknown-vertex": _put(("pieces/0/dehn/5", [1, 0])),
+    "seed-sign-zero": _put(ZERO_SEED),
+    "seed-missing": _put(("orientation_seed", {})),
+    "pairing-reversed": _put(("pairing/0", ["P.c1", "P.c2"])),
+    "piece-id-repeated": _repeat_piece,
+    "piece-id-long": _long_piece_id,
+    "three-defects": _put(BAD_MATRIX, BAD_DEHN, ZERO_SEED),
+}
+
+#: recorded before validation became one rule walk
+DEFECT_GOLDEN = {
+    "det-4 json": (1, "96fe1bcd515cba4072343ec47b21154ff66e70afd52d0402dd17eb0cececc2c3"),
+    "det-4 text": (1, "1a865ce8cc852d0cdfb35c5f0a7e01d501f3634bbcd3d8f38d1bd51672d63513"),
+    "c-zero json": (1, "4e4db0bc503cab89c800a1008cec24769e1a5e8a4d8e92431d81a6c322910213"),
+    "c-zero text": (1, "32533a0f4082efe1383b694bad5b74a45726027a98914cd64acd9be6d7fabdc6"),
+    "dehn-not-coprime json": (1, "80e594bb19a1fa727aa3b276921e04309f9ff035308aef8bc6bf7f781978ed03"),
+    "dehn-not-coprime text": (1, "6610a6b231e448048a3b73445adf536847a5c27bda8cde4446cd803a5e157bf6"),
+    "dehn-unknown-vertex json": (1, "a59a8cf22b82c9e9e609576e85609d66671db3ab4197e4f3d60e9eb8505dea5d"),
+    "dehn-unknown-vertex text": (1, "2a85e0235bbd9cc5abfcd8280f927a910ebd780231f8aef5cc03dd3243fee6bc"),
+    "seed-sign-zero json": (1, "118cc5e5e3f4c06119b7015af7e9f704664cc796cb3876060c35097405214bf7"),
+    "seed-sign-zero text": (1, "e1697afd1aa3fcdd18eed03eb7334c3384beb7b6a242dfd176c3eae7483ac3d6"),
+    "seed-missing json": (1, "62433cf1193b95d6e025b7dd05121c473d3190e44f50ad2c6210e528fcc6ecf0"),
+    "seed-missing text": (1, "1ecc154e410cc3aa311acd3a9bce0148d16020e2dae9b7ef3ffa60dfca896984"),
+    "pairing-reversed json": (1, "ccda075442938e48c7513752268559d41a804f9f49ba0f749c5dcf4c15d95626"),
+    "pairing-reversed text": (1, "b2ac2ef0af0f045b9827ada96871e42e79fb87eb0a2da1ae0e4bd796b465035c"),
+    "piece-id-repeated json": (1, "2188f4ce3d090b3f55e31a6f6c2c5c099362f83bb0ed7722f5de973205d22090"),
+    "piece-id-repeated text": (1, "b09f7934ea14404c17def24a52aaa4dacfd3afb6cbe789d2642ed8d99ef9f0be"),
+    "piece-id-long json": (1, "fa5ce504de00768bbfc9ebc16be69da9df104b4f35d33189b2d7fa0a4617f4a7"),
+    "piece-id-long text": (1, "49055b24c3fad557e2ab92a150aa9e64263b20d3071ab66d0dd61e3538e177ff"),
+    "three-defects json": (1, "5999ecc91f5964b3d59226cc6e69dcc8e7312f5f49802a1534393a456ec7f47b"),
+    "three-defects text": (1, "6e6da81da509114d680c6e896acb241a381ad5045d7251ef3e06c0c42c017a65"),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_failing_report_digest(capsys, tmp_path, defect, fmt):
+    spec = json.loads((FIXTURES / "banana_spec.json").read_text())
+    DEFECTS[defect](spec)
+    path = tmp_path / f"{defect}.json"
+    path.write_text(json.dumps(spec))
+    code = run(["validate", str(path), "--format", fmt])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == DEFECT_GOLDEN[f"{defect} {fmt}"]
 
 
 def _argv(case):

@@ -11,11 +11,21 @@ from spineflow import (EquivalenceMode, EquivalenceWitness, GluingMatrix,
                        InputError, ModelFlowSpec, ModelPiece, negate_seed,
                        normalize_matrix, spec_equivalent, verify_witness)
 from spineflow.fatgraph import induced_face_map
-from spineflow.model import (check_spec, seed_orientation, torus_label,
-                             validate_spec)
+from spineflow.model import (CheckedSpec, check_spec, seed_orientation,
+                             torus_label, validate_spec)
 from test_census import _candidates
 
 MODES = list(EquivalenceMode)
+
+
+def _exact_key(checked: CheckedSpec) -> tuple:
+    """Canonical key of a checked specification under EXACT equivalence
+    without reflection: two keys are equal exactly when ``_search(c1,
+    c2, EXACT, False)`` finds a witness.  It is the piece half of
+    ``_piece_labelings`` and the pair half of ``_least_pairs``."""
+    piece_keys, labelings = equivalence._piece_labelings(checked)
+    return piece_keys, equivalence._least_pairs(
+        labelings, checked.spec.pairing, checked.spec.matrices)
 
 
 def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
@@ -590,7 +600,7 @@ class TestExactKey:
 
     def test_agrees_with_search(self, banana_spec):
         checked = self.spec_set(banana_spec)
-        keys = [equivalence._exact_key(c) for c in checked]
+        keys = [_exact_key(c) for c in checked]
         equivalent = 0
         for (c1, k1), (c2, k2) in itertools.product(zip(checked, keys),
                                                     repeat=2):
@@ -603,5 +613,5 @@ class TestExactKey:
         chain = banana_chain(banana_spec, [2, 3, 2, 3, 2, 3])
         shuffled = ModelFlowSpec(chain.pieces[::-1], chain.pairing[::-1],
                                  chain.matrices[::-1], chain.orientation_seed)
-        assert (equivalence._exact_key(check_spec(chain))
-                == equivalence._exact_key(check_spec(shuffled)))
+        assert (_exact_key(check_spec(chain))
+                == _exact_key(check_spec(shuffled)))

@@ -1,5 +1,7 @@
 """Static checks on the package source: no module imports a name it
-never uses, and every exported name exists."""
+never uses, every exported name exists, and every module-level private
+name is read somewhere in the package (code only tests call belongs
+in the tests)."""
 
 import ast
 import importlib
@@ -52,3 +54,35 @@ def test_every_export_resolves(source):
     assert len(set(exported)) == len(exported)
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing {missing}"
+
+
+def private_names(tree: ast.Module) -> set[str]:
+    """The module-level names bound in ``tree`` with one leading
+    underscore: functions, classes and assignment targets."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere in the module, as a bare name or as an
+    attribute (``module._name``)."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {source.name: ast.parse(source.read_text()) for source in SOURCES}
+    read = set().union(*map(read_names, trees.values()))
+    unread = sorted(f"{name[:-3]}.{private}" for name, tree in trees.items()
+                    for private in private_names(tree) - read)
+    assert not unread, f"private names read by no package code: {unread}"

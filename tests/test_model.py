@@ -4,13 +4,17 @@ from typing import Iterator
 
 import pytest
 
-from spineflow import (ENTRANCE, EXIT, DehnCoefficient, FatGraph, GluingMatrix,
-                       InputError, ModelFlowSpec, ModelPiece,
-                       OrientationConflictError, Spine, is_bipartite,
-                       orientation_classes, propagate_orientations,
-                       seed_orientation, spec_from_json, spec_to_json,
-                       spine_census, unsurgered_piece, validate_piece,
-                       validate_spec)
+import spineflow.model as model
+from chains import banana_chain
+from spineflow import (ENTRANCE, EXIT, DehnCoefficient, EquivalenceWitness,
+                       FatGraph, GluingMatrix, InputError, ModelFlowSpec,
+                       ModelPiece, OrientationConflictError, Spine,
+                       is_bipartite, negate_seed, orientation_classes,
+                       propagate_orientations, seed_orientation,
+                       spec_from_json, spec_to_json, spine_census,
+                       unsurgered_piece, validate_piece, validate_spec,
+                       verify_witness)
+from spineflow.report import ValidationReport
 from spineflow.walks import reachable, two_color
 
 
@@ -341,6 +345,102 @@ class TestValidateSpec:
                     sa = orientation.sign(piece.piece_id, graph.vertex_of[a])
                     sb = orientation.sign(piece.piece_id, graph.vertex_of[b])
                     assert sa * sb == -1
+
+
+class TestOneRuleWalk:
+    """``check_spec`` decides validity on the rule walk without a
+    report: on a valid specification it adds no check and quotes or
+    shortens nothing, and an invalid one is walked with a report once."""
+
+    @staticmethod
+    def specs(banana_spec, necklace_spec):
+        return [banana_spec, necklace_spec] + [
+            banana_chain(banana_spec, [2] * (2 * k)) for k in (2, 4, 6)]
+
+    @staticmethod
+    def count(monkeypatch, owner, name, calls):
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    def test_valid_spec_makes_no_report_text(self, banana_spec, necklace_spec,
+                                             monkeypatch):
+        specs = self.specs(banana_spec, necklace_spec)
+        for spec in specs:
+            for piece in spec.pieces:
+                # cached per spine, and built as a report by validate_spine
+                piece.spine.conditions
+        calls = []
+        self.count(monkeypatch, ValidationReport, "add", calls)
+        self.count(monkeypatch, model, "quote", calls)
+        self.count(monkeypatch, model, "shorten", calls)
+        for spec in specs:
+            assert model.check_spec(spec).signs
+        assert calls == []
+        validate_spec(banana_spec)
+        assert {"add", "quote", "shorten"} <= set(calls)
+
+    def test_invalid_spec_reports_once(self, banana_spec, monkeypatch):
+        spec = ModelFlowSpec(banana_spec.pieces, banana_spec.pairing,
+                             (GluingMatrix(0, 2, 2, 0),) + banana_spec.matrices[1:],
+                             {"P": (0, 0)})
+        calls = []
+        self.count(monkeypatch, model, "validate_spec", calls)
+        with pytest.raises(InputError, match=r"^specification is invalid "
+                           r"\(matrix 0, orientation of piece P\)$"):
+            model.check_spec(spec)
+        assert calls == ["validate_spec"]
+
+
+LONG_ID = "P" * 50_000
+
+
+def long_id_errors(banana_spec):
+    """Each library call that names a piece id in its message, made on
+    the banana fixture with its piece renamed to ``piece_id``."""
+    def rename(piece_id):
+        piece = banana_spec.pieces[0]
+        return ModelFlowSpec(
+            (ModelPiece(piece_id, piece.spine, dict(piece.dehn)),),
+            tuple(((piece_id, src[1]), (piece_id, dst[1]))
+                  for src, dst in banana_spec.pairing),
+            banana_spec.matrices, {piece_id: (0, 1)})
+
+    def unseeded(piece_id):
+        spec = rename(piece_id)
+        seed_orientation(ModelFlowSpec(spec.pieces, spec.pairing,
+                                       spec.matrices, {}))
+
+    def witness(piece_id, darts):
+        spec = rename(piece_id)
+        verify_witness(spec, spec, EquivalenceWitness(
+            {piece_id: piece_id}, {piece_id: darts}))
+
+    return {
+        "seed_orientation": unseeded,
+        "piece": lambda piece_id: rename("Q").piece(piece_id),
+        "negate_seed": lambda piece_id: negate_seed(rename("Q"), piece_id),
+        "dart map domain": lambda piece_id: witness(piece_id, {}),
+        "dart map image": lambda piece_id: witness(
+            piece_id, {d: 1 for d in range(1, 9)}),
+    }
+
+
+@pytest.mark.parametrize("call", ["seed_orientation", "piece", "negate_seed",
+                                  "dart map domain", "dart map image"])
+def test_long_piece_ids_are_quoted_short(banana_spec, call):
+    """A huge piece id is cut by ``quote`` in the message; a short one
+    reads as its ``repr``."""
+    make = long_id_errors(banana_spec)[call]
+    with pytest.raises(InputError) as long_err:
+        make(LONG_ID)
+    assert len(str(long_err.value)) < 200
+    assert "..." in str(long_err.value)
+    with pytest.raises(InputError, match=" piece 'R'( |$)"):
+        make("R")
 
 
 class TestSerialization:
