@@ -61,7 +61,7 @@ class EquivalenceMode(enum.Enum):
         for mode in cls:
             if mode.value == text:
                 return mode
-        raise InputError(f"unknown mode {text!r}; expected one of "
+        raise InputError(f"unknown mode {quote(text)}; expected one of "
                          + ", ".join(m.value for m in cls))
 
 
@@ -235,33 +235,16 @@ def _link_counts(spec: ModelFlowSpec, pieces) -> list[list[int]]:
     return links
 
 
-def _piece_maps(k: int, fits, perm: tuple[int, ...] = ()):
-    """Piece bijections as index tuples, in ``itertools.permutations``
-    order, skipping every extension ``fits(perm, j)`` rejects."""
-    if len(perm) == k:
-        yield perm
+def _choices(options, fits, prefix: tuple = ()):
+    """Every choice of one entry per list of ``options``, in
+    ``itertools.product`` order, skipping every extension of a prefix
+    by an entry that ``fits(prefix, entry)`` rejects."""
+    if len(prefix) == len(options):
+        yield prefix
         return
-    for j in range(k):
-        if j not in perm and fits(perm, j):
-            yield from _piece_maps(k, fits, perm + (j,))
-
-
-def _first_combo(options, checks_at, pair_fits, combo: tuple = ()
-                 ) -> Optional[tuple]:
-    """First choice of one entry per list of ``options``, in
-    ``itertools.product`` order, with ``pair_fits(combo, n)`` true for
-    every pair ``n`` in ``checks_at[depth]`` of every depth.  The pairs
-    of a depth are tested as soon as its entry is chosen."""
-    depth = len(combo)
-    if depth == len(options):
-        return combo
-    for option in options[depth]:
-        extended = combo + (option,)
-        if all(pair_fits(extended, n) for n in checks_at[depth]):
-            found = _first_combo(options, checks_at, pair_fits, extended)
-            if found is not None:
-                return found
-    return None
+    for entry in options[len(prefix)]:
+        if fits(prefix, entry):
+            yield from _choices(options, fits, prefix + (entry,))
 
 
 def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
@@ -281,8 +264,10 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     piece, in the order ``iter_isomorphisms_tagged`` lists them, and
     checks each pair of s1 (its image must be a pair of s2 and its
     matrix must match under the mode's moves) as soon as the later of
-    its two pieces is placed.  Dart bijections with their face maps
-    and matrix matches are computed once per call and form the witness.
+    its two pieces is placed.  Both searches are one pruned walk,
+    ``_choices``, over different lists and tests.  Dart bijections with
+    their face maps and matrix matches are computed once per call and
+    form the witness.
 
     Pruning only removes choices that cannot be completed, so the first
     witness is the one an exhaustive run over all piece permutations,
@@ -304,7 +289,12 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     and orbit orientations.  Pieces with equal spines share one object
     after ``spec_from_json``, so a chain of k alike pieces lists one
     spine pair instead of up to k^2 piece pairs.  Nothing is kept
-    between calls."""
+    between calls.
+
+    ``_choices`` walks both levels: piece maps are its choices from k
+    copies of ``range(k)``, pruned by ``piece_fits``, and the dart maps
+    of a piece map are its first choice from the pieces' isomorphism
+    lists, pruned by the pairs each new piece completes."""
     s1, s2 = c1.spec, c2.spec
     if len(s1.pieces) != len(s2.pieces):
         return None
@@ -317,43 +307,44 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     candidates: dict[tuple[int, int], list] = {}
 
     def isomorphisms(i: int, j: int) -> list:
-        """(sigma, reflect, boundary cycle -> image torus) for the dart
-        bijections pieces1[i] -> pieces2[j]."""
+        """(sigma, reflect, boundary cycle -> boundary cycle) for the
+        dart bijections pieces1[i] -> pieces2[j]."""
         if (i, j) not in candidates:
             p1, p2 = pieces1[i], pieces2[j]
             spines = (id(p1.spine), id(p2.spine))
             if spines not in by_spines:
                 by_spines[spines] = list(iter_isomorphisms_tagged(
                     p1.spine, p2.spine, allow_reflection))
-            candidates[(i, j)] = [
-                (sigma, reflect,
-                 {f: (p2.piece_id, g) for f, g in faces.items()})
-                for sigma, reflect, faces in _piece_isomorphisms(
-                    p1, c1.signs[p1.piece_id], p2, c2.signs[p2.piece_id],
-                    by_spines[spines])]
+            candidates[(i, j)] = _piece_isomorphisms(
+                p1, c1.signs[p1.piece_id], p2, c2.signs[p2.piece_id],
+                by_spines[spines])
         return candidates[(i, j)]
 
     def piece_fits(perm: tuple[int, ...], j: int) -> bool:
-        i = len(perm)
-        if links1[i][i] != links2[j][j]:
+        if j in perm:
             return False
+        i = len(perm)
         if any(links1[i][a] != links2[j][b] or links1[a][i] != links2[b][j]
-               for a, b in enumerate(perm)):
+               for a, b in enumerate(perm + (j,))):
             return False
         return bool(isomorphisms(i, j))
 
     index1 = {p.piece_id: i for i, p in enumerate(pieces1)}
+    ends1 = [[(index1[piece], face) for piece, face in pair]
+             for pair in s1.pairing]
     checks_at: list[list[int]] = [[] for _ in pieces1]
-    for n, ((src_piece, _), (dst_piece, _)) in enumerate(s1.pairing):
-        checks_at[max(index1[src_piece], index1[dst_piece])].append(n)
+    for n, ((i, _), (j, _)) in enumerate(ends1):
+        checks_at[max(i, j)].append(n)
     matches: dict[tuple[int, int], Optional[tuple]] = {}
 
-    def pair_match(combo: tuple, n: int) -> Optional[tuple]:
-        """Matrix factors from pair n of s1 to its image under ``combo``,
-        or None.  Face maps keep colors, so the image is a pair of s2
-        exactly when its two tori have the same pair index there."""
-        src, dst = (combo[index1[piece]][2][face]
-                    for piece, face in s1.pairing[n])
+    def pair_match(perm: tuple[int, ...], combo: tuple, n: int
+                   ) -> Optional[tuple]:
+        """Matrix factors from pair n of s1 to its image under ``perm``
+        and ``combo``, or None.  Face maps keep colors, so the image is
+        a pair of s2 exactly when its two tori have the same pair index
+        there."""
+        src, dst = ((pieces2[perm[i]].piece_id, combo[i][2][face])
+                    for i, face in ends1[n])
         k2 = c2.pair_of[src]
         if c2.pair_of[dst] != k2:
             return None
@@ -362,13 +353,16 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
                                                s2.matrices[k2], mode)
         return matches[(n, k2)]
 
-    for perm in _piece_maps(len(pieces1), piece_fits):
-        combo = _first_combo(
-            [isomorphisms(i, j) for i, j in enumerate(perm)], checks_at,
-            lambda partial, n: pair_match(partial, n) is not None)
+    k = len(pieces1)
+    for perm in _choices([range(k)] * k, piece_fits):
+        combo = next(_choices(
+            [isomorphisms(i, j) for i, j in enumerate(perm)],
+            lambda prefix, iso: all(
+                pair_match(perm, prefix + (iso,), n) is not None
+                for n in checks_at[len(prefix)])), None)
         if combo is None:
             continue
-        found = [pair_match(combo, n) for n in range(len(s1.pairing))]
+        found = [pair_match(perm, combo, n) for n in range(len(s1.pairing))]
         basis_signs: dict[str, tuple[int, int]] = {}
         for (src, dst), (signs_in, signs_out, _) in zip(s1.pairing, found):
             basis_signs[torus_label(dst)] = signs_in

@@ -77,7 +77,7 @@ class FatGraph:
             if (len(pair) != 2 or pair[0] == pair[1]
                     or any(type(d) is not int for d in pair)):
                 raise PairingError(
-                    f"edge pair {pair!r} is not two distinct integer darts")
+                    f"edge pair {quote(pair)} is not two distinct integer darts")
             a, b = pair
             for x, y in ((a, b), (b, a)):
                 if x in involution:
@@ -334,18 +334,16 @@ def surface_invariants(graph: FatGraph) -> SurfaceInvariants:
     return SurfaceInvariants(v, e, b, chi, twog // 2)
 
 
-def validate_spine(graph: FatGraph, colors: dict[int, str],
-                   report: Optional[ValidationReport] = None
+def validate_spine(graph: FatGraph, colors: dict[int, str]
                    ) -> ValidationReport:
-    """Check the four spine conditions plus the genus sanity check,
-    adding them to ``report`` (a new one by default), which is returned.
+    """A new report of the four spine conditions plus the genus sanity
+    check.
 
     The coloring must be total on the boundary cycles (``InputError``
     otherwise); a failing condition is reported, not raised.
     """
     _check_colors_total(graph, colors)
-    if report is None:
-        report = ValidationReport()
+    report = ValidationReport()
 
     report.add("condition 1 (connected)", graph.is_connected())
 

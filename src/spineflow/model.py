@@ -158,16 +158,12 @@ class OrientationAssignment:
 # operations
 # ----------------------------------------------------------------------
 
-def validate_piece(piece: ModelPiece,
-                   report: Optional[ValidationReport] = None
-                   ) -> ValidationReport:
-    """The piece part of the rule walk that ``validate_spec`` runs: the
-    spine's cached ``Spine.conditions`` under the prefix ``spine ``,
-    then the Dehn coefficients total, then one check per coefficient.
-    They are added to ``report`` (a new one by default), which is
-    returned."""
-    if report is None:
-        report = ValidationReport()
+def validate_piece(piece: ModelPiece) -> ValidationReport:
+    """A new report of the piece part of the rule walk that
+    ``validate_spec`` runs: the spine's cached ``Spine.conditions``
+    under the prefix ``spine ``, then the Dehn coefficients total, then
+    one check per coefficient."""
+    report = ValidationReport()
     _piece_rules(piece, report)
     return report
 

@@ -1,4 +1,7 @@
+import collections
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -580,6 +583,82 @@ def test_repeated_chain_decision_walks_nothing(banana_spec, monkeypatch):
     again = spec_equivalent(chain, copy, EquivalenceMode.EXACT)
     assert again.to_json() == first.to_json()
     assert walks == []
+
+
+def test_chain_search_is_pinned(banana_spec, monkeypatch):
+    """Chains with k = 2..6 pieces, with distinct and with equal
+    matrices, against a moved copy (pieces renamed cyclically), its
+    seed negation and the copy with one changed matrix, in every mode
+    with and without reflection: the witnesses, and how many matrix
+    matches, isomorphism listings and piece-pair filters the search
+    makes, are the ones recorded when each level of the search had a
+    walk of its own."""
+    calls = collections.Counter()
+    for name in ("_match_matrices", "iter_isomorphisms_tagged",
+                 "_piece_isomorphisms"):
+        def counting(*args, real=getattr(equivalence, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(equivalence, name, counting)
+    witnesses = []
+    for k in range(2, 7):
+        for cs in (list(range(2, 2 + 2 * k)), [2] * (2 * k)):
+            chain = banana_chain(banana_spec, cs)
+            for mode in MODES:
+                copy = moved_chain(chain, mode, shift=1)
+                changed = ModelFlowSpec(
+                    copy.pieces, copy.pairing,
+                    (GluingMatrix(1, 0, 99, 1),) + copy.matrices[1:],
+                    copy.orientation_seed)
+                for target in (copy, negate_seed(copy, "D0"), changed):
+                    for allow_reflection in (False, True):
+                        found = spec_equivalent(chain, target, mode,
+                                                allow_reflection)
+                        witnesses.append(found and found.to_json())
+    digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
+    assert sum(w is not None for w in witnesses) == 90
+    assert digest == ("79b3f53e9f1a5e5a9d4b77a8389fdeb8"
+                      "a154de18582f185d4ab356c96d9e9569")
+    assert calls == {"_match_matrices": 3585,
+                     "iter_isomorphisms_tagged": 180,
+                     "_piece_isomorphisms": 2160}
+
+
+class TestChoices:
+    """``_choices`` is ``itertools.product`` filtered by a prefix-closed
+    predicate: same entries, same order."""
+
+    def test_matches_filtered_product(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            options = [list(range(rng.randrange(4)))
+                       for _ in range(rng.randrange(5))]
+            verdicts: dict[tuple, bool] = {}
+
+            def fits(prefix, entry):
+                return verdicts.setdefault(prefix + (entry,),
+                                           rng.random() < 0.7)
+
+            found = list(equivalence._choices(options, fits))
+            expected = [t for t in itertools.product(*options)
+                        if all(fits(t[:m], t[m]) for m in range(len(t)))]
+            assert found == expected
+
+    def test_no_lists_yield_the_empty_choice_once(self):
+        only = list(equivalence._choices([], lambda prefix, entry: True))
+        assert only == [()]
+
+    def test_an_empty_list_yields_nothing(self):
+        options = [[0, 1], [], [0, 1]]
+        assert list(equivalence._choices(options,
+                                         lambda prefix, entry: True)) == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_specifications_are_equivalent(self, mode):
+        empty = ModelFlowSpec((), (), (), {})
+        for allow_reflection in (False, True):
+            found = spec_equivalent(empty, empty, mode, allow_reflection)
+            assert found == EquivalenceWitness({}, {})
 
 
 class TestExactKey:

@@ -1,7 +1,8 @@
 import pytest
 
-from spineflow import InputError
+from spineflow import EquivalenceMode, FatGraph, InputError
 from spineflow.errors import conform, pointer_token, quote, read_index
+from spineflow.fatgraph import PairingError
 
 
 class TestReadIndex:
@@ -51,6 +52,29 @@ class TestQuote:
     def test_long_values_are_cut(self, value):
         assert len(quote(value)) < 1000
         assert "..." in quote(value)
+
+
+class TestLibraryMessages:
+    """Library calls quote the input they reject: a huge value never
+    makes a huge message, and a short one reads as before."""
+
+    def test_unknown_mode(self):
+        with pytest.raises(InputError) as huge:
+            EquivalenceMode.parse("x" * 50_000)
+        assert len(str(huge.value)) < 200
+        with pytest.raises(InputError) as short:
+            EquivalenceMode.parse("exact2")
+        assert str(short.value) == ("unknown mode 'exact2'; expected one of "
+                                    "exact, isotopy, isotopy-with-twists")
+
+    def test_bad_edge_pair(self):
+        with pytest.raises(PairingError) as huge:
+            FatGraph([[1, 2]], [tuple(range(1, 100_001))])
+        assert len(str(huge.value)) < 200
+        with pytest.raises(PairingError) as short:
+            FatGraph([[1, 2]], [(1, 1)])
+        assert str(short.value) == ("edge pair (1, 1) is not two distinct "
+                                    "integer darts")
 
 
 class TestPointerEscape:
