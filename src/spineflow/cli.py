@@ -73,8 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
+        if "\r" in text:
+            # the newlines of text mode, which error positions count in
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except OSError as err:
         raise InputError(f"{path}: {err.strerror or err}") from err
     except json.JSONDecodeError as err:
@@ -96,52 +100,60 @@ def _json_text(value, out: list, newline: str = "\n") -> None:
     to ``out``.  With an indent the standard library runs its
     pure-Python encoder; this writer covers only the payload types
     (dicts with string keys, lists and tuples, strings, integers,
-    booleans and None) and raises ``TypeError`` on anything else."""
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, str):
+    booleans and None) and raises ``TypeError`` on anything else.  It
+    tests the exact types of the payload first, and writes an array of
+    strings or integers in one join."""
+    kind = type(value)
+    if kind is str:
         out.append(encode_basestring_ascii(value))
-    elif isinstance(value, (list, tuple)):
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict or kind is list or kind is tuple:
         if not value:
-            out.append("[]")
+            out.append("{}" if kind is dict else "[]")
             return
         inner = newline + "  "
+        if kind is dict:
+            out.append("{")
+            for i, key in enumerate(sorted(value)):
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be strings, got {key!r}")
+                out.append((inner if i == 0 else "," + inner)
+                           + encode_basestring_ascii(key) + ": ")
+                _json_text(value[key], out, inner)
+            out.append(newline + "}")
+            return
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {int}:
+            out.append("[" + inner + ("," + inner).join(map(
+                encode_basestring_ascii if kinds == {str} else int.__repr__, value))
+                + newline + "]")
+            return
         out.append("[")
         for i, item in enumerate(value):
             out.append(inner if i == 0 else "," + inner)
             _json_text(item, out, inner)
         out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append((inner if i == 0 else "," + inner)
-                       + encode_basestring_ascii(key) + ": ")
-            _json_text(value[key], out, inner)
-        out.append(newline + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
     else:
         raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 def _emit(payload: dict, text_lines, fmt: str) -> None:
+    """Write ``payload`` as JSON, or for ``--format text`` the lines
+    that the callable ``text_lines`` returns; it runs only then."""
     if fmt == "json":
         out: list[str] = []
         _json_text(payload, out)
         out.append("\n")
         sys.stdout.write("".join(out))
     else:
-        for line in text_lines:
+        for line in text_lines():
             sys.stdout.write(line + "\n")
 
 
@@ -164,31 +176,28 @@ def _dispatch(args) -> int:
     if args.command == "validate":
         spec = _load_spec(args.spec)
         report = validate_spec(spec)
-        _emit(report.to_json(), report.lines(), args.format)
+        _emit(report.to_json(), report.lines, args.format)
         return 0 if report.passed else 1
 
     if args.command == "build-graph":
         graph = build_flow_graph(_load_spec(args.spec))
         _emit(flow_graph_to_json(graph),
-              flow_graph_to_edge_text(graph).splitlines(), args.format)
+              lambda: flow_graph_to_edge_text(graph).splitlines(), args.format)
         return 0
 
     if args.command == "transitive":
         graph = build_flow_graph(_load_spec(args.spec))
         verdict = is_transitive(graph)
         _emit({"transitive": verdict},
-              [f"transitive: {str(verdict).lower()}"], args.format)
+              lambda: [f"transitive: {str(verdict).lower()}"], args.format)
         return 0 if verdict else 1
 
     if args.command == "orient":
         count, reps = orientation_classes(_load_spec(args.spec))
         payload = {"count": count, "classes": [rep.to_json() for rep in reps]}
-        lines = [f"count: {count}"]
-        for rep in reps:
-            flat = " ".join(f"{pid}.v{v}={s:+d}"
-                            for (pid, v), s in sorted(rep.signs.items()))
-            lines.append(flat)
-        _emit(payload, lines, args.format)
+        _emit(payload, lambda: [f"count: {count}"] + [
+            " ".join(f"{pid}.v{v}={s:+d}" for (pid, v), s in sorted(rep.signs.items()))
+            for rep in reps], args.format)
         return 0
 
     if args.command == "equiv":
@@ -199,11 +208,11 @@ def _dispatch(args) -> int:
                                   allow_reflection=args.allow_reflection)
         if witness is None:
             _emit({"equivalent": False, "mode": mode.value},
-                  ["inequivalent"], args.format)
+                  lambda: ["inequivalent"], args.format)
             return 1
         _emit({"equivalent": True, "mode": mode.value,
                "witness": witness.to_json()},
-              ["equivalent"], args.format)
+              lambda: ["equivalent"], args.format)
         return 0
 
     if args.command == "itinerary":
@@ -211,17 +220,15 @@ def _dispatch(args) -> int:
         word = ItineraryWord.from_json(_load_json(args.word), path=args.word)
         verdict = validate_itinerary(graph, word, path=args.word)
         _emit({"realizable": verdict},
-              [f"realizable: {str(verdict).lower()}"], args.format)
+              lambda: [f"realizable: {str(verdict).lower()}"], args.format)
         return 0 if verdict else 1
 
     if args.command == "census":
         spines = spine_census(args.max_edges)
         payload = {"count": len(spines),
                    "spines": [spine_to_json(s) for s in spines]}
-        lines = [f"count: {len(spines)}"]
-        for s in spines:
-            lines.append(json.dumps(spine_to_json(s), sort_keys=True))
-        _emit(payload, lines, args.format)
+        _emit(payload, lambda: [f"count: {len(spines)}"] + [
+            json.dumps(s, sort_keys=True) for s in payload["spines"]], args.format)
         return 0
 
     if args.command == "periodic":
@@ -230,9 +237,8 @@ def _dispatch(args) -> int:
         counts = word_counts(words)
         payload = {"counts": {str(k): v for k, v in counts.items()},
                    "words": [list(w.cycle) for w in words]}
-        lines = [f"length {k}: {v}" for k, v in counts.items()]
-        lines += [" ".join(w.cycle) for w in words]
-        _emit(payload, lines, args.format)
+        _emit(payload, lambda: [f"length {k}: {v}" for k, v in counts.items()]
+              + [" ".join(w.cycle) for w in words], args.format)
         return 0
 
     if args.command == "normalize-matrix":
@@ -240,7 +246,7 @@ def _dispatch(args) -> int:
         matrix = GluingMatrix.from_rows(rows, path=args.matrix)
         normal = normalize_matrix(matrix)
         _emit({"normalized": normal.rows()},
-              [json.dumps(normal.rows())], args.format)
+              lambda: [json.dumps(normal.rows())], args.format)
         return 0
 
     raise InputError(f"unknown command {args.command!r}")

@@ -16,10 +16,14 @@ the deepest wrong value: a string among a spine's edge pairs is
 reported at the entry, not at the array; its keys are escaped by
 ``pointer_token`` and its value quoted by ``quote``.  Readers then
 build their objects with no type tests, so shape errors come first.
+Arrays of leaves, of leaf arrays and of two-leaf entries, and the index
+keys of a table, are tested in bulk; the walk goes entry by entry only
+to name a wrong value.
 """
 
+import re
 import reprlib
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from typing import NamedTuple
 
 
@@ -151,17 +155,17 @@ def _walk(value, shape) -> None:
     elif kind is list:
         if type(value) is not list:
             raise _Mismatch("expected an array")
-        if type(shape[0]) is type and set(map(type, value)) <= {shape[0]}:
-            return  # leaves are tested without a call per entry
+        if _all_fit(value, shape[0]):
+            return
         entries = zip(count(), value, repeat(shape[0]))
     elif type(value) is not dict:
         raise _Mismatch("expected an object")
     elif kind is Table:
-        if shape.keys is int:
+        if shape.keys is int and not _all_indices(value):
             for key in value:
                 _index(key, key)
         inner = shape.values
-        if type(inner) is type and set(map(type, value.values())) <= {inner}:
+        if _all_fit(value.values(), inner):
             return
         entries = zip(value, value.values(), repeat(inner))
     else:
@@ -173,7 +177,8 @@ def _walk(value, shape) -> None:
                 member = member.shape
             elif key not in value:
                 raise _Mismatch("missing", key)
-            entries.append((key, value[key], member))
+            if member is not None and type(value[key]) is not member:
+                entries.append((key, value[key], member))  # not a right leaf
     key = None
     try:
         for key, item, inner in entries:
@@ -181,6 +186,40 @@ def _walk(value, shape) -> None:
     except _Mismatch as wrong:
         wrong.keys.append(key)
         raise
+
+
+def _all_fit(values, shape) -> bool:
+    """Whether every entry of ``values`` has ``shape``, tested with no
+    call per entry: the shape is a leaf type, or arrays (of two alike
+    entries, for a pair) whose entries, pooled, fit in turn.  So one
+    expression tests the two-leaf entries of a spine's edges or the
+    leaf arrays of its rotation, and one more the rows of a matrix.
+    False for any other shape and whenever an entry is wrong; ``_walk``
+    then goes entry by entry to name it."""
+    kind = type(shape)
+    if kind is type:
+        return {shape}.issuperset(map(type, values))
+    if kind is not list and (kind is not tuple or shape[0] != shape[1]):
+        return False
+    if not _LIST.issuperset(map(type, values)) or (
+            kind is tuple and not _TWO.issuperset(map(len, values))):
+        return False
+    entries = chain.from_iterable(values)
+    if type(shape[0]) is type:
+        return {shape[0]}.issuperset(map(type, entries))
+    return _all_fit(list(entries), shape[0])
+
+
+_LIST, _TWO, _STR = frozenset({list}), frozenset({2}), frozenset({str})
+#: a canonical decimal index of at most 639 digits, which ``int``
+#: reads under any digit limit (Python allows none below 640)
+_INDEX = re.compile(r"0|[1-9][0-9]{0,638}")
+
+
+def _all_indices(table: dict) -> bool:
+    """Whether every key of ``table`` is a string that ``_index``
+    reads, tested in one expression."""
+    return _STR.issuperset(map(type, table)) and all(map(_INDEX.fullmatch, table))
 
 
 def _index(value, *keys) -> int:

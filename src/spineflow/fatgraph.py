@@ -21,8 +21,8 @@ cycles by ``ENTRANCE`` / ``EXIT``.  The spine conditions are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .errors import (CapacityError, InputError, OrientabilityError,
@@ -36,6 +36,8 @@ COLORS = (ENTRANCE, EXIT)
 
 #: largest edge count the exhaustive spine census will attempt
 MAX_CENSUS_EDGES = 9
+
+_INT, _TWO = frozenset({int}), frozenset({2})
 
 
 class PairingError(StructureError):
@@ -72,17 +74,13 @@ class FatGraph:
                 rotation[d] = dnext
         self.rotation: dict[int, int] = rotation
 
-        involution: dict[int, int] = {}
-        for pair in pairs:
-            if (len(pair) != 2 or pair[0] == pair[1]
-                    or any(type(d) is not int for d in pair)):
-                raise PairingError(
-                    f"edge pair {quote(pair)} is not two distinct integer darts")
-            a, b = pair
-            for x, y in ((a, b), (b, a)):
-                if x in involution:
-                    raise PairingError(f"dart {x} appears in two edges")
-                involution[x] = y
+        ends = list(chain.from_iterable(pairs))
+        if (_TWO.issuperset(map(len, pairs)) and _INT.issuperset(map(type, ends))
+                and len(set(ends)) == len(ends)):
+            # two distinct integer darts per pair, and no dart in two
+            involution = dict(zip(ends, chain.from_iterable(map(reversed, pairs))))
+        else:
+            involution = _involution(pairs)
         if set(involution) != set(self.darts):
             missing = sorted(set(self.darts) ^ set(involution))
             raise PairingError(f"edge pairing does not match darts: {missing}")
@@ -95,9 +93,14 @@ class FatGraph:
             sorted(tuple(sorted(p)) for p in pairs))
         self.vertex_of: dict[int, int] = {
             d: i for i, c in enumerate(self.vertices) for d in c}
+        # tables built on first use; each is set here, not by a cached
+        # property, so every graph keeps one attribute layout
         self._faces: Optional[tuple[tuple[int, ...], ...]] = None
         self._face_of: Optional[dict[int, int]] = None
         self._code_tables: list[Optional[dict]] = [None, None]
+        self._inverse_rotation: Optional[dict[int, int]] = None
+        self._least_walk: Optional[tuple[tuple[int, ...], list[int]]] = None
+        self._vertex_runs: Optional[tuple[tuple, Optional[int]]] = None
 
     # -- basic queries -------------------------------------------------
 
@@ -114,21 +117,31 @@ class FatGraph:
 
     def is_connected(self) -> bool:
         """True when the darts form a single orbit under rotation and
-        involution, i.e. the underlying graph is connected: the
-        ``least_walk`` reaches every dart."""
+        involution, i.e. the underlying graph is connected: the first
+        run of ``vertex_sides`` reaches every vertex, or, when it
+        stopped at an odd cycle, the ``least_walk`` reaches every
+        dart."""
+        sides, odd_cycle = self.vertex_sides[0]
+        if odd_cycle is None:
+            return len(sides) == len(self.vertices)
         return len(self.least_walk[1]) == len(self.darts)
 
-    @cached_property
+    @property
     def inverse_rotation(self) -> dict[int, int]:
         """Dart -> the dart before it around its vertex.  Built on first
         use; callers must not mutate it."""
-        return {v: k for k, v in self.rotation.items()}
+        if self._inverse_rotation is None:
+            self._inverse_rotation = {v: k for k, v in self.rotation.items()}
+        return self._inverse_rotation
 
-    @cached_property
+    @property
     def least_walk(self) -> tuple[tuple[int, ...], list[int]]:
         """``_map_code`` from the least dart.  Built on first use;
         callers must not mutate the order."""
-        return _map_code(self.rotation, self.involution, self.darts[0])
+        if self._least_walk is None:
+            self._least_walk = _map_code(self.rotation, self.involution,
+                                         self.darts[0])
+        return self._least_walk
 
     def code_table(self, reflect: bool = False
                    ) -> dict[tuple[int, ...], list[list[int]]]:
@@ -181,32 +194,33 @@ class FatGraph:
         reached, on one adjacency entry per edge end in edge order.  A
         run stops at an odd cycle, so its component may take several.
         Built on first use, with ``loop_vertex``."""
-        return self._vertex_tables[0]
+        return self._vertex_tables()[0]
 
     @property
     def loop_vertex(self) -> Optional[int]:
         """The vertex of the first loop edge in edge order, or None when
         no edge joins a vertex to itself.  Built on first use, with
         ``vertex_sides``."""
-        return self._vertex_tables[1]
+        return self._vertex_tables()[1]
 
-    @cached_property
     def _vertex_tables(self) -> tuple[tuple, Optional[int]]:
-        neighbors: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        loop = None
-        for a, b in self.edges:
-            va, vb = self.vertex_of[a], self.vertex_of[b]
-            if va == vb and loop is None:
-                loop = va
-            neighbors[va].append(vb)
-            neighbors[vb].append(va)
-        runs: list = [None] * self.vertex_count
-        for root in range(self.vertex_count):
-            if runs[root] is None:
-                run = two_color(root, neighbors)
-                for v in run[0]:
-                    runs[v] = runs[v] or run
-        return tuple(runs), loop
+        if self._vertex_runs is None:
+            neighbors: list[list[int]] = [[] for _ in range(self.vertex_count)]
+            loop = None
+            for a, b in self.edges:
+                va, vb = self.vertex_of[a], self.vertex_of[b]
+                if va == vb and loop is None:
+                    loop = va
+                neighbors[va].append(vb)
+                neighbors[vb].append(va)
+            runs: list = [None] * self.vertex_count
+            for root in range(self.vertex_count):
+                if runs[root] is None:
+                    run = two_color(root, neighbors)
+                    for v in run[0]:
+                        runs[v] = runs[v] or run
+            self._vertex_runs = tuple(runs), loop
+        return self._vertex_runs
 
     def relabeled(self, mapping: dict[int, int]) -> "FatGraph":
         """Copy of the graph with every dart ``d`` renamed ``mapping[d]``."""
@@ -233,6 +247,24 @@ class FatGraph:
         return f"FatGraph(({cycles}), {len(self.edges)} edges)"
 
 
+def _involution(pairs: list[tuple]) -> dict[int, int]:
+    """The edge involution of ``pairs``, or ``PairingError`` at the
+    first pair that is not two distinct integer darts or that repeats a
+    dart."""
+    involution: dict[int, int] = {}
+    for pair in pairs:
+        if (len(pair) != 2 or pair[0] == pair[1]
+                or any(type(d) is not int for d in pair)):
+            raise PairingError(
+                f"edge pair {quote(pair)} is not two distinct integer darts")
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            if x in involution:
+                raise PairingError(f"dart {x} appears in two edges")
+            involution[x] = y
+    return involution
+
+
 def _rotate_min(cycle: tuple[int, ...]) -> tuple[int, ...]:
     i = cycle.index(min(cycle))
     return cycle[i:] + cycle[:i]
@@ -247,26 +279,31 @@ class Spine:
 
     graph: FatGraph
     colors: dict[int, str]
-
-    @cached_property
-    def _boundary_table(self) -> dict[str, tuple[int, ...]]:
-        """Color -> the sorted ids of its boundary cycles."""
-        ids = sorted(self.colors)
-        return {color: tuple(i for i in ids if self.colors[i] == color)
-                for color in COLORS}
+    # kept once computed; fields, not cached properties, so that every
+    # spine keeps one attribute layout, as every FatGraph does
+    _checks: Optional[tuple[Check, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _boundary_table: Optional[dict[str, tuple[int, ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def boundary_ids(self, color: str) -> list[int]:
         """The sorted ids of the boundary cycles of ``color``, as a new
         list."""
+        if self._boundary_table is None:
+            ids = sorted(self.colors)
+            object.__setattr__(self, "_boundary_table", {
+                c: tuple(i for i in ids if self.colors[i] == c) for c in COLORS})
         return list(self._boundary_table.get(color, ()))
 
-    @cached_property
+    @property
     def conditions(self) -> tuple[Check, ...]:
         """The checks of ``validate_spine`` on this spine, in its order.
         Computed on first use and kept, so a spine shared by pieces and
         by repeated validations is checked once; a coloring that is not
         total raises ``InputError`` at every use."""
-        return tuple(validate_spine(self.graph, self.colors).checks)
+        if self._checks is None:
+            object.__setattr__(self, "_checks", _conditions(self.graph, self.colors))
+        return self._checks
 
     def relabeled(self, mapping: dict[int, int]) -> "Spine":
         graph = self.graph.relabeled(mapping)
@@ -342,32 +379,36 @@ def validate_spine(graph: FatGraph, colors: dict[int, str]
     The coloring must be total on the boundary cycles (``InputError``
     otherwise); a failing condition is reported, not raised.
     """
+    return ValidationReport(list(_conditions(graph, colors)))
+
+
+def _conditions(graph: FatGraph, colors: dict[int, str]) -> tuple[Check, ...]:
+    """The checks of ``validate_spine`` as a tuple, once the coloring
+    is found total (``InputError`` otherwise); ``Spine.conditions``
+    keeps them."""
     _check_colors_total(graph, colors)
-    report = ValidationReport()
-
-    report.add("condition 1 (connected)", graph.is_connected())
-
+    faces = graph.boundary_cycles()
     odd_vertices = [i for i, c in enumerate(graph.vertices) if len(c) % 2]
-    report.add("condition 2 (even valences)", not odd_vertices,
-               f"odd vertices {odd_vertices}" if odd_vertices else "")
-
     face_of = graph.face_of()
     bad_edges = [i for i, (a, b) in enumerate(graph.edges)
                  if colors[face_of[a]] == colors[face_of[b]]]
-    report.add("condition 3 (sides alternate colors)", not bad_edges,
-               f"edges with equal-colored sides {bad_edges}" if bad_edges else "")
-
-    odd_faces = [i for i, c in enumerate(graph.boundary_cycles()) if len(c) % 2]
-    report.add("condition 4 (even boundary cycles)", not odd_faces,
-               f"odd boundary cycles {odd_faces}" if odd_faces else "")
-
+    odd_faces = [i for i, c in enumerate(faces) if len(c) % 2]
     try:
-        inv = surface_invariants(graph)
-        report.add("surface (nonnegative integer genus)", inv.genus >= 0,
-                   f"genus {inv.genus}")
+        genus = surface_invariants(graph).genus
+        surface = Check("surface (nonnegative integer genus)", genus >= 0,
+                        f"genus {genus}")
     except OrientabilityError as err:
-        report.add("surface (nonnegative integer genus)", False, str(err))
-    return report
+        surface = Check("surface (nonnegative integer genus)", False, str(err))
+    return (
+        Check("condition 1 (connected)", graph.is_connected()),
+        Check("condition 2 (even valences)", not odd_vertices,
+              f"odd vertices {odd_vertices}" if odd_vertices else ""),
+        Check("condition 3 (sides alternate colors)", not bad_edges,
+              f"edges with equal-colored sides {bad_edges}" if bad_edges else ""),
+        Check("condition 4 (even boundary cycles)", not odd_faces,
+              f"odd boundary cycles {odd_faces}" if odd_faces else ""),
+        surface,
+    )
 
 
 def is_bipartite(graph: FatGraph) -> bool:
@@ -697,6 +738,11 @@ SPINE_SHAPE = {"darts": [int], "rotation": [[int]], "edges": [(int, int)],
 
 def spine_from_json(obj, path: str = "") -> Spine:
     conform(obj, SPINE_SHAPE, path)
+    return _spine_from_conformed(obj, path)
+
+
+def _spine_from_conformed(obj, path: str) -> Spine:
+    """``spine_from_json`` of ``obj``, which has ``SPINE_SHAPE``."""
     try:
         graph = FatGraph(obj["rotation"], obj["edges"])
     except PairingError as err:

@@ -24,7 +24,8 @@ from typing import Optional
 
 from .errors import (InputError, Opt, OrientationConflictError, Table,
                      conform, pointer_token, quote, read_index, shorten)
-from .fatgraph import ENTRANCE, EXIT, Spine, spine_from_json, spine_to_json
+from .fatgraph import (ENTRANCE, EXIT, SPINE_SHAPE, Spine, _spine_from_conformed,
+                       spine_to_json)
 from .report import ValidationReport
 
 #: boundary torus id: (piece id, boundary cycle index)
@@ -409,27 +410,47 @@ SPEC_SHAPE = {
 
 
 def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
+    """The specification that ``obj`` writes, or ``InputError`` at the
+    JSON pointer under ``path`` of its first malformed value.
+
+    Pieces with equal spines share one ``Spine``, and so one fat graph,
+    one set of walk tables and one check of the spine conditions.  A
+    spine written with the same text as an earlier one is not read
+    again: it is found by its text, after its shape is conformed.  Only
+    a new text is built, and it is then shared with an earlier spine of
+    the same fat graph and coloring.  Nothing is kept between calls."""
     conform(obj, SPEC_SHAPE, path)
     if "bases" in obj:
         raise InputError(f"{path}/bases: not part of the format; the "
                          "matrices are written in the torus bases")
 
     pieces = []
-    # pieces with equal spines share one Spine, and so one set of walk
-    # tables
+    by_text: dict[tuple, Spine] = {}
     spines: dict[tuple, Spine] = {}
     for i, raw in enumerate(obj["pieces"]):
-        spine = spine_from_json(raw["spine"], f"{path}/pieces/{i}/spine")
-        spine = spines.setdefault((spine.graph.vertices, spine.graph.edges,
-                                   tuple(sorted(spine.colors.items()))), spine)
+        raw_spine, where = raw["spine"], f"{path}/pieces/{i}/spine"
+        conform(raw_spine, SPINE_SHAPE, where)
+        text = (tuple(raw_spine["darts"]), tuple(map(tuple, raw_spine["rotation"])),
+                tuple(map(tuple, raw_spine["edges"])),
+                tuple(raw_spine["colors"].items()))
+        spine = by_text.get(text)
+        if spine is None:
+            spine = _spine_from_conformed(raw_spine, where)
+            spine = by_text[text] = spines.setdefault(
+                (spine.graph.vertices, spine.graph.edges,
+                 tuple(sorted(spine.colors.items()))), spine)
         dehn = {int(key): DehnCoefficient(p, q)
                 for key, (p, q) in raw.get("dehn", {}).items()}
         pieces.append(ModelPiece(raw["id"], spine, dehn))
 
-    pairing = tuple(
-        (parse_torus_label(src, f"{path}/pairing/{k}/0"),
-         parse_torus_label(dst, f"{path}/pairing/{k}/1"))
-        for k, (src, dst) in enumerate(obj["pairing"]))
+    try:
+        pairing = tuple((parse_torus_label(src), parse_torus_label(dst))
+                        for src, dst in obj["pairing"])
+    except InputError:  # read again with pointers, to name the bad label
+        pairing = tuple(
+            (parse_torus_label(src, f"{path}/pairing/{k}/0"),
+             parse_torus_label(dst, f"{path}/pairing/{k}/1"))
+            for k, (src, dst) in enumerate(obj["pairing"]))
 
     rows = obj["matrices"]
     for k in range(len(pairing)):

@@ -193,13 +193,13 @@ def test_planted_defects(banana_spec):
 
 def test_spine_conditions_are_checked_once(banana_spec, monkeypatch):
     calls = []
-    real = fatgraph.validate_spine
+    real = fatgraph._conditions
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(fatgraph, "validate_spine", counting)
+    monkeypatch.setattr(fatgraph, "_conditions", counting)
     chain = banana_chain(banana_spec, [2] * 8)
     for _ in range(3):
         check_spec(chain)

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -446,6 +447,38 @@ class TestPointerEscape:
         assert err.startswith(f"error: {bad}{pointer}: ")
 
 
+#: characters for random strings: ASCII, quotes and escapes, control
+#: characters, non-ASCII from several planes, a lone surrogate
+CHARS = "aZ09 -_.\"\\/\n\t\r\x00\x01\x1f\x7f\u00e9\u00fc\u2603\u20ac\ud800\U0001F600"
+
+
+def random_payload(rng, depth: int):
+    """A random payload of the types ``_json_text`` writes, ``depth``
+    containers deep at most."""
+    def text():
+        return "".join(rng.choice(CHARS) for _ in range(rng.randint(0, 6)))
+
+    def leaf():
+        return rng.choice((text, lambda: rng.randint(-10 ** 20, 10 ** 20),
+                           lambda: rng.randint(-3, 3),
+                           lambda: rng.choice((True, False, None))))()
+
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return leaf()
+    n = rng.choice((0, 1, 2, 5))
+    if roll < 0.4:
+        return [text() for _ in range(n)]
+    if roll < 0.5:
+        return [rng.randint(-99, 99) for _ in range(n)]
+    if roll < 0.55:
+        return [rng.choice((True, False)) for _ in range(n)]
+    if roll < 0.7:
+        items = [random_payload(rng, depth - 1) for _ in range(n)]
+        return tuple(items) if rng.random() < 0.3 else items
+    return {text(): random_payload(rng, depth - 1) for _ in range(n)}
+
+
 class TestJsonWriter:
     """``_json_text`` writes the bytes of ``json.dumps(indent=2,
     sort_keys=True)`` for the payload types, and refuses the rest."""
@@ -466,6 +499,17 @@ class TestJsonWriter:
         out = []
         _json_text(value, out)
         assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_random_payloads(self):
+        """Seeded payloads: arrays of strings, of integers and of mixed
+        values, tuples, empty containers, nested objects, non-ASCII and
+        control characters."""
+        rng = random.Random(2027)
+        for _ in range(3000):
+            value = random_payload(rng, 3)
+            out = []
+            _json_text(value, out)
+            assert "".join(out) == json.dumps(value, indent=2, sort_keys=True), value
 
     @pytest.mark.parametrize("value", [
         1.5, {1: "int key"}, {"set": {1}}, [b"bytes"]],
@@ -554,6 +598,19 @@ class TestPropagationCount:
 
 class TestThinAdapter:
     """CLI payloads are the library outputs, serialized."""
+
+    @pytest.mark.parametrize("argv, lines_of", [
+        (["build-graph", BANANA], "spineflow.cli.flow_graph_to_edge_text"),
+        (["validate", BANANA], "spineflow.report.ValidationReport.lines"),
+    ])
+    def test_text_lines_only_for_text(self, capsys, monkeypatch, argv, lines_of):
+        """JSON output builds no text lines."""
+        def refuse(*args):
+            raise AssertionError("text lines built for JSON output")
+
+        monkeypatch.setattr(lines_of, refuse)
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)
 
     def test_validate_payload(self, capsys, banana_spec):
         from spineflow import validate_spec

@@ -1,8 +1,17 @@
+import copy
+import json
+import random
+import sys
+from itertools import count, repeat
+
 import pytest
 
 from spineflow import EquivalenceMode, FatGraph, InputError
-from spineflow.errors import conform, pointer_token, quote, read_index
-from spineflow.fatgraph import PairingError
+from spineflow.errors import (_EXPECTED, Opt, Table, _index, _Mismatch, conform,
+                              pointer_token, quote, read_index)
+from spineflow.fatgraph import SPINE_SHAPE, PairingError
+from spineflow.model import SPEC_SHAPE
+from test_fuzz import MUTANTS, SEED, SPECS, at, mutate, paths
 
 
 class TestReadIndex:
@@ -90,3 +99,197 @@ class TestPointerEscape:
         assert pointer_token("x" * 41) == "x" * 40 + "..."
         assert pointer_token("a/" * 30) == "a~1" * 20 + "..."
         assert pointer_token("~" * 50_000) == "~0" * 40 + "..."
+
+
+# ----------------------------------------------------------------------
+# bulk shape tests against the entry-by-entry walk
+# ----------------------------------------------------------------------
+
+def _reference_walk(value, shape) -> None:
+    """The shape walk before ``conform`` tested arrays of two-leaf
+    entries, arrays of leaf arrays and tables of int keys in bulk: it
+    goes entry by entry wherever the values are not all leaves."""
+    if shape is None:
+        return
+    kind = type(shape)
+    if kind is type:
+        if type(value) is not shape:
+            raise _Mismatch(f"expected {_EXPECTED[shape]}, got {quote(value)}")
+        return
+    if kind is tuple:
+        if type(value) is not list or len(value) != 2:
+            raise _Mismatch(f"expected an array of two entries, got {quote(value)}")
+        if type(value[0]) is shape[0] and type(value[1]) is shape[1]:
+            return  # two right leaves
+        entries = ((0, value[0], shape[0]), (1, value[1], shape[1]))
+    elif kind is list:
+        if type(value) is not list:
+            raise _Mismatch("expected an array")
+        if type(shape[0]) is type and set(map(type, value)) <= {shape[0]}:
+            return  # leaves are tested without a call per entry
+        entries = zip(count(), value, repeat(shape[0]))
+    elif type(value) is not dict:
+        raise _Mismatch("expected an object")
+    elif kind is Table:
+        if shape.keys is int:
+            for key in value:
+                _index(key, key)
+        inner = shape.values
+        if type(inner) is type and set(map(type, value.values())) <= {inner}:
+            return
+        entries = zip(value, value.values(), repeat(inner))
+    else:
+        entries = []
+        for key, member in shape.items():
+            if type(member) is Opt:
+                if key not in value or (member.null and value[key] is None):
+                    continue
+                member = member.shape
+            elif key not in value:
+                raise _Mismatch("missing", key)
+            entries.append((key, value[key], member))
+    key = None
+    try:
+        for key, item, inner in entries:
+            _reference_walk(item, inner)
+    except _Mismatch as wrong:
+        wrong.keys.append(key)
+        raise
+
+
+def _reference_conform(value, shape, path: str) -> None:
+    try:
+        _reference_walk(value, shape)
+    except _Mismatch as wrong:
+        raise wrong.at(path) from None
+
+
+def _outcome(read, value, shape):
+    """The ``InputError`` text of ``read`` at the pointer ``/x``, or
+    None when the value has the shape."""
+    try:
+        read(value, shape, "/x")
+    except InputError as err:
+        return str(err)
+    return None
+
+
+#: index keys around the digit limits: 639 digits always read, 640 is
+#: the smallest limit Python allows, 5,000 is past the default one
+INDEX_KEYS = ("0", "7", "10", "01", "00", "-1", "+1", " 1", "1 ", "1_0", "",
+              "²", "١", "1²", "3١", "1" * 639, "1" * 640, "1" * 641, "1" * 5000)
+ODD_LEAVES = (None, True, False, 0, -3, 1.0, -0.0, "1", "", [], {}, [1, 2],
+              [[1, 2]], {"0": 1})
+
+#: the shapes ``conform`` tests in bulk, and a way to make a valid value
+#: of each with n entries
+BULK_SHAPES = {
+    "pairs of int": ([(int, int)], lambda rng, n: [
+        [rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(n)]),
+    "pairs of str": ([(str, str)], lambda rng, n: [
+        [f"A.c{rng.randint(0, 9)}", f"B.c{rng.randint(0, 9)}"] for _ in range(n)]),
+    "leaf arrays": ([[int]], lambda rng, n: [
+        [rng.randint(1, 9) for _ in range(rng.randint(0, 4))] for _ in range(n)]),
+    "int table of str": (Table(int, str), lambda rng, n: {
+        str(k): rng.choice(("ENTRANCE", "EXIT")) for k in range(n)}),
+    "int table of pairs": (Table(int, (int, int)), lambda rng, n: {
+        str(k): [1, rng.randint(-3, 3)] for k in rng.sample(range(3 * n + 1), n)}),
+    "int table of int": (Table(int, int), lambda rng, n: {
+        str(k): k + 1 for k in range(n)}),
+    "int table of matrices": (Table(int, ((int, int), (int, int))), lambda rng, n: {
+        str(k): [[1, 0], [rng.randint(1, 5), 1]] for k in range(n)}),
+    "str table of pairs": (Table(str, (int, int)), lambda rng, n: {
+        f"P{k}": [rng.randint(0, 3), rng.choice((1, -1))] for k in range(n)}),
+}
+
+
+def _key_mutant(rng, table):
+    """``table`` with one key replaced by one of ``INDEX_KEYS`` or by a
+    non-string, at a random place in the key order."""
+    items = list(table.items())
+    new_key = rng.choice(INDEX_KEYS + (1, None))
+    at = rng.randrange(len(items) + 1)
+    value = items[at - 1][1] if items else 0
+    if items and rng.random() < 0.5:
+        del items[at - 1]
+        at -= 1
+    items.insert(at, (new_key, value))
+    return dict(items)
+
+
+def _leaf_mutant(rng, value):
+    """``value`` with one leaf or entry, at any depth, replaced by one of
+    ``ODD_LEAVES``, or one array entry dropped or doubled."""
+    value = copy.deepcopy(value)
+    spots = [p for p in paths(value)][1:]
+    if not spots:
+        return rng.choice(ODD_LEAVES)
+    path = rng.choice(spots)
+    parent, last = at(value, path[:-1]), path[-1]
+    roll = rng.random()
+    if isinstance(parent, list) and roll < 0.2:
+        del parent[last]
+    elif isinstance(parent, list) and roll < 0.4:
+        parent.insert(last, copy.deepcopy(parent[last]))
+    else:
+        parent[last] = copy.deepcopy(rng.choice(ODD_LEAVES))
+    return value
+
+
+@pytest.mark.parametrize("limit", [None, 640, 0])
+@pytest.mark.parametrize("name", BULK_SHAPES)
+def test_bulk_shapes_match_the_walk(name, limit):
+    """Seeded mutations of each bulk-tested shape, at sizes on both sides
+    of every bulk test, under the default, the least and no digit
+    limit: ``conform`` gives the reference walk's text, or no error
+    where it gives none."""
+    if limit is not None and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no integer-string conversion limit in this Python")
+    shape, make = BULK_SHAPES[name]
+    rng = random.Random(f"bulk:{name}")
+    old = limit is not None and sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        verdicts = []
+        for n in range(300):
+            value = make(rng, rng.choice((0, 1, 2, 3, 5, 8, 20, 100)))
+            mutants = [value, _leaf_mutant(rng, value)]
+            if value:
+                mutants.append(mutate(rng, value))
+            if isinstance(value, dict):
+                mutants.append(_key_mutant(rng, value))
+            for mutant in mutants:
+                expected = _outcome(_reference_conform, mutant, shape)
+                assert _outcome(conform, mutant, shape) == expected, (name, mutant)
+                verdicts.append(expected is None)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(old)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("key", INDEX_KEYS,
+                         ids=lambda k: f"{len(k)} digits" if len(k) > 9 else repr(k))
+def test_index_keys_match_the_walk(key):
+    for shape in (Table(int, str), Table(int, (int, int))):
+        for table in ({key: "EXIT"}, {"0": "EXIT", key: "EXIT", "5": "EXIT"}):
+            table = {k: [1, 0] if shape.values != str else v for k, v in table.items()}
+            assert (_outcome(conform, table, shape)
+                    == _outcome(_reference_conform, table, shape)), (key, shape)
+
+
+def test_specification_mutants_match_the_walk():
+    """The mutants of ``test_fuzz`` through the specification and spine
+    shapes, dict members included."""
+    rng = random.Random(SEED)
+    docs = [json.loads(path.read_text()) for path in SPECS]
+    for n in range(MUTANTS):
+        mutant = mutate(rng, docs[n % len(docs)])
+        assert (_outcome(conform, mutant, SPEC_SHAPE)
+                == _outcome(_reference_conform, mutant, SPEC_SHAPE)), n
+        pieces = mutant.get("pieces") if isinstance(mutant, dict) else None
+        for piece in pieces if isinstance(pieces, list) else []:
+            spine = piece.get("spine") if isinstance(piece, dict) else piece
+            assert (_outcome(conform, spine, SPINE_SHAPE)
+                    == _outcome(_reference_conform, spine, SPINE_SHAPE)), n

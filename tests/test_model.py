@@ -484,3 +484,36 @@ class TestSerialization:
         assert first.spine is not second.spine
         assert first.spine.graph == second.spine.graph
         assert first.spine.colors != second.spine.colors
+
+    def test_repeated_spine_text_is_built_once(self, banana_spec, monkeypatch):
+        """k pieces that repeat one spine's JSON build one fat graph and
+        one ``Spine``."""
+        built = []
+        init = FatGraph.__init__
+
+        def counting(graph, *args):
+            built.append(graph)
+            init(graph, *args)
+
+        monkeypatch.setattr(FatGraph, "__init__", counting)
+        payload = spec_to_json(banana_chain(banana_spec, [2] * 12))
+        built.clear()
+        spec = spec_from_json(payload)
+        assert len(built) == 1
+        assert len({id(piece.spine) for piece in spec.pieces}) == 1
+
+    @pytest.mark.parametrize("member, value, problem", [
+        ("edges", [[1, "2"], [3, 4], [5, 6], [7, 8]], "edges/0/1: expected an integer"),
+        ("edges", [[1, 2], [3, 4], [5, 6], [7, 7]], "edges: edge pair (7, 7)"),
+        ("rotation", [[1, 3, 5, 7], [8, 6, 4, 2, 1]], "rotation: rotation cycles"),
+        ("colors", {"0": "EXIT", "1": "ENTRANCE"}, "colors: coloring must assign"),
+        ("colors", {"0": "EXIT", "1": "ENTRANCE", "2": "EXIT", "03": "ENTRANCE"},
+         "colors/03: expected a non-negative integer"),
+    ])
+    def test_a_later_malformed_spine_raises_at_its_own_pointer(
+            self, banana_spec, member, value, problem):
+        payload = spec_to_json(banana_chain(banana_spec, [2] * 8))
+        payload["pieces"][2]["spine"][member] = value
+        with pytest.raises(InputError) as err:
+            spec_from_json(payload, "spec.json")
+        assert str(err.value).startswith(f"spec.json/pieces/2/spine/{problem}")
