@@ -80,17 +80,24 @@ def normalize_matrix(matrix: GluingMatrix) -> GluingMatrix:
     if matrix.c == 0 or abs(matrix.det) != 1:
         raise InputError(f"not a gluing matrix: {matrix.rows()} "
                          "(need |det| = 1 and c != 0)")
-    c = abs(matrix.c)
+    return GluingMatrix(*_twist_form(matrix))
+
+
+_SIGN_PAIRS = tuple(itertools.product((1, -1), repeat=2))
+
+
+def _twist_form(matrix: GluingMatrix) -> Mat:
+    """The entries of ``normalize_matrix`` for a gluing matrix."""
+    c, det = abs(matrix.c), matrix.det
     best: Optional[tuple[int, int, int]] = None
-    for s, t in itertools.product((1, -1), repeat=2):
+    for s, t in _SIGN_PAIRS:
         a = (s * matrix.a) % c
         d = (t * matrix.d) % c
-        det = s * t * matrix.det
-        b = (a * d - det) // c
+        b = (a * d - s * t * det) // c
         if best is None or (a, d, b) < best:
             best = (a, d, b)
     a, d, b = best
-    return GluingMatrix(a, b, c, d)
+    return a, b, c, d
 
 
 #: the JSON shape of a witness (see ``errors.conform``); every section
@@ -201,6 +208,30 @@ def _match_matrices(m1: GluingMatrix, m2: GluingMatrix, mode: EquivalenceMode
     return None
 
 
+def _matrix_forms(matrices, mode: EquivalenceMode) -> list[Mat]:
+    """The mode form of each gluing matrix: two forms are equal exactly
+    when ``_match_matrices`` matches the matrices.
+
+    EXACT keeps the entries.  ISOTOPY moves a matrix to
+    (e1e2 a, e1f2 b, f1e2 c, f1f2 d): any signs on a, b and c, and on d
+    the product of those three.  The form makes a, b and c
+    non-negative; that fixes the sign of d, unless one of them is 0 and
+    d is made non-negative too.  ISOTOPY_WITH_TWISTS takes the entries
+    of ``normalize_matrix``."""
+    if mode is EquivalenceMode.EXACT:
+        return [(m.a, m.b, m.c, m.d) for m in matrices]
+    if mode is EquivalenceMode.ISOTOPY:
+        return [_sign_form(m) for m in matrices]
+    return [_twist_form(m) for m in matrices]
+
+
+def _sign_form(m: GluingMatrix) -> Mat:
+    """The ISOTOPY form of ``_matrix_forms``."""
+    signs = m.a * m.b * m.c
+    d = abs(m.d) if signs == 0 else m.d if signs > 0 else -m.d
+    return abs(m.a), abs(m.b), abs(m.c), d
+
+
 # ----------------------------------------------------------------------
 # search
 # ----------------------------------------------------------------------
@@ -211,18 +242,23 @@ def _piece_isomorphisms(p1: ModelPiece, o1: dict[int, int],
                         ) -> list[tuple[dict[int, int], bool, dict[int, int]]]:
     """The entries of ``listed``, the ``iter_isomorphisms_tagged`` list
     for the two spines, whose dart bijections p1 -> p2 also preserve
-    Dehn coefficients and orbit orientations."""
-    out = []
+    Dehn coefficients and orbit orientations: each vertex is labeled
+    (p, q, sign), and the labels at the images of the vertices of p1
+    must be those of p1, vertex for vertex."""
     starts = [cycle[0] for cycle in p1.spine.graph.vertices]
     vertex_of2 = p2.spine.graph.vertex_of
-    dehn1, dehn2 = p1.dehn, p2.dehn
-    for iso in listed:
-        sigma = iso[0]
-        images = (vertex_of2[sigma[d]] for d in starts)
-        if all(dehn1[v] == dehn2[w] and o1[v] == o2[w]
-               for v, w in enumerate(images)):
-            out.append(iso)
-    return out
+    want = _vertex_labels(p1, o1)
+    labels2 = _vertex_labels(p2, o2)
+    return [iso for iso in listed
+            if [labels2[vertex_of2[iso[0][d]]] for d in starts] == want]
+
+
+def _vertex_labels(piece: ModelPiece, signs: dict[int, int]
+                   ) -> list[tuple[int, int, int]]:
+    """(Dehn p, q, propagated sign) of each vertex of a piece, in vertex
+    order."""
+    dehn = piece.dehn
+    return [(dehn[v].p, dehn[v].q, signs[v]) for v in piece.vertices()]
 
 
 def _link_counts(spec: ModelFlowSpec, pieces) -> list[list[int]]:
@@ -233,6 +269,35 @@ def _link_counts(spec: ModelFlowSpec, pieces) -> list[list[int]]:
     for (src_piece, _), (dst_piece, _) in spec.pairing:
         links[index[src_piece]][index[dst_piece]] += 1
     return links
+
+
+def _piece_keys(checked: CheckedSpec, pieces, links: list[list[int]]
+                ) -> list[tuple]:
+    """One key per piece of ``pieces``: its dart count, its sorted
+    (length, color) boundary profile, its sorted per-vertex (valence,
+    Dehn p, q, propagated sign), and its (self, out, in) link counts in
+    ``links``.
+
+    Every piece pair the search accepts has equal keys, with or without
+    reflection: ``iter_isomorphisms_tagged`` keeps valences and the
+    colored profile, ``_piece_isomorphisms`` keeps coefficients and
+    signs, and ``piece_fits`` keeps link counts.  If reflection ever
+    changes coefficients or signs, these keys must change with it."""
+    shapes: dict[int, tuple] = {}
+    ins = [sum(column) for column in zip(*links)]
+    keys = []
+    for i, piece in enumerate(pieces):
+        spine, graph = piece.spine, piece.spine.graph
+        if id(spine) not in shapes:
+            shapes[id(spine)] = (len(graph.darts), tuple(sorted(
+                [(len(cycle), spine.colors[f])
+                 for f, cycle in enumerate(graph.boundary_cycles())])))
+        vertices = sorted(zip(map(len, graph.vertices), _vertex_labels(
+            piece, checked.signs[piece.piece_id])))
+        loops = links[i][i]
+        keys.append((shapes[id(spine)], tuple(vertices), loops,
+                     sum(links[i]) - loops, ins[i] - loops))
+    return keys
 
 
 def _choices(options, fits, prefix: tuple = ()):
@@ -253,21 +318,33 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
                     ) -> Optional[EquivalenceWitness]:
     """Search for an equivalence witness from s1 to s2.
 
+    Before any search, each specification is summarized once: the mode
+    form of each matrix (``_matrix_forms``) and the key of each piece
+    (``_piece_keys``: dart count, colored boundary profile, per-vertex
+    valence, Dehn coefficient and sign, and link counts).  A witness
+    pairs matrices with equal forms and pieces with equal keys, so the
+    answer is None, and no isomorphism is listed, when the sorted forms
+    differ or, checked next, the sorted keys differ.  Cheap invariants
+    come before the search, as in McKay & Piperno, "Practical graph
+    isomorphism II", 2014.
+
     Pieces are taken in sorted id order.  A depth-first search assigns
     an image piece to each piece of s1 in turn, trying the pieces of s2
     in id order, and drops a partial assignment as soon as the number
     of pairs gluing two assigned pieces (in either direction, a piece
     with itself included) differs from the number gluing their images,
     or a piece and its image have no color-, coefficient- and
-    orientation-preserving dart bijection.  For each surviving piece
-    bijection a second depth-first search picks one dart bijection per
-    piece, in the order ``iter_isomorphisms_tagged`` lists them, and
-    checks each pair of s1 (its image must be a pair of s2 and its
-    matrix must match under the mode's moves) as soon as the later of
-    its two pieces is placed.  Both searches are one pruned walk,
-    ``_choices``, over different lists and tests.  Dart bijections with
-    their face maps and matrix matches are computed once per call and
-    form the witness.
+    orientation-preserving dart bijection; a piece and an image with
+    unequal keys are dropped before their bijections are listed.  For
+    each surviving piece bijection a second depth-first search picks
+    one dart bijection per piece, in the order
+    ``iter_isomorphisms_tagged`` lists them, and checks each pair of s1
+    (its image must be a pair of s2 and its matrix must match under the
+    mode's moves, which it does exactly when the two forms are equal)
+    as soon as the later of its two pieces is placed.  Both searches
+    are one pruned walk, ``_choices``, over different lists and tests.
+    Dart bijections with their face maps and matrix matches are
+    computed once per call and form the witness.
 
     Pruning only removes choices that cannot be completed, so the first
     witness is the one an exhaustive run over all piece permutations,
@@ -294,15 +371,27 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     ``_choices`` walks both levels: piece maps are its choices from k
     copies of ``range(k)``, pruned by ``piece_fits``, and the dart maps
     of a piece map are its first choice from the pieces' isomorphism
-    lists, pruned by the pairs each new piece completes."""
+    lists, pruned by the pairs each new piece completes.
+
+    The piece keys hold with or without reflection because reflection,
+    as ``_piece_isomorphisms`` applies it, keeps Dehn coefficients and
+    signs; a reflection that changed them would need other keys."""
     s1, s2 = c1.spec, c2.spec
     if len(s1.pieces) != len(s2.pieces):
         return None
 
+    forms1 = _matrix_forms(s1.matrices, mode)
+    forms2 = _matrix_forms(s2.matrices, mode)
+    if sorted(forms1) != sorted(forms2):
+        return None
     pieces1 = sorted(s1.pieces, key=lambda p: p.piece_id)
     pieces2 = sorted(s2.pieces, key=lambda p: p.piece_id)
     links1 = _link_counts(s1, pieces1)
     links2 = _link_counts(s2, pieces2)
+    keys1 = _piece_keys(c1, pieces1, links1)
+    keys2 = _piece_keys(c2, pieces2, links2)
+    if sorted(keys1) != sorted(keys2):
+        return None
     by_spines: dict[tuple[int, int], list] = {}
     candidates: dict[tuple[int, int], list] = {}
 
@@ -321,12 +410,13 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
         return candidates[(i, j)]
 
     def piece_fits(perm: tuple[int, ...], j: int) -> bool:
-        if j in perm:
-            return False
         i = len(perm)
-        if any(links1[i][a] != links2[j][b] or links1[a][i] != links2[b][j]
-               for a, b in enumerate(perm + (j,))):
+        if j in perm or keys1[i] != keys2[j]:
             return False
+        row1, row2 = links1[i], links2[j]
+        for a, b in enumerate(perm + (j,)):
+            if row1[a] != row2[b] or links1[a][i] != links2[b][j]:
+                return False
         return bool(isomorphisms(i, j))
 
     index1 = {p.piece_id: i for i, p in enumerate(pieces1)}
@@ -336,6 +426,7 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     for n, ((i, _), (j, _)) in enumerate(ends1):
         checks_at[max(i, j)].append(n)
     matches: dict[tuple[int, int], Optional[tuple]] = {}
+    piece_ids2, pair_of2 = [p.piece_id for p in pieces2], c2.pair_of
 
     def pair_match(perm: tuple[int, ...], combo: tuple, n: int
                    ) -> Optional[tuple]:
@@ -343,10 +434,10 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
         and ``combo``, or None.  Face maps keep colors, so the image is
         a pair of s2 exactly when its two tori have the same pair index
         there."""
-        src, dst = ((pieces2[perm[i]].piece_id, combo[i][2][face])
-                    for i, face in ends1[n])
-        k2 = c2.pair_of[src]
-        if c2.pair_of[dst] != k2:
+        (i, src), (j, dst) = ends1[n]
+        k2 = pair_of2[(piece_ids2[perm[i]], combo[i][2][src])]
+        if (pair_of2[(piece_ids2[perm[j]], combo[j][2][dst])] != k2
+                or forms1[n] != forms2[k2]):
             return None
         if (n, k2) not in matches:
             matches[(n, k2)] = _match_matrices(s1.matrices[n],

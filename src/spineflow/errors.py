@@ -84,8 +84,44 @@ class _Quote(reprlib.Repr):
         return "{%s}" % ", ".join(items + ["..."] * (len(x) > self.maxdict))
 
 
-#: how messages quote input values: short ones as ``repr``, huge ones short
-quote = _Quote().repr
+_QUOTE = _Quote()
+#: the entries ``_Quote`` writes in full, by container type
+_ENTRIES = {list: _QUOTE.maxlist, tuple: _QUOTE.maxtuple, dict: _QUOTE.maxdict}
+#: integers inside this bound have at most 40 characters
+_INT_BOUND = 10 ** (_MAX_TEXT - 1)
+
+
+def _within_limits(values, level: int) -> bool:
+    """True when ``_Quote`` writes each of ``values`` at ``level`` as
+    ``repr`` does: a str, int, bool or None of at most 40 characters,
+    or, above level 0, a list, tuple or dict of at most its entry limit
+    whose entries are within the limits one level down.  Sets are left
+    out, as ``_Quote`` sorts them."""
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            if len(value) > _MAX_TEXT or len(repr(value)) > _MAX_TEXT:
+                return False
+        elif kind is int:
+            if not -_INT_BOUND < value < _INT_BOUND:
+                return False
+        elif kind is not bool and value is not None:
+            limit = _ENTRIES.get(kind)
+            if limit is None or level == 0 or len(value) > limit:
+                return False
+            entries = (chain.from_iterable(value.items()) if kind is dict
+                       else value)
+            if not _within_limits(entries, level - 1):
+                return False
+    return True
+
+
+def quote(value) -> str:
+    """How messages quote input values: short ones as ``repr``, huge
+    ones short.  Values within ``_Quote``'s limits skip its walk."""
+    if _within_limits((value,), _QUOTE.maxlevel):
+        return repr(value)
+    return _QUOTE.repr(value)
 
 
 def shorten(text: str) -> str:

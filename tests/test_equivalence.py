@@ -10,9 +10,10 @@ import oracles
 import spineflow.equivalence as equivalence
 import spineflow.fatgraph as fatgraph
 from chains import banana_chain
-from spineflow import (EquivalenceMode, EquivalenceWitness, GluingMatrix,
-                       InputError, ModelFlowSpec, ModelPiece, negate_seed,
-                       normalize_matrix, spec_equivalent, verify_witness)
+from spineflow import (DehnCoefficient, EquivalenceMode, EquivalenceWitness,
+                       GluingMatrix, InputError, ModelFlowSpec, ModelPiece,
+                       negate_seed, normalize_matrix, spec_equivalent,
+                       verify_witness)
 from spineflow.fatgraph import induced_face_map
 from spineflow.model import (CheckedSpec, check_spec, seed_orientation,
                              torus_label, validate_spec)
@@ -164,6 +165,36 @@ def random_gluing_matrix(rng: random.Random) -> GluingMatrix:
     return GluingMatrix(*entries)
 
 
+def with_dehn(spec, piece_id, vertex):
+    """``spec`` with the Dehn coefficient (1, 1) at one vertex."""
+    pieces = tuple(ModelPiece(p.piece_id, p.spine,
+                              {**p.dehn, vertex: DehnCoefficient(1, 1)})
+                   if p.piece_id == piece_id else p for p in spec.pieces)
+    return ModelFlowSpec(pieces, spec.pairing, spec.matrices,
+                         spec.orientation_seed)
+
+
+def with_matrices(spec, matrices):
+    return ModelFlowSpec(spec.pieces, spec.pairing, tuple(matrices),
+                         spec.orientation_seed)
+
+
+def twisted_at(spec, n):
+    """``spec`` with matrix n moved by a left vertical twist: the same
+    flow up to twists, a different one in the finer modes."""
+    matrices = list(spec.matrices)
+    m = matrices[n]
+    matrices[n] = GluingMatrix(m.a + m.c, m.b + m.d, m.c, m.d)
+    return with_matrices(spec, matrices)
+
+
+def swapped(spec, n, m):
+    """``spec`` with the matrices of pairs n and m exchanged."""
+    matrices = list(spec.matrices)
+    matrices[n], matrices[m] = matrices[m], matrices[n]
+    return with_matrices(spec, matrices)
+
+
 def twist_move(rng: random.Random, m: GluingMatrix) -> GluingMatrix:
     left = _mul((rng.choice((1, -1)), 0, 0, rng.choice((1, -1))),
                 (1, rng.randint(-5, 5), 0, 1))
@@ -222,6 +253,23 @@ class TestNormalizeMatrix:
             span = 6 + max(abs(m.a), abs(m.d)) // max(1, abs(m.c))
             assert (n.a, n.b, n.c, n.d) == \
                 oracles.least_normal_candidate((m.a, m.b, m.c, m.d), span)
+
+    def test_mode_forms_decide_matching(self):
+        """Equal mode forms are exactly the matrix pairs that
+        ``_match_matrices`` matches, on every ordered pair of the 572
+        gluing matrices with entries in [-5, 5], in every mode."""
+        span = range(-5, 6)
+        matrices = [GluingMatrix(*entries)
+                    for entries in itertools.product(span, repeat=4)
+                    if entries[2] != 0
+                    and abs(entries[0] * entries[3] - entries[1] * entries[2]) == 1]
+        assert len(matrices) == 572
+        for mode in MODES:
+            forms = equivalence._matrix_forms(matrices, mode)
+            for (m1, f1), (m2, f2) in itertools.product(zip(matrices, forms),
+                                                        repeat=2):
+                assert (f1 == f2) == (
+                    equivalence._match_matrices(m1, m2, mode) is not None)
 
     def test_rejects_upper_triangular(self):
         with pytest.raises(InputError):
@@ -515,6 +563,37 @@ class TestAgainstExhaustiveSearch:
                                             allow_reflection) is None
                     self.assert_same(chain, seed_miss, mode, allow_reflection)
 
+    def test_census_variants(self, census_specs):
+        """Each census spec against its Dehn-perturbed and twisted-matrix
+        variants, and those against each other: two variants changed in
+        different places can agree in every invariant and leave the
+        decision to the search."""
+        for spec in census_specs:
+            family = ([spec]
+                      + [with_dehn(spec, piece.piece_id, v)
+                         for piece in spec.pieces for v in piece.vertices()]
+                      + [twisted_at(spec, n) for n in range(len(spec.matrices))])
+            for a, b in itertools.product(family, repeat=2):
+                for mode in MODES:
+                    for allow_reflection in (False, True):
+                        self.assert_same(a, b, mode, allow_reflection)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_banana_chain_variants(self, banana_spec, k):
+        """A chain and its one-coefficient change against Dehn-perturbed,
+        twisted-matrix and matrix-swapped variants of its moved copy."""
+        for cs in (list(range(2, 2 + 2 * k)), [2] * (2 * k)):
+            chain = banana_chain(banana_spec, cs)
+            sources = [chain, with_dehn(chain, "C0", 0)]
+            for mode in MODES:
+                copy = moved_chain(chain, mode, shift=1)
+                targets = ([with_dehn(copy, pid, 0) for pid in copy.piece_ids()]
+                           + [twisted_at(copy, 0)]
+                           + [swapped(copy, 0, n) for n in range(1, 2 * k)])
+                for a, b in itertools.product(sources, targets):
+                    for allow_reflection in (False, True):
+                        self.assert_same(a, b, mode, allow_reflection)
+
 
 def test_chain_miss_builds_each_candidate_list_once(banana_spec, monkeypatch):
     """An inequivalent 7-piece chain lists the dart bijections of each
@@ -531,18 +610,19 @@ def test_chain_miss_builds_each_candidate_list_once(banana_spec, monkeypatch):
     k = 7
     chain = banana_chain(banana_spec, list(range(2, 2 + 2 * k)))
     copy = moved_chain(chain, EquivalenceMode.ISOTOPY, shift=3)
-    miss = ModelFlowSpec(copy.pieces, copy.pairing,
-                         copy.matrices[:-1] + (GluingMatrix(1, 0, 99, 1),),
-                         copy.orientation_seed)
+    # swapping two matrices keeps every invariant, so the search runs
+    miss = swapped(copy, 0, 4)
     assert spec_equivalent(chain, miss, EquivalenceMode.ISOTOPY) is None
     assert 0 < len(calls) <= k * k
 
 
-@pytest.mark.parametrize("miss", [False, True], ids=["hit", "miss"])
-def test_alike_chain_lists_one_spine_pair(banana_spec, monkeypatch, miss):
+@pytest.mark.parametrize("target", ["hit", "miss", "seed"])
+def test_alike_chain_lists_one_spine_pair(banana_spec, monkeypatch, target):
     """The pieces of a 7-piece chain share one spine, and so do those of
     its moved copy: one decision lists the isomorphisms of that one
-    spine pair once, where it listed them once per piece pair."""
+    spine pair once, where it listed them once per piece pair.  A
+    changed matrix fails the mode forms and lists nothing; a negated
+    seed keeps every invariant and is rejected by the search."""
     calls = []
     real = equivalence.iter_isomorphisms_tagged
 
@@ -554,14 +634,19 @@ def test_alike_chain_lists_one_spine_pair(banana_spec, monkeypatch, miss):
     k = 7
     chain = banana_chain(banana_spec, list(range(2, 2 + 2 * k)))
     copy = moved_chain(chain, EquivalenceMode.ISOTOPY, shift=3)
-    if miss:
+    if target == "miss":
         copy = ModelFlowSpec(copy.pieces, copy.pairing,
                              copy.matrices[:-1] + (GluingMatrix(1, 0, 99, 1),),
                              copy.orientation_seed)
+    elif target == "seed":
+        copy = negate_seed(copy, "D0")
     assert len({id(p.spine) for p in chain.pieces + copy.pieces}) == 2
     found = spec_equivalent(chain, copy, EquivalenceMode.ISOTOPY)
-    assert (found is None) == miss
-    assert calls == [(chain.pieces[0].spine, copy.pieces[0].spine, False)]
+    assert (found is None) == (target != "hit")
+    if target == "miss":
+        assert calls == []
+    else:
+        assert calls == [(chain.pieces[0].spine, copy.pieces[0].spine, False)]
 
 
 def test_repeated_chain_decision_walks_nothing(banana_spec, monkeypatch):
@@ -589,10 +674,11 @@ def test_chain_search_is_pinned(banana_spec, monkeypatch):
     """Chains with k = 2..6 pieces, with distinct and with equal
     matrices, against a moved copy (pieces renamed cyclically), its
     seed negation and the copy with one changed matrix, in every mode
-    with and without reflection: the witnesses, and how many matrix
-    matches, isomorphism listings and piece-pair filters the search
-    makes, are the ones recorded when each level of the search had a
-    walk of its own."""
+    with and without reflection: the witnesses are the ones recorded
+    when each level of the search had a walk of its own, and the counts
+    of matrix matches, isomorphism listings and piece-pair filters are
+    those with the mode forms and piece keys checked first (before
+    them: 3585, 180 and 2160)."""
     calls = collections.Counter()
     for name in ("_match_matrices", "iter_isomorphisms_tagged",
                  "_piece_isomorphisms"):
@@ -619,9 +705,9 @@ def test_chain_search_is_pinned(banana_spec, monkeypatch):
     assert sum(w is not None for w in witnesses) == 90
     assert digest == ("79b3f53e9f1a5e5a9d4b77a8389fdeb8"
                       "a154de18582f185d4ab356c96d9e9569")
-    assert calls == {"_match_matrices": 3585,
-                     "iter_isomorphisms_tagged": 180,
-                     "_piece_isomorphisms": 2160}
+    assert calls == {"_match_matrices": 1650,
+                     "iter_isomorphisms_tagged": 120,
+                     "_piece_isomorphisms": 1080}
 
 
 class TestChoices:

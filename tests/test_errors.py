@@ -7,8 +7,9 @@ from itertools import count, repeat
 import pytest
 
 from spineflow import EquivalenceMode, FatGraph, InputError
-from spineflow.errors import (_EXPECTED, Opt, Table, _index, _Mismatch, conform,
-                              pointer_token, quote, read_index)
+from spineflow.errors import (_EXPECTED, _QUOTE, Opt, Table, _index, _Mismatch,
+                              _within_limits, conform, pointer_token, quote,
+                              read_index)
 from spineflow.fatgraph import SPINE_SHAPE, PairingError
 from spineflow.model import SPEC_SHAPE
 from test_fuzz import MUTANTS, SEED, SPECS, at, mutate, paths
@@ -61,6 +62,53 @@ class TestQuote:
     def test_long_values_are_cut(self, value):
         assert len(quote(value)) < 1000
         assert "..." in quote(value)
+
+
+def _random_value(rng: random.Random, depth: int):
+    """A leaf or a container near the limits of ``quote``: strings of
+    0 to 45 characters with quotes, backslashes, control characters and
+    non-ASCII; integers near 40 digits; sets, and containers of 0 to 12
+    entries nested up to ``depth``."""
+    kind = rng.randrange(10 if depth else 5)
+    if kind == 0:
+        return "".join(rng.choice("ab'\"\\\n\x07éλ\u2028\U0001f600")
+                       for _ in range(rng.randrange(46)))
+    if kind == 1:
+        return rng.choice((1, -1)) * rng.randrange(10 ** rng.randrange(42))
+    if kind == 2:
+        return rng.choice((True, False, None, 1.5, -0.0))
+    if kind in (3, 4):
+        return rng.choice(("id", "P", 7, 0))
+    size = rng.randrange(13)
+    if kind == 5:
+        return {_random_value(rng, 0): _random_value(rng, depth - 1)
+                for _ in range(size)}
+    if kind == 6:
+        return {rng.randrange(50) for _ in range(size)}
+    entries = [_random_value(rng, depth - 1) for _ in range(size)]
+    return tuple(entries) if kind == 7 else entries
+
+
+class TestQuoteFastPath:
+    def test_random_values_read_as_the_reprlib_walk(self):
+        """Values within the limits are written by ``repr``; the text is
+        byte-identical to the ``reprlib`` walk, within the limits and
+        past them."""
+        rng = random.Random(SEED)
+        within = 0
+        for _ in range(5_000):
+            value = _random_value(rng, rng.randrange(5))
+            assert quote(value) == _QUOTE.repr(value), value
+            within += _within_limits((value,), _QUOTE.maxlevel)
+        assert 1_000 < within < 4_000
+
+    @pytest.mark.parametrize("value", [
+        "x" * 38, "x" * 39, "'\"" * 19, 10 ** 38, -10 ** 38, 10 ** 39,
+        list(range(10)), list(range(11)), tuple(range(6)), tuple(range(7)),
+        {str(k): k for k in range(10)}, {str(k): k for k in range(11)},
+        [[1, [2]]], [[1, []]], [{1: 2}], {3, 1, 2}, frozenset({2, 1})])
+    def test_limits(self, value):
+        assert quote(value) == _QUOTE.repr(value)
 
 
 class TestLibraryMessages:
