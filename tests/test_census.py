@@ -165,6 +165,12 @@ class TestOrientationRigidity:
         assert not spine_is_orientation_rigid(spine)
         assert spine not in census_pieces(4)
 
+    def test_non_bipartite_spine_is_rigid(self):
+        # one vertex with a loop: its odd cycle leaves no two sides to swap
+        spine = Spine(FatGraph([[1, 2]], [[1, 2]]), {0: ENTRANCE, 1: EXIT})
+        assert not is_bipartite(spine.graph)
+        assert spine_is_orientation_rigid(spine)
+
     def test_reversal_witnessed_on_the_symmetric_piece(self):
         spec = ModelFlowSpec(
             (unsurgered_piece("P", genus_one_banana()),),

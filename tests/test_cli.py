@@ -308,13 +308,18 @@ class TestShapeErrors:
          lambda s: s["pieces"][0]["spine"]["edges"].__setitem__(0, [1, 1])),
         ("spec", "/pieces/0/spine/edges/0",
          lambda s: s["pieces"][0]["spine"]["edges"].__setitem__(0, [1, 2, 3])),
+        ("spec", "/pieces/0/spine/rotation",
+         lambda s: s["pieces"][0]["spine"].update(rotation=[])),
+        ("spec", "/pieces/0/spine/rotation",
+         lambda s: s["pieces"][0]["spine"].update(rotation=[[1, 2], []])),
     ], ids=["bases", "dehn", "darts", "edges", "head_orbit", "string-dart",
             "string-edges", "float-matrix-entry", "bool-seed-sign",
             "bool-piece-id", "int-piece-id", "float-piece-id",
             "int-body-letter", "list-body-letter", "spaced-color-key",
             "duplicate-color-key", "duplicate-dehn-key", "padded-torus-label",
             "unknown-seed-piece", "object-pair", "three-entry-pair",
-            "int-torus-label", "repeated-edge-dart", "three-dart-edge"])
+            "int-torus-label", "repeated-edge-dart", "three-dart-edge",
+            "no-rotation-cycles", "empty-rotation-cycle"])
     def test_exits_two_with_pointer(self, capsys, tmp_path, kind, pointer, edit):
         data = load(BANANA if kind == "spec" else WORD_TAIL)
         edit(data)

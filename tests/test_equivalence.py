@@ -14,7 +14,7 @@ from spineflow import (DehnCoefficient, EquivalenceMode, EquivalenceWitness,
                        GluingMatrix, InputError, ModelFlowSpec, ModelPiece,
                        negate_seed, normalize_matrix, spec_equivalent,
                        verify_witness)
-from spineflow.fatgraph import induced_face_map
+from spineflow.fatgraph import ENTRANCE, EXIT, Spine, induced_face_map
 from spineflow.model import (CheckedSpec, check_spec, seed_orientation,
                              torus_label, validate_spec)
 from test_census import _candidates
@@ -514,6 +514,63 @@ class TestVerifyWitness:
                                   EquivalenceMode.ISOTOPY).to_json()
         witness["reflected"] = {"P": False}
         assert EquivalenceWitness.from_json(witness).reflected == {"P": False}
+
+
+class TestVerifyWitnessRejects:
+    """Each per-dart, per-face, per-vertex and per-pair test of the
+    replay rejects a witness that passes every test before it."""
+
+    MODE = EquivalenceMode.EXACT
+
+    @staticmethod
+    def identity(spec) -> EquivalenceWitness:
+        piece = spec.pieces[0]
+        darts = piece.spine.graph.darts
+        return EquivalenceWitness({piece.piece_id: piece.piece_id},
+                                  {piece.piece_id: dict(zip(darts, darts))})
+
+    @staticmethod
+    def with_piece(spec, piece) -> ModelFlowSpec:
+        return ModelFlowSpec((piece,), spec.pairing, spec.matrices,
+                             dict(spec.orientation_seed))
+
+    def test_identity_replays(self, banana_spec):
+        assert verify_witness(banana_spec, banana_spec,
+                              self.identity(banana_spec), self.MODE)
+
+    def test_involution_mismatch_fails(self, banana_spec):
+        # one vertex turned a step, the other fixed: commutes with the
+        # rotation, but the edges of the turned darts go elsewhere
+        graph = banana_spec.pieces[0].spine.graph
+        turned, fixed = graph.vertices
+        sigma = {d: graph.rotation[d] for d in turned}
+        sigma.update((d, d) for d in fixed)
+        assert all(sigma[graph.rotation[d]] == graph.rotation[sigma[d]]
+                   for d in graph.darts)
+        witness = EquivalenceWitness({"P": "P"}, {"P": sigma})
+        assert not verify_witness(banana_spec, banana_spec, witness, self.MODE)
+
+    def test_color_mismatch_fails(self, banana_spec):
+        piece = banana_spec.pieces[0]
+        swapped = {f: EXIT if c == ENTRANCE else ENTRANCE
+                   for f, c in piece.spine.colors.items()}
+        other = self.with_piece(banana_spec, ModelPiece(
+            "P", Spine(piece.spine.graph, swapped), piece.dehn))
+        assert not verify_witness(banana_spec, other,
+                                  self.identity(banana_spec), self.MODE)
+
+    def test_sign_mismatch_fails(self, banana_spec):
+        assert not verify_witness(banana_spec, negate_seed(banana_spec, "P"),
+                                  self.identity(banana_spec), self.MODE)
+
+    def test_image_pair_not_a_pair_fails(self, banana_spec):
+        (src0, dst0), (src1, dst1) = banana_spec.pairing
+        permuted = ModelFlowSpec(banana_spec.pieces,
+                                 ((src0, dst1), (src1, dst0)),
+                                 banana_spec.matrices,
+                                 dict(banana_spec.orientation_seed))
+        assert not verify_witness(banana_spec, permuted,
+                                  self.identity(banana_spec), self.MODE)
 
 
 class TestAgainstExhaustiveSearch:

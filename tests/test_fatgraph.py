@@ -301,6 +301,16 @@ class TestConstruction:
         with pytest.raises(StructureError, match="integer"):
             FatGraph(cycles, pairs)
 
+    @pytest.mark.parametrize("mapping, message", [
+        ({1: 5, 2: 6}, "exactly the darts"),
+        ({1: 5, 2: 6, 3: 7, 4: 8, 9: 9}, "exactly the darts"),
+        ({1: 5, 2: 6, 3: 7, 4: 5}, "injective"),
+    ], ids=["too-few", "too-many", "not-injective"])
+    def test_relabeling_must_rename_each_dart_once(self, mapping, message):
+        graph = FatGraph([[1, 3], [2, 4]], [[1, 2], [3, 4]])
+        with pytest.raises(InputError, match=message):
+            graph.relabeled(mapping)
+
 
 class TestBoundaryCycles:
     def test_single_loop(self):
