@@ -236,21 +236,18 @@ def _sign_form(m: GluingMatrix) -> Mat:
 # search
 # ----------------------------------------------------------------------
 
-def _piece_isomorphisms(p1: ModelPiece, o1: dict[int, int],
-                        p2: ModelPiece, o2: dict[int, int],
-                        listed: list
+def _piece_isomorphisms(p1: ModelPiece, labels1: list, p2: ModelPiece,
+                        labels2: list, listed: list
                         ) -> list[tuple[dict[int, int], bool, dict[int, int]]]:
     """The entries of ``listed``, the ``iter_isomorphisms_tagged`` list
     for the two spines, whose dart bijections p1 -> p2 also preserve
-    Dehn coefficients and orbit orientations: each vertex is labeled
-    (p, q, sign), and the labels at the images of the vertices of p1
-    must be those of p1, vertex for vertex."""
+    Dehn coefficients and orbit orientations: the ``_vertex_labels`` of
+    p2 at the images of the vertices of p1 must be ``labels1``, vertex
+    for vertex."""
     starts = [cycle[0] for cycle in p1.spine.graph.vertices]
     vertex_of2 = p2.spine.graph.vertex_of
-    want = _vertex_labels(p1, o1)
-    labels2 = _vertex_labels(p2, o2)
     return [iso for iso in listed
-            if [labels2[vertex_of2[iso[0][d]]] for d in starts] == want]
+            if [labels2[vertex_of2[iso[0][d]]] for d in starts] == labels1]
 
 
 def _vertex_labels(piece: ModelPiece, signs: dict[int, int]
@@ -271,12 +268,12 @@ def _link_counts(spec: ModelFlowSpec, pieces) -> list[list[int]]:
     return links
 
 
-def _piece_keys(checked: CheckedSpec, pieces, links: list[list[int]]
+def _piece_keys(pieces, labels: list[list], links: list[list[int]]
                 ) -> list[tuple]:
     """One key per piece of ``pieces``: its dart count, its sorted
     (length, color) boundary profile, its sorted per-vertex (valence,
-    Dehn p, q, propagated sign), and its (self, out, in) link counts in
-    ``links``.
+    Dehn p, q, propagated sign) from its ``labels``, and its (self,
+    out, in) link counts in ``links``.
 
     Every piece pair the search accepts has equal keys, with or without
     reflection: ``iter_isomorphisms_tagged`` keeps valences and the
@@ -292,8 +289,7 @@ def _piece_keys(checked: CheckedSpec, pieces, links: list[list[int]]
             shapes[id(spine)] = (len(graph.darts), tuple(sorted(
                 [(len(cycle), spine.colors[f])
                  for f, cycle in enumerate(graph.boundary_cycles())])))
-        vertices = sorted(zip(map(len, graph.vertices), _vertex_labels(
-            piece, checked.signs[piece.piece_id])))
+        vertices = sorted(zip(map(len, graph.vertices), labels[i]))
         loops = links[i][i]
         keys.append((shapes[id(spine)], tuple(vertices), loops,
                      sum(links[i]) - loops, ins[i] - loops))
@@ -365,8 +361,9 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     piece pair keeps the ones that also preserve its Dehn coefficients
     and orbit orientations.  Pieces with equal spines share one object
     after ``spec_from_json``, so a chain of k alike pieces lists one
-    spine pair instead of up to k^2 piece pairs.  Nothing is kept
-    between calls.
+    spine pair instead of up to k^2 piece pairs.  The ``_vertex_labels``
+    of each piece are built once and read by the piece keys and by
+    every piece pair.  Nothing is kept between calls.
 
     ``_choices`` walks both levels: piece maps are its choices from k
     copies of ``range(k)``, pruned by ``piece_fits``, and the dart maps
@@ -388,8 +385,10 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     pieces2 = sorted(s2.pieces, key=lambda p: p.piece_id)
     links1 = _link_counts(s1, pieces1)
     links2 = _link_counts(s2, pieces2)
-    keys1 = _piece_keys(c1, pieces1, links1)
-    keys2 = _piece_keys(c2, pieces2, links2)
+    labels1 = [_vertex_labels(p, c1.signs[p.piece_id]) for p in pieces1]
+    labels2 = [_vertex_labels(p, c2.signs[p.piece_id]) for p in pieces2]
+    keys1 = _piece_keys(pieces1, labels1, links1)
+    keys2 = _piece_keys(pieces2, labels2, links2)
     if sorted(keys1) != sorted(keys2):
         return None
     by_spines: dict[tuple[int, int], list] = {}
@@ -405,8 +404,7 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
                 by_spines[spines] = list(iter_isomorphisms_tagged(
                     p1.spine, p2.spine, allow_reflection))
             candidates[(i, j)] = _piece_isomorphisms(
-                p1, c1.signs[p1.piece_id], p2, c2.signs[p2.piece_id],
-                by_spines[spines])
+                p1, labels1[i], p2, labels2[j], by_spines[spines])
         return candidates[(i, j)]
 
     def piece_fits(perm: tuple[int, ...], j: int) -> bool:
@@ -570,6 +568,8 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
 
     Shape mismatches (unknown pieces, non-bijective dart maps) raise
     ``InputError``; any value that fails to reproduce s2 returns False.
+    Each dart map must carry rotation and involution dart for dart; the
+    torus map is then read off the first darts (``induced_face_map``).
     The matrix comparison applies the witness factors and then demands
     equality entry for entry, so a wrong twist exponent or sign fails
     even in the loosest mode.
@@ -615,10 +615,7 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
                 return False
             if sigma[g1.involution[d]] != g2.involution[sigma[d]]:
                 return False
-        faces = induced_face_map(g1, g2, sigma, reflect)
-        if faces is None:
-            return False
-        for f, g in faces.items():
+        for f, g in induced_face_map(g1, g2, sigma, reflect).items():
             if p1.spine.colors[f] != p2.spine.colors[g]:
                 return False
             torus_map[(p1.piece_id, f)] = (p2.piece_id, g)

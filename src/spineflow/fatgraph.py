@@ -75,12 +75,11 @@ class FatGraph:
         self.rotation: dict[int, int] = rotation
 
         ends = list(chain.from_iterable(pairs))
-        if (_TWO.issuperset(map(len, pairs)) and _INT.issuperset(map(type, ends))
+        if not (_TWO.issuperset(map(len, pairs)) and _INT.issuperset(map(type, ends))
                 and len(set(ends)) == len(ends)):
-            # two distinct integer darts per pair, and no dart in two
-            involution = dict(zip(ends, chain.from_iterable(map(reversed, pairs))))
-        else:
-            involution = _involution(pairs)
+            raise _pairing_error(pairs)
+        # two distinct integer darts per pair, and no dart in two
+        involution = dict(zip(ends, chain.from_iterable(map(reversed, pairs))))
         if set(involution) != set(self.darts):
             missing = sorted(set(self.darts) ^ set(involution))
             raise PairingError(f"edge pairing does not match darts: {missing}")
@@ -247,22 +246,20 @@ class FatGraph:
         return f"FatGraph(({cycles}), {len(self.edges)} edges)"
 
 
-def _involution(pairs: list[tuple]) -> dict[int, int]:
-    """The edge involution of ``pairs``, or ``PairingError`` at the
-    first pair that is not two distinct integer darts or that repeats a
-    dart."""
-    involution: dict[int, int] = {}
+def _pairing_error(pairs: list[tuple]) -> PairingError:
+    """The error of the first pair of ``pairs`` that is not two distinct
+    integer darts or that repeats a dart of an earlier pair.  Called
+    only on pairs that have one."""
+    seen: set[int] = set()
     for pair in pairs:
         if (len(pair) != 2 or pair[0] == pair[1]
                 or any(type(d) is not int for d in pair)):
-            raise PairingError(
+            return PairingError(
                 f"edge pair {quote(pair)} is not two distinct integer darts")
-        a, b = pair
-        for x, y in ((a, b), (b, a)):
-            if x in involution:
-                raise PairingError(f"dart {x} appears in two edges")
-            involution[x] = y
-    return involution
+        for x in pair:
+            if x in seen:
+                return PairingError(f"dart {x} appears in two edges")
+            seen.add(x)
 
 
 def _rotate_min(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -307,11 +304,8 @@ class Spine:
 
     def relabeled(self, mapping: dict[int, int]) -> "Spine":
         graph = self.graph.relabeled(mapping)
-        old_faces = self.graph.boundary_cycles()
-        new_face_of = graph.face_of()
-        colors = {new_face_of[mapping[c[0]]]: self.colors[i]
-                  for i, c in enumerate(old_faces)}
-        return Spine(graph, colors)
+        faces = induced_face_map(self.graph, graph, mapping)
+        return Spine(graph, {g: self.colors[f] for f, g in faces.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Spine) and self.graph == other.graph
@@ -423,34 +417,26 @@ def is_bipartite(graph: FatGraph) -> bool:
 # ----------------------------------------------------------------------
 
 def induced_face_map(g1: FatGraph, g2: FatGraph, sigma: dict[int, int],
-                     reflect: bool = False) -> Optional[dict[int, int]]:
-    """Boundary-cycle correspondence induced by a dart bijection, or
-    None when the bijection does not respect the cycles.  Under
-    reflection the image of the cycle through d is the cycle through
-    involution(sigma(d)).  Witness replay checks every dart with it."""
-    face1 = g1.face_of()
-    face2 = g2.face_of()
-    inv2 = g2.involution
-    image: dict[int, int] = {}
-    for d in g1.darts:
-        target = face2[inv2[sigma[d]]] if reflect else face2[sigma[d]]
-        if face1[d] in image:
-            if image[face1[d]] != target:
-                return None
-        else:
-            image[face1[d]] = target
-    if len(set(image.values())) != len(image):
-        return None
-    return image
+                     reflect: bool = False) -> dict[int, int]:
+    """The boundary-cycle map of an isomorphism ``sigma`` from g1 to g2:
+    each cycle of g1 goes to the cycle of g2 through the image of its
+    first dart (through the involution of that image under reflection).
+    The caller checks that ``sigma`` commutes with the involutions and
+    the rotations (the inverse rotation of g2 under reflection); such a
+    bijection maps each face orbit of g1 onto one face orbit of g2 (onto
+    its involution under reflection), so one dart decides the image."""
+    face2, inv2 = g2.face_of(), g2.involution
+    return {f: face2[inv2[sigma[c[0]]] if reflect else sigma[c[0]]]
+            for f, c in enumerate(g1.boundary_cycles())}
 
 
 def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = False
                              ) -> Iterator[tuple[dict[int, int], bool,
                                                  dict[int, int]]]:
     """All color-preserving dart bijections from s1 to s2, each with its
-    reflection flag and its boundary-cycle map, in a fixed
-    deterministic order: by ascending image of the least dart of s1,
-    reflections last when enabled.
+    reflection flag and its boundary-cycle map (``induced_face_map``),
+    in a fixed deterministic order: by ascending image of the least
+    dart of s1, reflections last when enabled.
 
     An isomorphism of connected maps is fixed by the image of one dart,
     so the image dart ``t`` extends to one exactly when the walk of s2
@@ -458,34 +444,20 @@ def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = Fals
     same code as the ``least_walk`` of s1, and then the two walks list
     each dart and its image in the same place.  The code of s1 is
     looked up in the cached ``code_table`` of s2, so repeated searches
-    on the same graphs walk nothing again.  Each boundary cycle maps to
-    the cycle through the image of its first dart (through the
-    involution of s2 under reflection).  Graphs that agree in dart
-    count, valences and colored boundary lengths but are not both
-    connected raise ``InputError``.
+    on the same graphs walk nothing again.  Graphs of different dart
+    counts, valences or boundary lengths have no equal codes, and the
+    colors of each boundary cycle and its image are compared.  A graph
+    that is not connected raises ``InputError``, whatever the other.
     """
     g1, g2 = s1.graph, s2.graph
-    if len(g1.darts) != len(g2.darts):
-        return
-    if sorted(g1.valences()) != sorted(g2.valences()):
-        return
-    profile1 = sorted((len(c), s1.colors[i])
-                      for i, c in enumerate(g1.boundary_cycles()))
-    profile2 = sorted((len(c), s2.colors[i])
-                      for i, c in enumerate(g2.boundary_cycles()))
-    if profile1 != profile2:
-        return
     code1, order1 = g1.least_walk
     if len(order1) != len(g1.darts) or not g2.is_connected():
         raise InputError("isomorphism search expects connected fat graphs")
-    firsts = [c[0] for c in g1.boundary_cycles()]
-    face2 = g2.face_of()
     reflections = (False, True) if allow_reflection else (False,)
     for reflect in reflections:
-        side = g2.involution if reflect else dict(zip(g2.darts, g2.darts))
         for order2 in g2.code_table(reflect).get(code1, ()):
             sigma = dict(zip(order1, order2))
-            faces = {f: face2[side[sigma[d]]] for f, d in enumerate(firsts)}
+            faces = induced_face_map(g1, g2, sigma, reflect)
             if all(s1.colors[f] == s2.colors[g] for f, g in faces.items()):
                 yield sigma, reflect, faces
 

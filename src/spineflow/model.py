@@ -22,14 +22,17 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (InputError, Opt, OrientationConflictError, Table,
-                     conform, pointer_token, quote, read_index, shorten)
+from .errors import (CapacityError, InputError, Opt, OrientationConflictError,
+                     Table, conform, pointer_token, quote, read_index, shorten)
 from .fatgraph import (ENTRANCE, EXIT, SPINE_SHAPE, Spine, _spine_from_conformed,
                        spine_to_json)
 from .report import ValidationReport
 
 #: boundary torus id: (piece id, boundary cycle index)
 TorusId = tuple[str, int]
+
+#: most pieces whose 2^k orientation classes ``orientation_classes`` lists
+MAX_ORIENTATION_PIECES = 16
 
 
 def torus_label(torus: TorusId) -> str:
@@ -227,8 +230,14 @@ def orientation_classes(spec: ModelFlowSpec
     Representatives are produced by independently negating each piece's
     propagated assignment; pieces are taken in sorted id order with the
     unnegated choice first, so the list order is deterministic.  An
-    invalid specification raises ``InputError``.
+    invalid specification raises ``InputError``.  More than
+    ``MAX_ORIENTATION_PIECES`` = 16 pieces raise ``CapacityError``
+    before the specification is checked or any class is built.
     """
+    if len(spec.pieces) > MAX_ORIENTATION_PIECES:
+        raise CapacityError(
+            f"orientation classes are listed for at most {MAX_ORIENTATION_PIECES} "
+            f"pieces, got {len(spec.pieces)}")
     signs = check_spec(spec).signs
     ids = sorted(signs)
     reps = [OrientationAssignment({(pid, v): -s if flip else s

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from chains import banana_chain
+from spineflow import spec_from_json, spec_to_json
 from spineflow.cli import _json_text, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -101,6 +103,16 @@ class TestOrient:
             assert code == 2
             assert out == ""
             assert err.startswith("error: specification is invalid (")
+
+
+    def test_seventeen_piece_chain_exits_two(self, capsys, tmp_path):
+        banana = spec_from_json(load(BANANA))
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(spec_to_json(banana_chain(banana, [2] * 34))))
+        code, out, err = invoke(capsys, "orient", str(chain))
+        assert (code, out) == (2, "")
+        assert err == ("error: orientation classes are listed for at most "
+                       "16 pieces, got 17\n")
 
 
 class TestEquiv:

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from typing import Optional
 
 import pytest
 
@@ -14,7 +15,7 @@ from spineflow import (DehnCoefficient, EquivalenceMode, EquivalenceWitness,
                        GluingMatrix, InputError, ModelFlowSpec, ModelPiece,
                        negate_seed, normalize_matrix, spec_equivalent,
                        verify_witness)
-from spineflow.fatgraph import ENTRANCE, EXIT, Spine, induced_face_map
+from spineflow.fatgraph import ENTRANCE, EXIT, FatGraph, Spine
 from spineflow.model import (CheckedSpec, check_spec, seed_orientation,
                              torus_label, validate_spec)
 from test_census import _candidates
@@ -30,6 +31,51 @@ def _exact_key(checked: CheckedSpec) -> tuple:
     piece_keys, labelings = equivalence._piece_labelings(checked)
     return piece_keys, equivalence._least_pairs(
         labelings, checked.spec.pairing, checked.spec.matrices)
+
+
+def induced_face_map(g1: FatGraph, g2: FatGraph, sigma: dict[int, int],
+                     reflect: bool = False) -> Optional[dict[int, int]]:
+    """Boundary-cycle correspondence induced by a dart bijection, or
+    None when the bijection does not respect the cycles.  Under
+    reflection the image of the cycle through d is the cycle through
+    involution(sigma(d)).  The per-dart reference for the first-dart
+    ``fatgraph.induced_face_map``."""
+    face1 = g1.face_of()
+    face2 = g2.face_of()
+    inv2 = g2.involution
+    image: dict[int, int] = {}
+    for d in g1.darts:
+        target = face2[inv2[sigma[d]]] if reflect else face2[sigma[d]]
+        if face1[d] in image:
+            if image[face1[d]] != target:
+                return None
+        else:
+            image[face1[d]] = target
+    if len(set(image.values())) != len(image):
+        return None
+    return image
+
+
+def test_first_dart_face_map_is_the_per_dart_reference(census_spines):
+    """Every face map the isomorphism lister yields between census
+    spines, their relabeled copies and their mirror images is the
+    per-dart one."""
+    rng = random.Random(5)
+    checked = collections.Counter()
+    for spine in census_spines:
+        images = rng.sample(range(1, 40), len(spine.graph.darts))
+        copy = spine.relabeled(dict(zip(spine.graph.darts, images)))
+        graph = spine.graph.reflected()
+        faces = induced_face_map(spine.graph, graph,
+                                 dict(zip(graph.darts, graph.darts)), True)
+        mirror = Spine(graph, {g: spine.colors[f] for f, g in faces.items()})
+        for s1, s2 in ((spine, spine), (spine, copy), (copy, mirror)):
+            for sigma, reflect, faces in fatgraph.iter_isomorphisms_tagged(
+                    s1, s2, allow_reflection=True):
+                assert faces == induced_face_map(s1.graph, s2.graph, sigma,
+                                                 reflect)
+                checked[reflect] += 1
+    assert checked[False] and checked[True]
 
 
 def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
@@ -48,8 +94,10 @@ def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
     for pieces2 in itertools.permutations(
             sorted(s2.pieces, key=lambda p: p.piece_id)):
         per_piece = [equivalence._piece_isomorphisms(
-            p1, {v: o1.sign(p1.piece_id, v) for v in p1.vertices()},
-            p2, {v: o2.sign(p2.piece_id, v) for v in p2.vertices()},
+            p1, equivalence._vertex_labels(
+                p1, {v: o1.sign(p1.piece_id, v) for v in p1.vertices()}),
+            p2, equivalence._vertex_labels(
+                p2, {v: o2.sign(p2.piece_id, v) for v in p2.vertices()}),
             list(fatgraph.iter_isomorphisms_tagged(p1.spine, p2.spine,
                                                    allow_reflection)))
             for p1, p2 in zip(pieces1, pieces2)]

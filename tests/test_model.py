@@ -14,6 +14,7 @@ from spineflow import (ENTRANCE, EXIT, DehnCoefficient, EquivalenceWitness,
                        spec_from_json, spec_to_json, spine_census,
                        unsurgered_piece, validate_piece, validate_spec,
                        verify_witness)
+from spineflow.errors import CapacityError
 from spineflow.report import ValidationReport
 from spineflow.walks import reachable, two_color
 
@@ -280,6 +281,18 @@ class TestOrientationClasses:
     def test_first_representative_is_seeded(self, banana_spec):
         _, reps = orientation_classes(banana_spec)
         assert reps[0].signs == seed_orientation(banana_spec).signs
+
+    def test_piece_cap_raises_before_any_check(self, banana_spec, monkeypatch):
+        assert model.MAX_ORIENTATION_PIECES == 16
+        chain = banana_chain(banana_spec, [2] * 34)
+        assert len(chain.pieces) == 17
+
+        def unreachable(*args):
+            raise AssertionError("check_spec ran above the piece cap")
+
+        monkeypatch.setattr(model, "check_spec", unreachable)
+        with pytest.raises(CapacityError, match="at most 16 pieces, got 17"):
+            orientation_classes(chain)
 
 
 class TestValidateSpec:
