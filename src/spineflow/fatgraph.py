@@ -22,7 +22,6 @@ cycles by ``ENTRANCE`` / ``EXIT``.  The spine conditions are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .errors import (CapacityError, InputError, OrientabilityError,
@@ -36,8 +35,6 @@ COLORS = (ENTRANCE, EXIT)
 
 #: largest edge count the exhaustive spine census will attempt
 MAX_CENSUS_EDGES = 9
-
-_INT, _TWO = frozenset({int}), frozenset({2})
 
 
 class PairingError(StructureError):
@@ -74,12 +71,19 @@ class FatGraph:
                 rotation[d] = dnext
         self.rotation: dict[int, int] = rotation
 
-        ends = list(chain.from_iterable(pairs))
-        if not (_TWO.issuperset(map(len, pairs)) and _INT.issuperset(map(type, ends))
-                and len(set(ends)) == len(ends)):
-            raise _pairing_error(pairs)
-        # two distinct integer darts per pair, and no dart in two
-        involution = dict(zip(ends, chain.from_iterable(map(reversed, pairs))))
+        # two distinct integer darts per pair, and no dart in two; the
+        # first bad pair is the one named
+        involution: dict[int, int] = {}
+        for pair in pairs:
+            if (len(pair) != 2 or pair[0] == pair[1]
+                    or type(pair[0]) is not int or type(pair[1]) is not int):
+                raise PairingError(
+                    f"edge pair {quote(pair)} is not two distinct integer darts")
+            a, b = pair
+            for x, y in ((a, b), (b, a)):
+                if x in involution:
+                    raise PairingError(f"dart {x} appears in two edges")
+                involution[x] = y
         if set(involution) != set(self.darts):
             missing = sorted(set(self.darts) ^ set(involution))
             raise PairingError(f"edge pairing does not match darts: {missing}")
@@ -244,22 +248,6 @@ class FatGraph:
     def __repr__(self) -> str:
         cycles = ")(".join(",".join(map(str, c)) for c in self.vertices)
         return f"FatGraph(({cycles}), {len(self.edges)} edges)"
-
-
-def _pairing_error(pairs: list[tuple]) -> PairingError:
-    """The error of the first pair of ``pairs`` that is not two distinct
-    integer darts or that repeats a dart of an earlier pair.  Called
-    only on pairs that have one."""
-    seen: set[int] = set()
-    for pair in pairs:
-        if (len(pair) != 2 or pair[0] == pair[1]
-                or any(type(d) is not int for d in pair)):
-            return PairingError(
-                f"edge pair {quote(pair)} is not two distinct integer darts")
-        for x in pair:
-            if x in seen:
-                return PairingError(f"dart {x} appears in two edges")
-            seen.add(x)
 
 
 def _rotate_min(cycle: tuple[int, ...]) -> tuple[int, ...]:

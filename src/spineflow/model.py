@@ -452,14 +452,9 @@ def spec_from_json(obj, path: str = "") -> ModelFlowSpec:
                 for key, (p, q) in raw.get("dehn", {}).items()}
         pieces.append(ModelPiece(raw["id"], spine, dehn))
 
-    try:
-        pairing = tuple((parse_torus_label(src), parse_torus_label(dst))
-                        for src, dst in obj["pairing"])
-    except InputError:  # read again with pointers, to name the bad label
-        pairing = tuple(
-            (parse_torus_label(src, f"{path}/pairing/{k}/0"),
-             parse_torus_label(dst, f"{path}/pairing/{k}/1"))
-            for k, (src, dst) in enumerate(obj["pairing"]))
+    pairing = tuple((parse_torus_label(src, f"{path}/pairing/{k}/0"),
+                     parse_torus_label(dst, f"{path}/pairing/{k}/1"))
+                    for k, (src, dst) in enumerate(obj["pairing"]))
 
     rows = obj["matrices"]
     for k in range(len(pairing)):
