@@ -566,8 +566,9 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
                    ) -> bool:
     """Replay a witness: apply it to s1 and compare with s2.
 
-    Shape mismatches (unknown pieces, non-bijective dart maps) raise
-    ``InputError``; any value that fails to reproduce s2 returns False.
+    Shape mismatches (unknown pieces, non-bijective dart maps, and basis
+    signs, twists or reflections keyed by no glued torus, pairing index
+    or piece of s1) raise ``InputError``; any value that fails to reproduce s2 returns False.
     Each dart map must carry rotation and involution dart for dart; the
     torus map is then read off the first darts (``induced_face_map``).
     The matrix comparison applies the witness factors and then demands
@@ -585,6 +586,19 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
     if set(witness.dart_maps) != ids1:
         raise InputError("witness dart maps must cover exactly the pieces "
                          "of the first specification")
+    glued = {torus_label(torus) for pair in s1.pairing for torus in pair}
+    for label in witness.basis_signs:
+        if label not in glued:
+            raise InputError(f"witness basis signs name {quote(label)}, no "
+                             "glued torus of the first specification")
+    for k in witness.twists:
+        if k not in range(len(s1.pairing)):
+            raise InputError(f"witness twists name {quote(k)}, no pairing "
+                             "index of the first specification")
+    for pid in witness.reflected:
+        if pid not in ids1:
+            raise InputError(f"witness reflection names {quote(pid)}, no "
+                             "piece of the first specification")
 
     if mode is EquivalenceMode.EXACT:
         if any(signs != (1, 1) for signs in witness.basis_signs.values()):

@@ -178,7 +178,9 @@ def propagate_orientations(piece: ModelPiece,
     seed vertex's side of ``FatGraph.vertex_sides`` gets the seed sign.
 
     Returns the unique assignment extending the seed.  Errors come in a
-    fixed order: a loop edge anywhere in the piece (the cached
+    fixed order: a seed vertex not in the piece or a sign other than
+    +-1, either not exactly an ``int`` (``True`` is not ``1``), raises
+    ``InputError``; a loop edge anywhere in the piece (the cached
     ``FatGraph.loop_vertex``) raises ``OrientationConflictError`` with
     the one-vertex cycle ``[v]``; an odd cycle in the seed's component
     raises it with the cycle that the coloring met there; a vertex the
@@ -187,10 +189,10 @@ def propagate_orientations(piece: ModelPiece,
     """
     graph = piece.spine.graph
     seed_vertex, seed_sign = seed
-    if seed_vertex not in range(graph.vertex_count):
+    if type(seed_vertex) is not int or seed_vertex not in range(graph.vertex_count):
         raise InputError(
             f"seed vertex {seed_vertex} not in piece {quote(piece.piece_id)}")
-    if seed_sign not in (1, -1):
+    if type(seed_sign) is not int or seed_sign not in (1, -1):
         raise InputError(f"seed sign must be +-1, got {seed_sign}")
 
     loop = graph.loop_vertex

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -619,6 +620,45 @@ class TestVerifyWitnessRejects:
                                  dict(banana_spec.orientation_seed))
         assert not verify_witness(banana_spec, permuted,
                                   self.identity(banana_spec), self.MODE)
+
+
+class TestVerifyWitnessUnknownKeys:
+    """A basis sign, twist or reflection keyed by nothing of the first
+    specification raises ``InputError`` in every mode, even beside the
+    self-witness that replays."""
+
+    @staticmethod
+    def self_witness(spec, **extra) -> EquivalenceWitness:
+        witness = spec_equivalent(spec, spec, EquivalenceMode.EXACT)
+        return dataclasses.replace(
+            witness, **{name: {**getattr(witness, name), **entries}
+                        for name, entries in extra.items()})
+
+    @pytest.mark.parametrize("mode", list(EquivalenceMode))
+    def test_known_keys_replay(self, banana_spec, mode):
+        witness = self.self_witness(
+            banana_spec, basis_signs={"P.c0": (1, 1)}, twists={1: (0, 0)},
+            reflected={"P": False})
+        assert verify_witness(banana_spec, banana_spec, witness, mode)
+
+    @pytest.mark.parametrize("mode", list(EquivalenceMode))
+    def test_unknown_torus_label(self, banana_spec, mode):
+        witness = self.self_witness(banana_spec,
+                                    basis_signs={"nosuch.c7": (1, 1)})
+        with pytest.raises(InputError, match="basis signs name 'nosuch.c7'"):
+            verify_witness(banana_spec, banana_spec, witness, mode)
+
+    @pytest.mark.parametrize("mode", list(EquivalenceMode))
+    def test_unknown_pairing_index(self, banana_spec, mode):
+        witness = self.self_witness(banana_spec, twists={99: (0, 0)})
+        with pytest.raises(InputError, match="twists name 99"):
+            verify_witness(banana_spec, banana_spec, witness, mode)
+
+    @pytest.mark.parametrize("mode", list(EquivalenceMode))
+    def test_unknown_reflected_piece(self, banana_spec, mode):
+        witness = self.self_witness(banana_spec, reflected={"ghost": False})
+        with pytest.raises(InputError, match="reflection names 'ghost'"):
+            verify_witness(banana_spec, banana_spec, witness, mode)
 
 
 class TestAgainstExhaustiveSearch:

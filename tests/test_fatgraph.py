@@ -1,9 +1,9 @@
+import collections
 import hashlib
 import itertools
 import json
 import math
 import random
-from fractions import Fraction
 from typing import Iterator
 
 import pytest
@@ -98,26 +98,6 @@ def _rooted_even_map_codes(n: int) -> Iterator[tuple[int, ...]]:
             rotation[i] = preimage[r] = -1
 
     return grow(0, 1)
-
-
-def transitive_even_pair_counts(top: int) -> list[int]:
-    """T(n) for n = 0..top: ordered pairs of permutations of n points,
-    all cycles even, generating a transitive group.  There are b(n)^2
-    pairs with b(n) = ((n - 1)!!)^2 for even n and 0 for odd n, and
-    transitive ones are the connected objects of that species, so
-    sum T(n) x^n / n! = log sum b(n)^2 x^n / n!."""
-    def even_cycle_perms(n: int) -> int:
-        return 0 if n % 2 else math.prod(range(1, n, 2)) ** 2
-
-    a = [Fraction(even_cycle_perms(n) ** 2, math.factorial(n))
-         for n in range(top + 1)]
-    c = [Fraction(0)] * (top + 1)
-    for n in range(1, top + 1):
-        c[n] = a[n] - sum((k * c[k] * a[n - k] for k in range(1, n)),
-                         Fraction(0)) / n
-    counts = [c[n] * math.factorial(n) for n in range(top + 1)]
-    assert all(t.denominator == 1 for t in counts)
-    return [int(t) for t in counts]
 
 
 def cycles_of(perm) -> list[list[int]]:
@@ -511,7 +491,7 @@ class TestRootedHypermapCodes:
         # relabelings of 1..n-1 act freely on transitive pairs (one that
         # commutes with a transitive group and fixes 0 is the identity),
         # and each orbit is one rooted code: T(n) / (n - 1)! codes
-        counts = transitive_even_pair_counts(8)
+        counts = oracles.transitive_even_pair_counts(8)
         rooted = [sum(1 for _ in _rooted_even_hypermap_codes(n))
                   for n in range(1, 9)]
         assert rooted == [counts[n] // math.factorial(n - 1)
@@ -657,6 +637,14 @@ class TestEightEdgeCensus:
         assert [spine_to_json(s) for s in eight_edge_spines[:91]] == \
             [spine_to_json(s) for s in six_edge_spines]
         assert [s.graph.edge_count for s in eight_edge_spines].count(8) == 3090
+
+    def test_counts_match_burnside(self, eight_edge_spines):
+        # the census against a count that never builds a spine
+        by_edges = collections.Counter(s.graph.edge_count
+                                       for s in eight_edge_spines)
+        counts = [oracles.burnside_spine_count(e) for e in range(1, 9)]
+        assert counts == [by_edges[e] for e in range(1, 9)]
+        assert counts == [0, 1, 0, 8, 0, 82, 0, 3090]
 
     def test_spine_conditions(self, eight_edge_spines):
         for spine in eight_edge_spines[91:]:

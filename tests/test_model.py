@@ -129,6 +129,12 @@ class TestPropagation:
         with pytest.raises(InputError):
             propagate_orientations(banana_piece(), (0, 2))
 
+    @pytest.mark.parametrize("seed", [(False, 1), (0, True), (True, -1),
+                                      (0, 1.0), (0.0, 1)])
+    def test_seed_not_exactly_int_is_input_error(self, seed):
+        with pytest.raises(InputError):
+            propagate_orientations(banana_piece(), seed)
+
 
 def reference_neighbors(graph: FatGraph) -> dict[int, list[int]]:
     """Vertex adjacency lists, one entry per edge end in edge order."""
@@ -329,6 +335,15 @@ class TestValidateSpec:
                              banana_spec.matrices, {})
         report = validate_spec(spec)
         assert any("orientation" in c.name for c in report.failures)
+
+    @pytest.mark.parametrize("seed", [(False, True), (0, True), (False, 1)])
+    def test_boolean_seed_fails(self, banana_spec, seed):
+        spec = ModelFlowSpec(banana_spec.pieces, banana_spec.pairing,
+                             banana_spec.matrices, {"P": seed})
+        [failure] = validate_spec(spec).failures
+        assert failure.name == "orientation of piece P"
+        with pytest.raises(InputError, match="orientation of piece P"):
+            model.check_spec(spec)
 
     def test_relabeling_invariance(self, banana_spec):
         # rename the piece and every dart; acceptance is unchanged
