@@ -568,7 +568,8 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
 
     Shape mismatches (unknown pieces, non-bijective dart maps, and basis
     signs, twists or reflections keyed by no glued torus, pairing index
-    or piece of s1) raise ``InputError``; any value that fails to reproduce s2 returns False.
+    or piece of s1) raise ``InputError``; any value that fails to
+    reproduce s2 returns False.
     Each dart map must carry rotation and involution dart for dart; the
     torus map is then read off the first darts (``induced_face_map``).
     The matrix comparison applies the witness factors and then demands

@@ -14,8 +14,10 @@ anything.  Shapes:
 The first wrong value raises ``InputError`` naming its JSON pointer,
 the deepest wrong value: a string among a spine's edge pairs is
 reported at the entry, not at the array; its keys are escaped by
-``pointer_token`` and its value quoted by ``quote``.  Readers then
-build their objects with no type tests, so shape errors come first.
+``pointer_token`` and its value quoted by ``quote``.  The walk tests
+each value once, entry by entry, skipping only a pair of two right
+leaves and an object member that is a right leaf.  Readers then build
+their objects with no type tests, so shape errors come first.
 """
 
 import reprlib

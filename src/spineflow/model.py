@@ -189,7 +189,8 @@ def propagate_orientations(piece: ModelPiece,
     """
     graph = piece.spine.graph
     seed_vertex, seed_sign = seed
-    if type(seed_vertex) is not int or seed_vertex not in range(graph.vertex_count):
+    if (type(seed_vertex) is not int
+            or seed_vertex not in range(graph.vertex_count)):
         raise InputError(
             f"seed vertex {seed_vertex} not in piece {quote(piece.piece_id)}")
     if type(seed_sign) is not int or seed_sign not in (1, -1):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 
 # -- fat graph side ----------------------------------------------------
@@ -142,19 +141,18 @@ def transitive_even_pair_counts(top: int) -> list[int]:
     all cycles even, generating a transitive group.  There are b(n)^2
     pairs with b(n) = ((n - 1)!!)^2 for even n and 0 for odd n, and
     transitive ones are the connected objects of that species, so
-    sum T(n) x^n / n! = log sum b(n)^2 x^n / n!."""
+    sum T(n) x^n / n! = log sum b(n)^2 x^n / n!.  In integers: the
+    orbit of the first point has some size k, so b(n)^2 is the sum over
+    k of C(n - 1, k - 1) T(k) b(n - k)^2."""
     def even_cycle_perms(n: int) -> int:
         return 0 if n % 2 else math.prod(range(1, n, 2)) ** 2
 
-    a = [Fraction(even_cycle_perms(n) ** 2, math.factorial(n))
-         for n in range(top + 1)]
-    c = [Fraction(0)] * (top + 1)
+    a = [even_cycle_perms(n) ** 2 for n in range(top + 1)]
+    c = [0] * (top + 1)
     for n in range(1, top + 1):
-        c[n] = a[n] - sum((k * c[k] * a[n - k] for k in range(1, n)),
-                         Fraction(0)) / n
-    counts = [c[n] * math.factorial(n) for n in range(top + 1)]
-    assert all(t.denominator == 1 for t in counts)
-    return [int(t) for t in counts]
+        c[n] = a[n] - sum(math.comb(n - 1, k - 1) * c[k] * a[n - k]
+                          for k in range(1, n))
+    return c
 
 
 def _transitive_pairs(m: int):
@@ -240,17 +238,18 @@ def burnside_spine_count(edges: int) -> int:
     ``transitive_even_pair_counts``; the others come from
     ``centralizer_even_pair_count``.  E = 10 gives 218,608 in about
     3 s."""
-    if edges < 1:
-        return 0
-    total = Fraction(transitive_even_pair_counts(edges)[edges],
-                     math.factorial(edges))
-    for d in range(2, edges + 1):
+    total = 0
+    for d in range(1, edges + 1):
         if edges % d == 0:
             m = edges // d
-            total += Fraction(centralizer_even_pair_count(d, m),
-                              d ** m * math.factorial(m))
-    assert total.denominator == 1
-    return int(total)
+            fixed = (transitive_even_pair_counts(edges)[edges] if d == 1
+                     else centralizer_even_pair_count(d, m))
+            # E! / (d^m m!) permutations g have this cycle type
+            conjugates = math.factorial(edges) // (d ** m * math.factorial(m))
+            total += fixed * conjugates
+    count, rest = divmod(total, math.factorial(edges))
+    assert rest == 0
+    return count
 
 
 # -- flow graph side ---------------------------------------------------
