@@ -79,11 +79,11 @@ class FatGraph:
                     or type(pair[0]) is not int or type(pair[1]) is not int):
                 raise PairingError(
                     f"edge pair {quote(pair)} is not two distinct integer darts")
-            a, b = pair
-            for x, y in ((a, b), (b, a)):
+            for x in pair:
                 if x in involution:
                     raise PairingError(f"dart {x} appears in two edges")
-                involution[x] = y
+            a, b = pair
+            involution[a], involution[b] = b, a
         if set(involution) != set(self.darts):
             missing = sorted(set(self.darts) ^ set(involution))
             raise PairingError(f"edge pairing does not match darts: {missing}")
