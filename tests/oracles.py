@@ -155,23 +155,6 @@ def transitive_even_pair_counts(top: int) -> list[int]:
     return c
 
 
-def _transitive_pairs(m: int):
-    """Ordered pairs of permutations of m points whose group is
-    transitive: the points reached from 0 by both, forward."""
-    perms = list(itertools.permutations(range(m)))
-    for x in perms:
-        for y in perms:
-            reached, stack = {0}, [0]
-            while stack:
-                i = stack.pop()
-                for j in (x[i], y[i]):
-                    if j not in reached:
-                        reached.add(j)
-                        stack.append(j)
-            if len(reached) == m:
-                yield x, y
-
-
 def _lifted_cycles_even(perm, voltage, d: int) -> bool:
     """Whether every cycle of the lift (i, a) -> (perm[i], a + voltage[i])
     on m blocks of Z_d is even: a cycle of perm of length l and voltage
@@ -201,7 +184,9 @@ def centralizer_even_pair_count(d: int, m: int) -> int:
     spanning tree of the block graph.  That one lifts to a transitive
     pair exactly when its m + 1 other voltages generate Z_d."""
     total = 0
-    for bx, by in _transitive_pairs(m):
+    perms = list(itertools.permutations(range(m)))
+    for bx, by in itertools.product(perms, repeat=2):
+        # the blocks reached from block 0, and the edge that reached each
         tree, reached, queue = set(), {0}, [0]
         for i in queue:
             for letter, j in ((0, bx[i]), (1, by[i])):
@@ -209,6 +194,8 @@ def centralizer_even_pair_count(d: int, m: int) -> int:
                     reached.add(j)
                     queue.append(j)
                     tree.add((letter, i))
+        if len(reached) < m:
+            continue  # not transitive on the blocks
         cotree = [(letter, i) for letter in (0, 1) for i in range(m)
                   if (letter, i) not in tree]
         for values in itertools.product(range(d), repeat=len(cotree)):
