@@ -133,14 +133,17 @@ class EquivalenceWitness:
     reflected: dict[str, bool] = field(default_factory=dict)
 
     def left_factor(self, entrance: TorusId, pair_index: int) -> Mat:
-        signs = self.basis_signs.get(torus_label(entrance), (1, 1))
-        left, _ = self.twists.get(pair_index, (0, 0))
-        return _upper(signs, left, twist_first=False)
+        return self._factor(torus_label(entrance), pair_index, left=True)
 
     def right_factor(self, exit_torus: TorusId, pair_index: int) -> Mat:
-        signs = self.basis_signs.get(torus_label(exit_torus), (1, 1))
-        _, right = self.twists.get(pair_index, (0, 0))
-        return _upper(signs, right, twist_first=True)
+        return self._factor(torus_label(exit_torus), pair_index, left=False)
+
+    def _factor(self, label: str, pair_index: int, left: bool) -> Mat:
+        """The left factor of a pair at its entrance, or the right one
+        at its exit, by the torus's label."""
+        signs = self.basis_signs.get(label, (1, 1))
+        twist = self.twists.get(pair_index, (0, 0))[0 if left else 1]
+        return _upper(signs, twist, twist_first=not left)
 
     def to_json(self) -> dict:
         return {
@@ -258,12 +261,11 @@ def _vertex_labels(piece: ModelPiece, signs: dict[int, int]
     return [(dehn[v].p, dehn[v].q, signs[v]) for v in piece.vertices()]
 
 
-def _link_counts(spec: ModelFlowSpec, pieces) -> list[list[int]]:
-    """links[i][j]: how many pairs glue an exit of pieces[i] to an
-    entrance of pieces[j]."""
-    index = {p.piece_id: i for i, p in enumerate(pieces)}
-    links = [[0] * len(pieces) for _ in pieces]
-    for (src_piece, _), (dst_piece, _) in spec.pairing:
+def _link_counts(pairing, index: dict[str, int]) -> list[list[int]]:
+    """links[i][j]: how many pairs glue an exit of the piece with
+    ``index`` i to an entrance of the piece with index j."""
+    links = [[0] * len(index) for _ in index]
+    for (src_piece, _), (dst_piece, _) in pairing:
         links[index[src_piece]][index[dst_piece]] += 1
     return links
 
@@ -296,6 +298,26 @@ def _piece_keys(pieces, labels: list[list], links: list[list[int]]
     return keys
 
 
+def _refined_keys(keys: list[tuple], index: dict[str, int], pairing,
+                  forms: list[Mat]) -> list[tuple]:
+    """Each of the ``_piece_keys`` extended by the sorted mode forms of
+    the pairs leaving its piece and the sorted forms of the pairs
+    entering it; a pair from a piece to itself is in both.
+
+    A witness keeps colors, so it sends the exits of a piece to exits
+    of its image, and it sends each pair to a pair of equal form: the
+    extended keys of a piece and its image are equal too.  This is one
+    refinement step of McKay & Piperno, "Practical graph isomorphism
+    II", 2014, with the pairs' forms as the colors of the links."""
+    leaving: list[list[Mat]] = [[] for _ in keys]
+    entering: list[list[Mat]] = [[] for _ in keys]
+    for ((src_piece, _), (dst_piece, _)), form in zip(pairing, forms):
+        leaving[index[src_piece]].append(form)
+        entering[index[dst_piece]].append(form)
+    return [(key, tuple(sorted(out)), tuple(sorted(into)))
+            for key, out, into in zip(keys, leaving, entering)]
+
+
 def _choices(options, fits, prefix: tuple = ()):
     """Every choice of one entry per list of ``options``, in
     ``itertools.product`` order, skipping every extension of a prefix
@@ -320,9 +342,12 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     valence, Dehn coefficient and sign, and link counts).  A witness
     pairs matrices with equal forms and pieces with equal keys, so the
     answer is None, and no isomorphism is listed, when the sorted forms
-    differ or, checked next, the sorted keys differ.  Cheap invariants
-    come before the search, as in McKay & Piperno, "Practical graph
-    isomorphism II", 2014.
+    differ or, checked next, the sorted keys differ.  Once the keys
+    agree, each is extended by the sorted forms of the pairs leaving
+    and entering its piece (``_refined_keys``), and the answer is None
+    when the sorted extended keys differ.  Cheap invariants and one
+    refinement step come before the search, as in McKay & Piperno,
+    "Practical graph isomorphism II", 2014.
 
     Pieces are taken in sorted id order.  A depth-first search assigns
     an image piece to each piece of s1 in turn, trying the pieces of s2
@@ -331,9 +356,9 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     with itself included) differs from the number gluing their images,
     or a piece and its image have no color-, coefficient- and
     orientation-preserving dart bijection; a piece and an image with
-    unequal keys are dropped before their bijections are listed.  For
-    each surviving piece bijection a second depth-first search picks
-    one dart bijection per piece, in the order
+    unequal extended keys are dropped before their bijections are
+    listed.  For each surviving piece bijection a second depth-first
+    search picks one dart bijection per piece, in the order
     ``iter_isomorphisms_tagged`` lists them, and checks each pair of s1
     (its image must be a pair of s2 and its matrix must match under the
     mode's moves, which it does exactly when the two forms are equal)
@@ -371,8 +396,10 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     lists, pruned by the pairs each new piece completes.
 
     The piece keys hold with or without reflection because reflection,
-    as ``_piece_isomorphisms`` applies it, keeps Dehn coefficients and
-    signs; a reflection that changed them would need other keys."""
+    as ``_piece_isomorphisms`` applies it, keeps Dehn coefficients,
+    signs and colors; a reflection that changed them would need other
+    keys.  The keys are extended only after the plain ones agree, so
+    that misses the plain keys answer do not pay for the extension."""
     s1, s2 = c1.spec, c2.spec
     if len(s1.pieces) != len(s2.pieces):
         return None
@@ -383,12 +410,18 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
         return None
     pieces1 = sorted(s1.pieces, key=lambda p: p.piece_id)
     pieces2 = sorted(s2.pieces, key=lambda p: p.piece_id)
-    links1 = _link_counts(s1, pieces1)
-    links2 = _link_counts(s2, pieces2)
+    index1 = {p.piece_id: i for i, p in enumerate(pieces1)}
+    index2 = {p.piece_id: i for i, p in enumerate(pieces2)}
+    links1 = _link_counts(s1.pairing, index1)
+    links2 = _link_counts(s2.pairing, index2)
     labels1 = [_vertex_labels(p, c1.signs[p.piece_id]) for p in pieces1]
     labels2 = [_vertex_labels(p, c2.signs[p.piece_id]) for p in pieces2]
     keys1 = _piece_keys(pieces1, labels1, links1)
     keys2 = _piece_keys(pieces2, labels2, links2)
+    if sorted(keys1) != sorted(keys2):
+        return None
+    keys1 = _refined_keys(keys1, index1, s1.pairing, forms1)
+    keys2 = _refined_keys(keys2, index2, s2.pairing, forms2)
     if sorted(keys1) != sorted(keys2):
         return None
     by_spines: dict[tuple[int, int], list] = {}
@@ -417,7 +450,6 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
                 return False
         return bool(isomorphisms(i, j))
 
-    index1 = {p.piece_id: i for i, p in enumerate(pieces1)}
     ends1 = [[(index1[piece], face) for piece, face in pair]
              for pair in s1.pairing]
     checks_at: list[list[int]] = [[] for _ in pieces1]
@@ -587,7 +619,8 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
     if set(witness.dart_maps) != ids1:
         raise InputError("witness dart maps must cover exactly the pieces "
                          "of the first specification")
-    glued = {torus_label(torus) for pair in s1.pairing for torus in pair}
+    labels = [(torus_label(src), torus_label(dst)) for src, dst in s1.pairing]
+    glued = {label for pair in labels for label in pair}
     for label in witness.basis_signs:
         if label not in glued:
             raise InputError(f"witness basis signs name {quote(label)}, no "
@@ -642,16 +675,17 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
                 return False
 
     pair_index2 = {pair: k for k, pair in enumerate(s2.pairing)}
-    for k, (src, dst) in enumerate(s1.pairing):
+    for k, ((src, dst), (src_label, dst_label)) in enumerate(
+            zip(s1.pairing, labels)):
         image = (torus_map[src], torus_map[dst])
         k2 = pair_index2.get(image)
         if k2 is None:
             return False
         m1 = s1.matrices[k]
         m2 = s2.matrices[k2]
-        product = _mul(_mul(witness.left_factor(dst, k),
+        product = _mul(_mul(witness._factor(dst_label, k, left=True),
                             (m1.a, m1.b, m1.c, m1.d)),
-                       witness.right_factor(src, k))
+                       witness._factor(src_label, k, left=False))
         if product != (m2.a, m2.b, m2.c, m2.d):
             return False
     return True

@@ -274,11 +274,17 @@ class Spine:
     def boundary_ids(self, color: str) -> list[int]:
         """The sorted ids of the boundary cycles of ``color``, as a new
         list."""
+        return list(self.boundary_table().get(color, ()))
+
+    def boundary_table(self) -> dict[str, tuple[int, ...]]:
+        """The sorted ids of the boundary cycles of each color in
+        ``COLORS``: the kept table itself, computed on first use, which
+        callers must not change."""
         if self._boundary_table is None:
             ids = sorted(self.colors)
             object.__setattr__(self, "_boundary_table", {
                 c: tuple(i for i in ids if self.colors[i] == c) for c in COLORS})
-        return list(self._boundary_table.get(color, ()))
+        return self._boundary_table
 
     @property
     def conditions(self) -> tuple[Check, ...]:

@@ -185,16 +185,16 @@ def propagate_orientations(piece: ModelPiece,
     the one-vertex cycle ``[v]``; an odd cycle in the seed's component
     raises it with the cycle that the coloring met there; a vertex the
     seed cannot reach raises ``InputError``.  Messages quote the piece
-    id with ``quote``.
+    id, the seed vertex and the seed sign with ``quote``.
     """
     graph = piece.spine.graph
     seed_vertex, seed_sign = seed
     if (type(seed_vertex) is not int
             or seed_vertex not in range(graph.vertex_count)):
         raise InputError(
-            f"seed vertex {seed_vertex} not in piece {quote(piece.piece_id)}")
+            f"seed vertex {quote(seed_vertex)} not in piece {quote(piece.piece_id)}")
     if type(seed_sign) is not int or seed_sign not in (1, -1):
-        raise InputError(f"seed sign must be +-1, got {seed_sign}")
+        raise InputError(f"seed sign must be +-1, got {quote(seed_sign)}")
 
     loop = graph.loop_vertex
     if loop is not None:
@@ -275,7 +275,8 @@ def _piece_rules(piece: ModelPiece,
 
 
 def _rules(spec: ModelFlowSpec, report: Optional[ValidationReport] = None
-           ) -> Optional[dict[str, dict[int, int]]]:
+           ) -> Optional[tuple[dict[str, dict[int, int]],
+                               Optional[dict[TorusId, int]]]]:
     """The rules of a valid specification, in report order: piece ids
     unique; per piece, ``_piece_rules``; pairing sources and targets;
     one matrix per pair; each matrix; each seed's propagation.
@@ -283,8 +284,9 @@ def _rules(spec: ModelFlowSpec, report: Optional[ValidationReport] = None
     With a report, every check is added with its name and detail, ids
     and torus lists cut by ``quote`` and ``shorten``.  Without one, no
     name or detail is made: the walk returns None at the first rule
-    that fails, and otherwise the propagated ``signs[piece id]``.  Each
-    seed propagates once."""
+    that fails, and otherwise the propagated ``signs[piece id]`` and
+    the ``pair_of`` table of ``_pair_index``, which decides the pairing
+    rules.  Each seed propagates once."""
     passed = len({piece.piece_id for piece in spec.pieces}) == len(spec.pieces)
     if report is not None:
         report.add("piece ids unique", passed, quote(spec.piece_ids()))
@@ -297,17 +299,20 @@ def _rules(spec: ModelFlowSpec, report: Optional[ValidationReport] = None
         elif not _piece_rules(piece, None):
             return None
 
-    sources = sorted(src for src, _ in spec.pairing)
-    exits = sorted(t for piece in spec.pieces for t in piece.exits())
-    targets = sorted(dst for _, dst in spec.pairing)
-    entrances = sorted(t for piece in spec.pieces for t in piece.entrances())
+    pair_of = None
     if report is not None:
+        sources = sorted(src for src, _ in spec.pairing)
+        exits = sorted(t for piece in spec.pieces for t in piece.exits())
+        targets = sorted(dst for _, dst in spec.pairing)
+        entrances = sorted(t for piece in spec.pieces for t in piece.entrances())
         report.add("pairing sources are the exit tori", sources == exits,
                    f"sources {quote(sources)} vs exits {quote(exits)}")
         report.add("pairing targets are the entrance tori", targets == entrances,
                    f"targets {quote(targets)} vs entrances {quote(entrances)}")
-    elif sources != exits or targets != entrances:
-        return None
+    else:
+        pair_of = _pair_index(spec)
+        if pair_of is None:
+            return None
 
     passed = len(spec.matrices) == len(spec.pairing)
     if report is not None:
@@ -342,7 +347,37 @@ def _rules(spec: ModelFlowSpec, report: Optional[ValidationReport] = None
                        not failure, failure)
         elif failure:
             return None
-    return signs
+    return signs, pair_of
+
+
+def _pair_index(spec: ModelFlowSpec) -> Optional[dict[TorusId, int]]:
+    """The pairing rules of ``_rules`` without a report, decided in one
+    pass over the pairing: ``pair_of[boundary torus]``, the index of
+    its pair, or None when the sources are not the exit tori or the
+    targets not the entrance tori.
+
+    Piece ids are unique and colorings total here.  The sources are
+    the exit tori exactly when they are ``n = len(pairing)`` distinct
+    tori, each an EXIT id of a named piece, and the pieces have n exits
+    in all; the targets likewise with ENTRANCE ids.  Each spine's
+    cached per-color boundary ids answer both."""
+    tables = {piece.piece_id: piece.spine.boundary_table()
+              for piece in spec.pieces}
+    pair_of: dict[TorusId, int] = {}
+    for k, (src, dst) in enumerate(spec.pairing):
+        if len(src) != 2 or len(dst) != 2:
+            return None
+        src_table, dst_table = tables.get(src[0]), tables.get(dst[0])
+        if (src_table is None or src[1] not in src_table[EXIT]
+                or dst_table is None or dst[1] not in dst_table[ENTRANCE]):
+            return None
+        pair_of[src] = pair_of[dst] = k
+    n = len(spec.pairing)
+    if (len(pair_of) != 2 * n
+            or sum(len(table[EXIT]) for table in tables.values()) != n
+            or sum(len(table[ENTRANCE]) for table in tables.values()) != n):
+        return None
+    return pair_of
 
 
 def validate_spec(spec: ModelFlowSpec) -> ValidationReport:
@@ -378,13 +413,11 @@ def check_spec(spec: ModelFlowSpec, name: str = "specification") -> CheckedSpec:
     first failing rule and propagates each seed once.  Only an invalid
     specification is walked again, by ``validate_spec``, to name its
     failed checks."""
-    signs = _rules(spec)
-    if signs is None:
+    tables = _rules(spec)
+    if tables is None:
         names = ", ".join(c.name for c in validate_spec(spec).failures)
         raise InputError(f"{name} is invalid ({names})")
-    return CheckedSpec(
-        spec, signs,
-        {torus: k for k, pair in enumerate(spec.pairing) for torus in pair})
+    return CheckedSpec(spec, *tables)
 
 
 # ----------------------------------------------------------------------

@@ -20,3 +20,14 @@ def banana_chain(banana_spec, cs):
         tuple(ModelPiece(pid, spine, dict(piece.dehn)) for pid in ids),
         tuple(pairing), tuple(GluingMatrix(1, 0, c, 1) for c in cs),
         {pid: (0, 1) for pid in ids})
+
+
+def renamed_chain(chain):
+    """``chain`` with its piece Ci renamed C(i + 1 mod k) everywhere:
+    the same spines, pairs and matrices under new ids."""
+    k = len(chain.pieces)
+    new_id = {f"C{i}": f"C{(i + 1) % k}" for i in range(k)}
+    return ModelFlowSpec(
+        tuple(ModelPiece(new_id[p.piece_id], p.spine, p.dehn) for p in chain.pieces),
+        tuple(((new_id[a], f), (new_id[b], g)) for (a, f), (b, g) in chain.pairing),
+        chain.matrices, {new_id[p]: s for p, s in chain.orientation_seed.items()})

@@ -191,6 +191,72 @@ def test_planted_defects(banana_spec):
             check_spec(defects[name])
 
 
+def pairing_defects(banana_spec):
+    """Named copies of a three-piece chain, each with one defect planted
+    in its pairing, and the chain itself with its pairs in two orders;
+    the two unbalanced specifications of ``unbalanced`` too."""
+    chain = banana_chain(banana_spec, [2, 3, 4, 5, 6, 7])
+    pairs, matrices = chain.pairing, chain.matrices
+    (src0, dst0), (src1, dst1) = pairs[:2]
+    entrance = pairs[-1][1]  # an entrance of C0, the target of the last pair
+
+    def spec(*edits, pairing=pairs, matrices=matrices):
+        pairing = list(pairing)
+        for n, pair in edits:
+            pairing[n] = pair
+        return ModelFlowSpec(chain.pieces, tuple(pairing), matrices,
+                             dict(chain.orientation_seed))
+
+    return {
+        "valid": spec(),
+        "valid reversed order": spec(pairing=pairs[::-1], matrices=matrices[::-1]),
+        "repeated source": spec((1, (src0, dst1))),
+        "source on an unknown piece": spec((0, (("X", src0[1]), dst0))),
+        "entrance as a source": spec((0, (entrance, dst0))),
+        "face past the cycles": spec((0, ((src0[0], 4), dst0))),
+        "target face past the cycles": spec((0, (src0, (dst0[0], 4)))),
+        "pair dropped": spec(pairing=pairs[:-1], matrices=matrices[:-1]),
+        "pair added": spec(pairing=pairs + pairs[:1],
+                           matrices=matrices + matrices[:1]),
+        "ends swapped": spec((0, (dst0, src0))),
+        "torus of three entries": spec((0, (src0 + (0,), dst0))),
+        "exit left unpaired": unbalanced(banana_spec, EXIT),
+        "entrance left unpaired": unbalanced(banana_spec, ENTRANCE),
+    }
+
+
+def unbalanced(banana_spec, left):
+    """The banana piece glued to a piece with one exit and two
+    entrances, or with the colors flipped two exits and one entrance,
+    in three pairs: one torus of color ``left`` stays unpaired, with
+    every pairing torus distinct and of the right color."""
+    graph = FatGraph([[1, 3], [2, 4, 5, 7], [6, 8]],
+                     [[1, 2], [3, 4], [5, 6], [7, 8]])
+    other = {EXIT: ENTRANCE, ENTRANCE: EXIT}[left]
+    u = unsurgered_piece("U", Spine(graph, {0: left, 1: other, 2: left}))
+    b = banana_spec.pieces[0]
+    if left == EXIT:
+        pairing = (*zip(u.exits(), b.entrances()), (b.exits()[0], u.entrances()[0]))
+    else:
+        pairing = (*zip(b.exits(), u.entrances()), (u.exits()[0], b.entrances()[0]))
+    return ModelFlowSpec((b, u), pairing, (STANDARD_GLUING,) * 3,
+                         {b.piece_id: (0, 1), "U": (0, 1)})
+
+
+def test_pairing_defects(banana_spec):
+    """``check_spec`` decides the pairing rules in one pass over the
+    pairing; it raises exactly when the report fails a pairing check,
+    and then only the pairing checks fail."""
+    pairing_checks = {"pairing sources are the exit tori",
+                      "pairing targets are the entrance tori"}
+    for name, spec in pairing_defects(banana_spec).items():
+        valid = name.startswith("valid")
+        assert assert_agree(spec) is valid, name
+        failed = {c.name for c in validate_spec(spec).failures}
+        assert bool(failed) is not valid, name
+        assert failed <= pairing_checks, name
+
+
 def test_spine_conditions_are_checked_once(banana_spec, monkeypatch):
     calls = []
     real = fatgraph._conditions

@@ -435,6 +435,20 @@ class TestLongValues:
         else:
             assert json.loads(out)["passed"] is (sign == 1)
 
+    @pytest.mark.parametrize("seed", [[int("9" * 4000), 1], [0, int("9" * 4000)]],
+                             ids=["vertex", "sign"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_seed_report_is_cut(self, capsys, tmp_path, fmt, seed):
+        # the whole seed made a 5,811-byte text report
+        data = load(BANANA)
+        data["orientation_seed"] = {"P": seed}
+        bad = tmp_path / "seed.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "validate", str(bad), "--format", fmt)
+        assert (code, err) == (1, "")
+        assert len(out) < 5000
+        assert "9" * 18 + "..." in out
+
     def test_short_value_reads_in_full(self, capsys, tmp_path):
         data = load(BANANA)
         data["pieces"][0]["spine"]["edges"][0] = "12"

@@ -11,7 +11,7 @@ import pytest
 import oracles
 import spineflow.equivalence as equivalence
 import spineflow.fatgraph as fatgraph
-from chains import banana_chain
+from chains import banana_chain, renamed_chain
 from spineflow import (DehnCoefficient, EquivalenceMode, EquivalenceWitness,
                        GluingMatrix, InputError, ModelFlowSpec, ModelPiece,
                        negate_seed, normalize_matrix, spec_equivalent,
@@ -467,6 +467,17 @@ class TestVerifyWitness:
                                        witness.reflected)
         assert not verify_witness(banana_spec, banana_spec, perturbed, mode)
 
+    def test_factors_by_torus_and_pair(self):
+        """``left_factor`` is diag(entrance signs) . U(left twist) and
+        ``right_factor`` U(right twist) . diag(exit signs); a torus or
+        pair the witness does not name gets no sign or twist."""
+        witness = EquivalenceWitness({}, {}, {"P.c1": (-1, 1), "P.c0": (1, -1)},
+                                     {0: (2, -3)})
+        assert witness.left_factor(("P", 1), 0) == (-1, -2, 0, 1)
+        assert witness.right_factor(("P", 0), 0) == (1, 3, 0, -1)
+        assert witness.left_factor(("P", 3), 1) == (1, 0, 0, 1)
+        assert witness.right_factor(("Q", 0), 1) == (1, 0, 0, 1)
+
     def test_wrong_dart_image_fails(self, banana_spec):
         mode = EquivalenceMode.EXACT
         witness = spec_equivalent(banana_spec, banana_spec, mode)
@@ -741,24 +752,54 @@ class TestAgainstExhaustiveSearch:
 
 
 def test_chain_miss_builds_each_candidate_list_once(banana_spec, monkeypatch):
-    """An inequivalent 7-piece chain lists the dart bijections of each
-    piece pair at most once: at most k^2 isomorphism searches, where
-    trying every piece permutation made about k! * k."""
+    """An inequivalent 7-piece chain builds the candidate dart
+    bijections of each piece pair at most once: at most k^2 candidate
+    lists, where trying every piece permutation made about k! * k."""
     calls = []
-    real = equivalence.iter_isomorphisms_tagged
+    real = equivalence._piece_isomorphisms
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(equivalence, "iter_isomorphisms_tagged", counting)
+    monkeypatch.setattr(equivalence, "_piece_isomorphisms", counting)
     k = 7
-    chain = banana_chain(banana_spec, list(range(2, 2 + 2 * k)))
+    chain = banana_chain(banana_spec, [2] * (2 * k))
     copy = moved_chain(chain, EquivalenceMode.ISOTOPY, shift=3)
-    # swapping two matrices keeps every invariant, so the search runs
-    miss = swapped(copy, 0, 4)
+    # with equal matrices a negated seed keeps every invariant, the
+    # extended piece keys included, so the search runs and exhausts
+    miss = negate_seed(copy, "D0")
     assert spec_equivalent(chain, miss, EquivalenceMode.ISOTOPY) is None
     assert 0 < len(calls) <= k * k
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_distinct_matrix_chain_tries_one_piece_map(banana_spec, monkeypatch,
+                                                   mode):
+    """With distinct matrices every piece of a chain has its own
+    extended key, so a decision on an 8-piece chain builds the
+    candidate list of one image per piece, 8 in all, with and without
+    reflection.  With the plain keys, the renamed copy built 16 and its
+    seed negation 64.  Under reflection the seed negation comes out
+    equivalent, through the banana piece's mirror automorphism."""
+    calls = []
+    real = equivalence._piece_isomorphisms
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "_piece_isomorphisms", counting)
+    k = 8
+    chain = banana_chain(banana_spec, list(range(2, 2 + 2 * k)))
+    renamed = renamed_chain(chain)
+    for target, hit in ((renamed, True), (negate_seed(renamed, "C0"), False)):
+        for allow_reflection in (False, True):
+            calls.clear()
+            found = spec_equivalent(chain, target, mode, allow_reflection)
+            assert (found is not None) is (hit or allow_reflection)
+            assert found is None or verify_witness(chain, target, found, mode)
+            assert len(calls) == k
 
 
 @pytest.mark.parametrize("target", ["hit", "miss", "seed"])
@@ -823,7 +864,8 @@ def test_chain_search_is_pinned(banana_spec, monkeypatch):
     when each level of the search had a walk of its own, and the counts
     of matrix matches, isomorphism listings and piece-pair filters are
     those with the mode forms and piece keys checked first (before
-    them: 3585, 180 and 2160)."""
+    them: 3585, 180 and 2160) and the piece keys extended by the forms
+    of their pairs (before that: 1080 piece-pair filters)."""
     calls = collections.Counter()
     for name in ("_match_matrices", "iter_isomorphisms_tagged",
                  "_piece_isomorphisms"):
@@ -852,7 +894,7 @@ def test_chain_search_is_pinned(banana_spec, monkeypatch):
                       "a154de18582f185d4ab356c96d9e9569")
     assert calls == {"_match_matrices": 1650,
                      "iter_isomorphisms_tagged": 120,
-                     "_piece_isomorphisms": 1080}
+                     "_piece_isomorphisms": 690}
 
 
 class TestChoices:

@@ -150,7 +150,7 @@ class TestPointerEscape:
 
 
 # ----------------------------------------------------------------------
-# bulk shape tests against the entry-by-entry walk
+# shapes of many entries against the reference walk
 # ----------------------------------------------------------------------
 
 def _reference_walk(value, shape) -> None:
@@ -229,7 +229,8 @@ INDEX_KEYS = ("0", "7", "10", "01", "00", "-1", "+1", " 1", "1 ", "1_0", "",
 ODD_LEAVES = (None, True, False, 0, -3, 1.0, -0.0, "1", "", [], {}, [1, 2],
               [[1, 2]], {"0": 1})
 
-#: the shapes ``conform`` tests in bulk, and a way to make a valid value
+#: shapes of arrays and tables of many entries, which ``conform`` walks
+#: entry by entry as the reference does, and a way to make a valid value
 #: of each with n entries
 BULK_SHAPES = {
     "pairs of int": ([(int, int)], lambda rng, n: [
@@ -287,10 +288,10 @@ def _leaf_mutant(rng, value):
 @pytest.mark.parametrize("limit", [None, 640, 0])
 @pytest.mark.parametrize("name", BULK_SHAPES)
 def test_bulk_shapes_match_the_walk(name, limit):
-    """Seeded mutations of each bulk-tested shape, at sizes on both sides
-    of every bulk test, under the default, the least and no digit
-    limit: ``conform`` gives the reference walk's text, or no error
-    where it gives none."""
+    """Seeded mutations of each shape of many entries, at sizes from 0
+    to 100 entries, under the default, the least and no digit limit:
+    ``conform`` gives the reference walk's text, or no error where it
+    gives none."""
     if limit is not None and not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no integer-string conversion limit in this Python")
     shape, make = BULK_SHAPES[name]

@@ -14,7 +14,7 @@ from spineflow import (ENTRANCE, EXIT, DehnCoefficient, EquivalenceWitness,
                        spec_from_json, spec_to_json, spine_census,
                        unsurgered_piece, validate_piece, validate_spec,
                        verify_witness)
-from spineflow.errors import CapacityError
+from spineflow.errors import CapacityError, quote
 from spineflow.report import ValidationReport
 from spineflow.walks import reachable, two_color
 
@@ -153,9 +153,10 @@ def reference_propagate(piece: ModelPiece, seed) -> dict[int, int]:
     graph = piece.spine.graph
     seed_vertex, seed_sign = seed
     if seed_vertex not in range(graph.vertex_count):
-        raise InputError(f"seed vertex {seed_vertex} not in piece {piece.piece_id!r}")
+        raise InputError(f"seed vertex {quote(seed_vertex)} not in piece "
+                         f"{piece.piece_id!r}")
     if seed_sign not in (1, -1):
-        raise InputError(f"seed sign must be +-1, got {seed_sign}")
+        raise InputError(f"seed sign must be +-1, got {quote(seed_sign)}")
 
     for a, b in graph.edges:
         va = graph.vertex_of[a]
