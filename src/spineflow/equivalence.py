@@ -510,27 +510,26 @@ def _piece_key(piece: ModelPiece, signs: dict[int, int]
     """The least decorated rooted code of a piece, and the face ranks
     of each walk that reaches it.
 
-    A walk from a start dart is decorated, dart by dart in walk order,
-    with the color of the dart's boundary cycle and the Dehn coefficient
-    and propagated sign of its vertex.  Walks of isomorphic pieces pair
-    up with equal decorated codes, so the least one is a complete
-    invariant of the piece under color-, coefficient- and
-    orientation-preserving dart bijections.  The walks that reach it
-    are one orbit of the piece's automorphisms; each ranks the boundary
-    cycles by where the walk first meets them.
+    The least key of the spine's ``walk_table``, the rooted code with
+    the colors along its walk, is decorated, dart by dart in walk
+    order, with the Dehn coefficient and propagated sign of the dart's
+    vertex, and the least decoration over the walks under that key is
+    kept.  Walks of isomorphic pieces pair up with equal codes, colors
+    and decorations, so the pair is a complete invariant of the piece
+    under color-, coefficient- and orientation-preserving dart
+    bijections.  The walks that reach it are one orbit of the piece's
+    automorphisms; each ranks the boundary cycles by where the walk
+    first meets them.
     """
     graph = piece.spine.graph
-    table = graph.code_table()
-    code = min(table)
-    face_of, vertex_of = graph.face_of(), graph.vertex_of
-    colors, dehn = piece.spine.colors, piece.dehn
+    table = piece.spine.walk_table()
+    key = min(table)
+    face_of, vertex_of, dehn = graph.face_of(), graph.vertex_of, piece.dehn
     least: Optional[tuple] = None
     orders: list[list[int]] = []
-    for order in table[code]:
-        decoration = tuple(
-            (colors[face_of[d]], dehn[vertex_of[d]].p, dehn[vertex_of[d]].q,
-             signs[vertex_of[d]])
-            for d in order)
+    for order in table[key]:
+        decoration = tuple((dehn[vertex_of[d]].p, dehn[vertex_of[d]].q,
+                            signs[vertex_of[d]]) for d in order)
         if least is None or decoration < least:
             least, orders = decoration, [order]
         elif decoration == least:
@@ -541,7 +540,7 @@ def _piece_key(piece: ModelPiece, signs: dict[int, int]
         for d in order:
             rank.setdefault(face_of[d], len(rank))
         ranks.append(rank)
-    return (code, least), ranks
+    return (key, least), ranks
 
 
 def _piece_labelings(checked: CheckedSpec) -> tuple[tuple, list[dict]]:

@@ -100,7 +100,6 @@ class FatGraph:
         # property, so every graph keeps one attribute layout
         self._faces: Optional[tuple[tuple[int, ...], ...]] = None
         self._face_of: Optional[dict[int, int]] = None
-        self._code_tables: list[Optional[dict]] = [None, None]
         self._inverse_rotation: Optional[dict[int, int]] = None
         self._least_walk: Optional[tuple[tuple[int, ...], list[int]]] = None
         self._vertex_runs: Optional[tuple[tuple, Optional[int]]] = None
@@ -145,26 +144,6 @@ class FatGraph:
             self._least_walk = _map_code(self.rotation, self.involution,
                                          self.darts[0])
         return self._least_walk
-
-    def code_table(self, reflect: bool = False
-                   ) -> dict[tuple[int, ...], list[list[int]]]:
-        """The ``_map_code`` from every start dart (along the inverse
-        rotation when ``reflect``; from the least dart unreflected, the
-        ``least_walk``), grouped by code: each code maps to the walk
-        orders that give it, by ascending start dart.  Cached; callers
-        must not mutate it.  The orders under one code are the images
-        of one walk under the automorphisms of the map, and the least
-        code is the canonical code of its class."""
-        table = self._code_tables[reflect]
-        if table is None:
-            table = {}
-            rotation = self.inverse_rotation if reflect else self.rotation
-            for d in self.darts:
-                code, order = (self.least_walk if d == self.darts[0] and not reflect
-                               else _map_code(rotation, self.involution, d))
-                table.setdefault(code, []).append(order)
-            self._code_tables[reflect] = table
-        return table
 
     def boundary_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of rotation . involution, each rotated to start at its
@@ -259,8 +238,8 @@ def _rotate_min(cycle: tuple[int, ...]) -> tuple[int, ...]:
 class Spine:
     """A fat graph plus a total ENTRANCE/EXIT coloring of its boundary
     cycles (keyed by boundary-cycle index).  Immutable, the coloring
-    included: ``conditions`` and the boundary id table are kept once
-    computed."""
+    included: ``conditions``, the boundary id table and the walk table
+    of each reflection flag are kept once computed."""
 
     graph: FatGraph
     colors: dict[int, str]
@@ -270,6 +249,8 @@ class Spine:
         default=None, init=False, repr=False, compare=False)
     _boundary_table: Optional[dict[str, tuple[int, ...]]] = field(
         default=None, init=False, repr=False, compare=False)
+    _walk_tables: tuple[Optional[dict], Optional[dict]] = field(
+        default=(None, None), init=False, repr=False, compare=False)
 
     def boundary_ids(self, color: str) -> list[int]:
         """The sorted ids of the boundary cycles of ``color``, as a new
@@ -295,6 +276,37 @@ class Spine:
         if self._checks is None:
             object.__setattr__(self, "_checks", _conditions(self.graph, self.colors))
         return self._checks
+
+    def walk_table(self, reflect: bool = False
+                   ) -> dict[tuple[tuple[int, ...], tuple[str, ...]],
+                             list[list[int]]]:
+        """The ``_map_code`` from every start dart (along the inverse
+        rotation when ``reflect``; from the least dart unreflected, the
+        graph's ``least_walk``) with the colors along its walk, grouped:
+        each (code, colors) key maps to the walk orders that give it, by
+        ascending start dart.  A dart's color is its boundary cycle's,
+        under reflection its partner's, as ``induced_face_map`` carries
+        cycles.  Kept once computed; callers must not mutate it.  The
+        orders under one key are the images of one walk under the
+        color-preserving automorphisms of the spine, and the code of the
+        least key is the canonical code of the map."""
+        table = self._walk_tables[reflect]
+        if table is None:
+            graph = self.graph
+            face_of, involution = graph.face_of(), graph.involution
+            rotation = graph.inverse_rotation if reflect else graph.rotation
+            color = {d: self.colors[face_of[involution[d] if reflect else d]]
+                     for d in graph.darts}
+            table = {}
+            for d in graph.darts:
+                code, order = (graph.least_walk if d == graph.darts[0] and not reflect
+                               else _map_code(rotation, involution, d))
+                table.setdefault((code, tuple(map(color.__getitem__, order))),
+                                 []).append(order)
+            tables = list(self._walk_tables)
+            tables[reflect] = table
+            object.__setattr__(self, "_walk_tables", tuple(tables))
+        return table
 
     def relabeled(self, mapping: dict[int, int]) -> "Spine":
         graph = self.graph.relabeled(mapping)
@@ -436,24 +448,26 @@ def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = Fals
     so the image dart ``t`` extends to one exactly when the walk of s2
     from ``t`` (along the inverse rotation under reflection) gives the
     same code as the ``least_walk`` of s1, and then the two walks list
-    each dart and its image in the same place.  The code of s1 is
-    looked up in the cached ``code_table`` of s2, so repeated searches
-    on the same graphs walk nothing again.  Graphs of different dart
-    counts, valences or boundary lengths have no equal codes, and the
-    colors of each boundary cycle and its image are compared.  A graph
+    each dart and its image in the same place.  It keeps colors exactly
+    when the colors along the two walks agree too, so the code of s1
+    and its colors along that walk are looked up in the cached
+    ``Spine.walk_table`` of s2, and every entry found is yielded:
+    repeated searches on the same spines walk nothing again, and no
+    candidate is built to be dropped.  Graphs of different dart
+    counts, valences or boundary lengths have no equal codes.  A graph
     that is not connected raises ``InputError``, whatever the other.
     """
     g1, g2 = s1.graph, s2.graph
     code1, order1 = g1.least_walk
     if len(order1) != len(g1.darts) or not g2.is_connected():
         raise InputError("isomorphism search expects connected fat graphs")
+    face1 = g1.face_of()
+    key1 = (code1, tuple(s1.colors[face1[d]] for d in order1))
     reflections = (False, True) if allow_reflection else (False,)
     for reflect in reflections:
-        for order2 in g2.code_table(reflect).get(code1, ()):
+        for order2 in s2.walk_table(reflect).get(key1, ()):
             sigma = dict(zip(order1, order2))
-            faces = induced_face_map(g1, g2, sigma, reflect)
-            if all(s1.colors[f] == s2.colors[g] for f, g in faces.items()):
-                yield sigma, reflect, faces
+            yield sigma, reflect, induced_face_map(g1, g2, sigma, reflect)
 
 
 def fatgraph_isomorphic(s1: Spine, s2: Spine,

@@ -250,16 +250,20 @@ def orientation_classes(spec: ModelFlowSpec
     return 2 ** len(ids), reps
 
 
-def _piece_rules(piece: ModelPiece,
-                 report: Optional[ValidationReport]) -> bool:
+def _piece_rules(piece: ModelPiece, report: Optional[ValidationReport],
+                 passed: Optional[set[int]] = None) -> bool:
     """The piece part of ``_rules``: with a report, add its checks;
-    without one, whether they all pass."""
+    without one, whether they all pass.  Without a report, the spine
+    conditions are not tested again when the spine's id is in
+    ``passed``, and a spine that passes them is added to it."""
     if report is not None:
         spine = report.under("spine ")
         for check in piece.spine.conditions:
             spine.add(*check)
-    elif not all(check.passed for check in piece.spine.conditions):
-        return False
+    elif id(piece.spine) not in passed:
+        if not all(check.passed for check in piece.spine.conditions):
+            return False
+        passed.add(id(piece.spine))
     vertices = set(piece.vertices())
     total = piece.dehn.keys() == vertices
     if report is None:
@@ -286,17 +290,19 @@ def _rules(spec: ModelFlowSpec, report: Optional[ValidationReport] = None
     name or detail is made: the walk returns None at the first rule
     that fails, and otherwise the propagated ``signs[piece id]`` and
     the ``pair_of`` table of ``_pair_index``, which decides the pairing
-    rules.  Each seed propagates once."""
+    rules.  Pieces that share a ``Spine`` object test its conditions
+    once, and each seed propagates once."""
     passed = len({piece.piece_id for piece in spec.pieces}) == len(spec.pieces)
     if report is not None:
         report.add("piece ids unique", passed, quote(spec.piece_ids()))
     elif not passed:
         return None
 
+    spines_passed: set[int] = set()
     for piece in spec.pieces:
         if report is not None:
             _piece_rules(piece, report.under(f"piece {shorten(piece.piece_id)}: "))
-        elif not _piece_rules(piece, None):
+        elif not _piece_rules(piece, None, spines_passed):
             return None
 
     pair_of = None

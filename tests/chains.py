@@ -31,3 +31,28 @@ def renamed_chain(chain):
         tuple(ModelPiece(new_id[p.piece_id], p.spine, p.dehn) for p in chain.pieces),
         tuple(((new_id[a], f), (new_id[b], g)) for (a, f), (b, g) in chain.pairing),
         chain.matrices, {new_id[p]: s for p, s in chain.orientation_seed.items()})
+
+
+def relabeled_chain(chain):
+    """``chain`` with each piece on a relabeled spine of its own: the
+    darts of piece i are shifted cyclically by i + 1 places in sorted
+    order, and its Dehn keys, the faces of its pairs and its seed
+    vertex move with them.  Piece ids, pair order and matrices stay."""
+    pieces, face_of, seeds = [], {}, {}
+    for i, piece in enumerate(chain.pieces):
+        graph = piece.spine.graph
+        darts = graph.darts
+        mapping = {d: darts[(n + i + 1) % len(darts)] for n, d in enumerate(darts)}
+        spine = piece.spine.relabeled(mapping)
+        face_of[piece.piece_id] = {
+            f: spine.graph.face_of()[mapping[cycle[0]]]
+            for f, cycle in enumerate(graph.boundary_cycles())}
+        vertex = {v: spine.graph.vertex_of[mapping[cycle[0]]]
+                  for v, cycle in enumerate(graph.vertices)}
+        pieces.append(ModelPiece(piece.piece_id, spine, dict(sorted(
+            (vertex[v], c) for v, c in piece.dehn.items()))))
+        v, sign = chain.orientation_seed[piece.piece_id]
+        seeds[piece.piece_id] = (vertex[v], sign)
+    pairing = tuple(((a, face_of[a][f]), (b, face_of[b][g]))
+                    for (a, f), (b, g) in chain.pairing)
+    return ModelFlowSpec(tuple(pieces), pairing, chain.matrices, seeds)

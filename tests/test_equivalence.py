@@ -11,7 +11,7 @@ import pytest
 import oracles
 import spineflow.equivalence as equivalence
 import spineflow.fatgraph as fatgraph
-from chains import banana_chain, renamed_chain
+from chains import banana_chain, relabeled_chain, renamed_chain
 from spineflow import (DehnCoefficient, EquivalenceMode, EquivalenceWitness,
                        GluingMatrix, InputError, ModelFlowSpec, ModelPiece,
                        negate_seed, normalize_matrix, spec_equivalent,
@@ -79,11 +79,39 @@ def test_first_dart_face_map_is_the_per_dart_reference(census_spines):
     assert checked[False] and checked[True]
 
 
+_BIJECTIONS: dict[tuple[int, int], tuple[Spine, Spine, list]] = {}
+
+
+def spine_bijections(a: Spine, b: Spine) -> list:
+    """(sigma, reflect, face map) for every isomorphism of spines a -> b,
+    reflected ones last, from ``oracles.edge_isomorphisms`` with the
+    face maps read off ``oracles.face_walks``.  Listed once per pair of
+    spine objects, which are kept with the list so that their ids stay
+    theirs."""
+    if (id(a), id(b)) not in _BIJECTIONS:
+        walks1 = oracles.face_walks(a.graph.rotation, a.graph.involution)
+        walk_of2 = {d: i for i, walk in enumerate(oracles.face_walks(
+            b.graph.rotation, b.graph.involution)) for d in walk}
+        _BIJECTIONS[(id(a), id(b))] = a, b, [
+            (sigma, reflect,
+             {f: walk_of2[b.graph.involution[sigma[walk[0]]] if reflect
+                          else sigma[walk[0]]]
+              for f, walk in enumerate(walks1)})
+            for reflect in (False, True)
+            for sigma in oracles.edge_isomorphisms(a, b, reflect)]
+    return _BIJECTIONS[(id(a), id(b))][2]
+
+
 def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
     """Reference search: every piece permutation in
     ``itertools.permutations`` order, each with the full
     ``itertools.product`` of its per-piece dart bijections, the pairing
-    and the matrices checked only on complete combinations."""
+    and the matrices checked only on complete combinations.
+
+    The dart bijections of each spine pair are ``spine_bijections``;
+    a piece pair keeps those that carry the (Dehn p, q, sign) of every
+    dart's vertex to its image's.  Nothing here calls the isomorphism
+    lister."""
     for spec, name in ((s1, "first"), (s2, "second")):
         if not validate_spec(spec).passed:
             raise InputError(f"{name} specification is invalid")
@@ -91,17 +119,26 @@ def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
         return None
     o1 = seed_orientation(s1)
     o2 = seed_orientation(s2)
+
+    def dart_labels(piece, orientation):
+        """Dart -> (Dehn p, q, sign) of its vertex."""
+        return {d: (piece.dehn[v].p, piece.dehn[v].q,
+                    orientation.sign(piece.piece_id, v))
+                for v, cycle in enumerate(piece.spine.graph.vertices)
+                for d in cycle}
+
     pieces1 = sorted(s1.pieces, key=lambda p: p.piece_id)
+    labels1 = [dart_labels(p, o1) for p in pieces1]
     for pieces2 in itertools.permutations(
             sorted(s2.pieces, key=lambda p: p.piece_id)):
-        per_piece = [equivalence._piece_isomorphisms(
-            p1, equivalence._vertex_labels(
-                p1, {v: o1.sign(p1.piece_id, v) for v in p1.vertices()}),
-            p2, equivalence._vertex_labels(
-                p2, {v: o2.sign(p2.piece_id, v) for v in p2.vertices()}),
-            list(fatgraph.iter_isomorphisms_tagged(p1.spine, p2.spine,
-                                                   allow_reflection)))
-            for p1, p2 in zip(pieces1, pieces2)]
+        per_piece = []
+        for p1, labels, p2 in zip(pieces1, labels1, pieces2):
+            labels2 = dart_labels(p2, o2)
+            per_piece.append([
+                (sigma, reflect, faces) for sigma, reflect, faces
+                in spine_bijections(p1.spine, p2.spine)
+                if (allow_reflection or not reflect)
+                and all(labels2[sigma[d]] == label for d, label in labels.items())])
         for combo in itertools.product(*per_piece):
             witness = assemble(s1, s2, pieces1, pieces2, combo, mode)
             if witness is not None:
@@ -111,14 +148,12 @@ def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
 
 def assemble(s1, s2, pieces1, pieces2, combo, mode):
     """The witness of one complete combination of per-piece dart
-    bijections when its pairing images and matrices all fit, else
-    None: the torus map, pair images and matrix matches are derived
-    from scratch, apart from the search under test."""
+    bijections, each with its face map, when its pairing images and
+    matrices all fit, else None: the torus map, pair images and matrix
+    matches are derived from scratch, apart from the search under
+    test."""
     torus_map = {}
-    for p1, p2, (sigma, reflect, _) in zip(pieces1, pieces2, combo):
-        faces = induced_face_map(p1.spine.graph, p2.spine.graph, sigma, reflect)
-        if faces is None:
-            return None
+    for p1, p2, (_, _, faces) in zip(pieces1, pieces2, combo):
         for f, g in faces.items():
             torus_map[(p1.piece_id, f)] = (p2.piece_id, g)
 
@@ -719,6 +754,24 @@ class TestAgainstExhaustiveSearch:
                                             allow_reflection) is None
                     self.assert_same(chain, seed_miss, mode, allow_reflection)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_relabeled_chains(self, banana_spec, k):
+        """Each piece of the copy on a relabeled spine of its own, as
+        in the moved copies read from JSON, where alike pieces share no
+        spine.  The seed negation is a miss only without reflection:
+        under it the banana's mirror automorphism makes it a hit."""
+        for cs in (list(range(2, 2 + 2 * k)), [2] * (2 * k)):
+            chain = banana_chain(banana_spec, cs)
+            copy = relabeled_chain(chain)
+            assert len({id(p.spine) for p in copy.pieces}) == k
+            seed_miss = negate_seed(copy, "C0")
+            for mode in MODES:
+                for allow_reflection in (False, True):
+                    hit = self.assert_same(chain, copy, mode, allow_reflection)
+                    assert hit is not None
+                    assert verify_witness(chain, copy, hit, mode)
+                assert self.assert_same(chain, seed_miss, mode, False) is None
+
     def test_census_variants(self, census_specs):
         """Each census spec against its Dehn-perturbed and twisted-matrix
         variants, and those against each other: two variants changed in
@@ -836,8 +889,8 @@ def test_alike_chain_lists_one_spine_pair(banana_spec, monkeypatch, target):
 
 
 def test_repeated_chain_decision_walks_nothing(banana_spec, monkeypatch):
-    """Every dart walk is cached on its graph: deciding the same 7-piece
-    chain pair again makes no map walk at all."""
+    """Every dart walk is cached on its spine or graph: deciding the
+    same 7-piece chain pair again makes no map walk at all."""
     k = 7
     chain = banana_chain(banana_spec, list(range(2, 2 + 2 * k)))
     copy = moved_chain(chain, EquivalenceMode.EXACT, shift=3)

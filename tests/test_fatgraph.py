@@ -759,8 +759,8 @@ class TestAgainstEdgeOracle:
 
 
 class TestWalkCache:
-    """Each graph walks from each dart at most once per reflection flag,
-    and its code table groups those walks."""
+    """Each spine walks from each dart at most once per reflection
+    flag, and its walk table groups those walks by code and colors."""
 
     def test_each_dart_walked_once_per_flag(self, monkeypatch):
         walks = []
@@ -790,29 +790,67 @@ class TestWalkCache:
             return real(rotation, *args)
 
         monkeypatch.setattr(fatgraph, "_map_code", recording)
-        graph = banana_spine().graph
-        graph.code_table(True)
+        spine = banana_spine()
+        graph = spine.graph
+        spine.walk_table(True)
         assert len(rotations) == len(graph.darts)
         assert len({id(rotation) for rotation in rotations}) == 1
         assert all(rotations[0][graph.rotation[d]] == d for d in graph.darts)
 
-    def test_code_table_groups_walks_by_code(self, census_spines):
+    def test_walk_table_groups_walks_by_code_and_colors(self, census_spines):
         for spine in census_spines:
             graph = spine.graph
+            walk_of = {d: i for i, walk in enumerate(oracles.face_walks(
+                graph.rotation, graph.involution)) for d in walk}
             for reflect in (False, True):
                 rotation = graph.rotation if not reflect else {
                     v: k for k, v in graph.rotation.items()}
-                table = graph.code_table(reflect)
+                side = graph.involution if reflect else {d: d for d in graph.darts}
+                table = spine.walk_table(reflect)
                 starts = [order[0] for orders in table.values()
                           for order in orders]
                 assert sorted(starts) == list(graph.darts)
-                for code, orders in table.items():
+                for (code, colors), orders in table.items():
                     assert [o[0] for o in orders] == sorted(o[0] for o in orders)
                     for order in orders:
                         assert _map_code(rotation, graph.involution,
                                          order[0]) == (code, order)
-            assert min(graph.code_table()) == _canonical_code(
-                graph.rotation, graph.involution, graph.darts)
+                        assert colors == tuple(spine.colors[walk_of[side[d]]]
+                                               for d in order)
+
+    def test_least_key_holds_the_canonical_code(self, census_spines):
+        for spine in census_spines:
+            graph = spine.graph
+            code, _ = min(spine.walk_table())
+            assert code == _canonical_code(graph.rotation, graph.involution,
+                                           graph.darts)
+
+    def test_one_face_map_per_listed_isomorphism(self, census_spines,
+                                                 monkeypatch):
+        """Every candidate the table gives is yielded: ``induced_face_map``
+        runs once per isomorphism, although many walks of equal code
+        and other colors are never looked at."""
+        calls = []
+        real = fatgraph.induced_face_map
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fatgraph, "induced_face_map", counting)
+        yielded = same_code = 0
+        for s1, s2 in itertools.product(census_spines, repeat=2):
+            if s1.graph.edge_count != s2.graph.edge_count:
+                continue
+            code1, _ = s1.graph.least_walk
+            for reflect in (False, True):
+                same_code += sum(len(orders) for (code, _), orders
+                                 in s2.walk_table(reflect).items()
+                                 if code == code1)
+            yielded += len(list(fatgraph.iter_isomorphisms_tagged(
+                s1, s2, allow_reflection=True)))
+        assert len(calls) == yielded
+        assert 0 < yielded < same_code
 
 
 class TestIsomorphism:

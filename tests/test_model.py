@@ -412,6 +412,29 @@ class TestOneRuleWalk:
         validate_spec(banana_spec)
         assert {"add", "quote", "shorten"} <= set(calls)
 
+    def test_shared_spine_tested_once(self, banana_spec, monkeypatch):
+        """A chain whose pieces share one spine reads its conditions
+        once per ``check_spec``; the Dehn coefficients stay per piece,
+        so a bad one on the last piece still fails."""
+        k = 6
+        chain = banana_chain(banana_spec, [2] * (2 * k))
+        reads = []
+        real = Spine.conditions
+
+        def counting(spine):
+            reads.append(spine)
+            return real.fget(spine)
+        monkeypatch.setattr(Spine, "conditions", property(counting))
+        assert model.check_spec(chain).signs
+        assert reads == [chain.pieces[0].spine]
+        last = chain.pieces[-1]
+        bad = ModelFlowSpec(
+            chain.pieces[:-1] + (ModelPiece(last.piece_id, last.spine,
+                                            {0: DehnCoefficient(0, 0),
+                                             1: last.dehn[1]}),),
+            chain.pairing, chain.matrices, chain.orientation_seed)
+        assert model._rules(bad) is None
+
     def test_invalid_spec_reports_once(self, banana_spec, monkeypatch):
         spec = ModelFlowSpec(banana_spec.pieces, banana_spec.pairing,
                              (GluingMatrix(0, 2, 2, 0),) + banana_spec.matrices[1:],
