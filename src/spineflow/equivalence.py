@@ -244,90 +244,94 @@ def _piece_isomorphisms(p1: ModelPiece, labels1: list, p2: ModelPiece,
                         ) -> list[tuple[dict[int, int], bool, dict[int, int]]]:
     """The entries of ``listed``, the ``iter_isomorphisms_tagged`` list
     for the two spines, whose dart bijections p1 -> p2 also preserve
-    Dehn coefficients and orbit orientations: the ``_vertex_labels`` of
-    p2 at the images of the vertices of p1 must be ``labels1``, vertex
-    for vertex."""
+    Dehn coefficients and orbit orientations: the vertex labels of p2
+    (see ``_summary``) at the images of the vertices of p1 must be
+    ``labels1``, vertex for vertex."""
     starts = [cycle[0] for cycle in p1.spine.graph.vertices]
     vertex_of2 = p2.spine.graph.vertex_of
     return [iso for iso in listed
             if [labels2[vertex_of2[iso[0][d]]] for d in starts] == labels1]
 
 
-def _vertex_labels(piece: ModelPiece, signs: dict[int, int]
-                   ) -> list[tuple[int, int, int]]:
-    """(Dehn p, q, propagated sign) of each vertex of a piece, in vertex
-    order."""
-    dehn = piece.dehn
-    return [(dehn[v].p, dehn[v].q, signs[v]) for v in piece.vertices()]
+def _summary(checked: CheckedSpec, pieces: list[ModelPiece],
+             index: dict[str, int], forms: list[Mat]
+             ) -> tuple[list[list], list[list[int]], list[tuple]]:
+    """The vertex labels, link counts and keys of ``pieces``, the pieces
+    of a checked specification in the order of ``index``, from one walk
+    over its pairing and one over its pieces; ``forms`` holds the mode
+    form of each pair's matrix.
 
-
-def _link_counts(pairing, index: dict[str, int]) -> list[list[int]]:
-    """links[i][j]: how many pairs glue an exit of the piece with
-    ``index`` i to an entrance of the piece with index j."""
-    links = [[0] * len(index) for _ in index]
-    for (src_piece, _), (dst_piece, _) in pairing:
-        links[index[src_piece]][index[dst_piece]] += 1
-    return links
-
-
-def _piece_keys(pieces, labels: list[list], links: list[list[int]]
-                ) -> list[tuple]:
-    """One key per piece of ``pieces``: its dart count, its sorted
-    (length, color) boundary profile, its sorted per-vertex (valence,
-    Dehn p, q, propagated sign) from its ``labels``, and its (self,
-    out, in) link counts in ``links``.
+    * labels[i]: the (Dehn p, q, propagated sign) of each vertex of
+      piece i, in vertex order.
+    * links[i][j]: how many pairs glue an exit of piece i to an
+      entrance of piece j.
+    * keys[i]: the colored boundary shape of piece i (the sorted
+      (length, color) of its boundary cycles), its sorted per-vertex
+      (valence, Dehn p, q, propagated sign), the number of pairs gluing
+      it to itself, and the sorted forms of the pairs leaving it and of
+      the pairs entering it; a pair from a piece to itself is in both.
 
     Every piece pair the search accepts has equal keys, with or without
     reflection: ``iter_isomorphisms_tagged`` keeps valences and the
-    colored profile, ``_piece_isomorphisms`` keeps coefficients and
-    signs, and ``piece_fits`` keeps link counts.  If reflection ever
-    changes coefficients or signs, these keys must change with it."""
+    colored shape, ``_piece_isomorphisms`` keeps coefficients and
+    signs, and a witness keeps colors, so it sends the exits of a piece
+    to exits of its image and each pair to a pair of equal form.  The
+    pair forms make the key one refinement step of McKay & Piperno,
+    "Practical graph isomorphism II", 2014, with the forms as the
+    colors of the links.  If reflection ever changes coefficients or
+    signs, these keys must change with it."""
+    links = [[0] * len(pieces) for _ in pieces]
+    leaving: list[list[Mat]] = [[] for _ in pieces]
+    entering: list[list[Mat]] = [[] for _ in pieces]
+    for ((src_piece, _), (dst_piece, _)), form in zip(checked.spec.pairing,
+                                                      forms):
+        i, j = index[src_piece], index[dst_piece]
+        links[i][j] += 1
+        leaving[i].append(form)
+        entering[j].append(form)
     shapes: dict[int, tuple] = {}
-    ins = [sum(column) for column in zip(*links)]
-    keys = []
+    labels, keys = [], []
     for i, piece in enumerate(pieces):
-        spine, graph = piece.spine, piece.spine.graph
+        spine, graph, dehn = piece.spine, piece.spine.graph, piece.dehn
+        signs = checked.signs[piece.piece_id]
+        labels.append([(dehn[v].p, dehn[v].q, signs[v])
+                       for v in piece.vertices()])
         if id(spine) not in shapes:
-            shapes[id(spine)] = (len(graph.darts), tuple(sorted(
+            shapes[id(spine)] = tuple(sorted(
                 [(len(cycle), spine.colors[f])
-                 for f, cycle in enumerate(graph.boundary_cycles())])))
+                 for f, cycle in enumerate(graph.boundary_cycles())]))
         vertices = sorted(zip(map(len, graph.vertices), labels[i]))
-        loops = links[i][i]
-        keys.append((shapes[id(spine)], tuple(vertices), loops,
-                     sum(links[i]) - loops, ins[i] - loops))
-    return keys
+        keys.append((shapes[id(spine)], tuple(vertices), links[i][i],
+                     tuple(sorted(leaving[i])), tuple(sorted(entering[i]))))
+    return labels, links, keys
 
 
-def _refined_keys(keys: list[tuple], index: dict[str, int], pairing,
-                  forms: list[Mat]) -> list[tuple]:
-    """Each of the ``_piece_keys`` extended by the sorted mode forms of
-    the pairs leaving its piece and the sorted forms of the pairs
-    entering it; a pair from a piece to itself is in both.
-
-    A witness keeps colors, so it sends the exits of a piece to exits
-    of its image, and it sends each pair to a pair of equal form: the
-    extended keys of a piece and its image are equal too.  This is one
-    refinement step of McKay & Piperno, "Practical graph isomorphism
-    II", 2014, with the pairs' forms as the colors of the links."""
-    leaving: list[list[Mat]] = [[] for _ in keys]
-    entering: list[list[Mat]] = [[] for _ in keys]
-    for ((src_piece, _), (dst_piece, _)), form in zip(pairing, forms):
-        leaving[index[src_piece]].append(form)
-        entering[index[dst_piece]].append(form)
-    return [(key, tuple(sorted(out)), tuple(sorted(into)))
-            for key, out, into in zip(keys, leaving, entering)]
-
-
-def _choices(options, fits, prefix: tuple = ()):
+def _choices(options, fits):
     """Every choice of one entry per list of ``options``, in
     ``itertools.product`` order, skipping every extension of a prefix
-    by an entry that ``fits(prefix, entry)`` rejects."""
-    if len(prefix) == len(options):
-        yield prefix
+    by an entry that ``fits(prefix, entry)`` rejects.
+
+    The walk keeps its own stack, one iterator per list it has reached,
+    so the number of lists is not bounded by Python's recursion
+    limit."""
+    if not options:
+        yield ()
         return
-    for entry in options[len(prefix)]:
-        if fits(prefix, entry):
-            yield from _choices(options, fits, prefix + (entry,))
+    prefix: tuple = ()
+    stack = [iter(options[0])]
+    while stack:
+        for entry in stack[-1]:
+            if fits(prefix, entry):
+                break
+        else:
+            stack.pop()
+            prefix = prefix[:-1]
+            continue
+        if len(stack) == len(options):
+            yield prefix + (entry,)
+        else:
+            prefix += (entry,)
+            stack.append(iter(options[len(stack)]))
 
 
 def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
@@ -337,17 +341,16 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     """Search for an equivalence witness from s1 to s2.
 
     Before any search, each specification is summarized once: the mode
-    form of each matrix (``_matrix_forms``) and the key of each piece
-    (``_piece_keys``: dart count, colored boundary profile, per-vertex
-    valence, Dehn coefficient and sign, and link counts).  A witness
-    pairs matrices with equal forms and pieces with equal keys, so the
-    answer is None, and no isomorphism is listed, when the sorted forms
-    differ or, checked next, the sorted keys differ.  Once the keys
-    agree, each is extended by the sorted forms of the pairs leaving
-    and entering its piece (``_refined_keys``), and the answer is None
-    when the sorted extended keys differ.  Cheap invariants and one
-    refinement step come before the search, as in McKay & Piperno,
-    "Practical graph isomorphism II", 2014.
+    form of each matrix (``_matrix_forms``) and, in one pass over its
+    pieces and pairing (``_summary``), the key of each piece: colored
+    boundary shape, per-vertex valence, Dehn coefficient and sign, the
+    number of pairs gluing it to itself, and the sorted forms of the
+    pairs leaving and entering it.  A witness pairs matrices with equal
+    forms and pieces with equal keys, so the answer is None, and no
+    isomorphism is listed, when the sorted forms differ or, checked
+    next, the sorted keys differ.  Cheap invariants and one refinement
+    step come before the search, as in McKay & Piperno, "Practical
+    graph isomorphism II", 2014.
 
     Pieces are taken in sorted id order.  A depth-first search assigns
     an image piece to each piece of s1 in turn, trying the pieces of s2
@@ -356,15 +359,16 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     with itself included) differs from the number gluing their images,
     or a piece and its image have no color-, coefficient- and
     orientation-preserving dart bijection; a piece and an image with
-    unequal extended keys are dropped before their bijections are
-    listed.  For each surviving piece bijection a second depth-first
-    search picks one dart bijection per piece, in the order
+    unequal keys are dropped before their bijections are listed.  For
+    each surviving piece bijection a second depth-first search picks
+    one dart bijection per piece, in the order
     ``iter_isomorphisms_tagged`` lists them, and checks each pair of s1
     (its image must be a pair of s2 and its matrix must match under the
     mode's moves, which it does exactly when the two forms are equal)
     as soon as the later of its two pieces is placed.  Both searches
-    are one pruned walk, ``_choices``, over different lists and tests.
-    Dart bijections with their face maps and matrix matches are
+    are one pruned walk, ``_choices``, over different lists and tests;
+    it keeps its own stack, so the number of pieces is not bounded by
+    Python's recursion limit.  Dart bijections with their face maps and matrix matches are
     computed once per call and form the witness.
 
     Pruning only removes choices that cannot be completed, so the first
@@ -386,9 +390,10 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     piece pair keeps the ones that also preserve its Dehn coefficients
     and orbit orientations.  Pieces with equal spines share one object
     after ``spec_from_json``, so a chain of k alike pieces lists one
-    spine pair instead of up to k^2 piece pairs.  The ``_vertex_labels``
-    of each piece are built once and read by the piece keys and by
-    every piece pair.  Nothing is kept between calls.
+    spine pair instead of up to k^2 piece pairs.  The vertex labels,
+    link counts and keys of each piece come from one ``_summary`` per
+    specification, read by the one sorted key comparison and by every
+    piece pair.  Nothing is kept between calls.
 
     ``_choices`` walks both levels: piece maps are its choices from k
     copies of ``range(k)``, pruned by ``piece_fits``, and the dart maps
@@ -398,8 +403,7 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     The piece keys hold with or without reflection because reflection,
     as ``_piece_isomorphisms`` applies it, keeps Dehn coefficients,
     signs and colors; a reflection that changed them would need other
-    keys.  The keys are extended only after the plain ones agree, so
-    that misses the plain keys answer do not pay for the extension."""
+    keys."""
     s1, s2 = c1.spec, c2.spec
     if len(s1.pieces) != len(s2.pieces):
         return None
@@ -412,16 +416,8 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     pieces2 = sorted(s2.pieces, key=lambda p: p.piece_id)
     index1 = {p.piece_id: i for i, p in enumerate(pieces1)}
     index2 = {p.piece_id: i for i, p in enumerate(pieces2)}
-    links1 = _link_counts(s1.pairing, index1)
-    links2 = _link_counts(s2.pairing, index2)
-    labels1 = [_vertex_labels(p, c1.signs[p.piece_id]) for p in pieces1]
-    labels2 = [_vertex_labels(p, c2.signs[p.piece_id]) for p in pieces2]
-    keys1 = _piece_keys(pieces1, labels1, links1)
-    keys2 = _piece_keys(pieces2, labels2, links2)
-    if sorted(keys1) != sorted(keys2):
-        return None
-    keys1 = _refined_keys(keys1, index1, s1.pairing, forms1)
-    keys2 = _refined_keys(keys2, index2, s2.pairing, forms2)
+    labels1, links1, keys1 = _summary(c1, pieces1, index1, forms1)
+    labels2, links2, keys2 = _summary(c2, pieces2, index2, forms2)
     if sorted(keys1) != sorted(keys2):
         return None
     by_spines: dict[tuple[int, int], list] = {}

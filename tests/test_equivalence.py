@@ -979,12 +979,107 @@ class TestChoices:
         assert list(equivalence._choices(options,
                                          lambda prefix, entry: True)) == []
 
+    def test_more_lists_than_the_recursion_limit(self):
+        """3,000 one-entry lists, three times Python's default recursion
+        limit: one choice per piece of a 3,000-piece search."""
+        options = [[n] for n in range(3000)]
+        found = list(equivalence._choices(options,
+                                          lambda prefix, entry: True))
+        assert found == [tuple(range(3000))]
+
     @pytest.mark.parametrize("mode", MODES)
     def test_empty_specifications_are_equivalent(self, mode):
         empty = ModelFlowSpec((), (), (), {})
         for allow_reflection in (False, True):
             found = spec_equivalent(empty, empty, mode, allow_reflection)
             assert found == EquivalenceWitness({}, {})
+
+
+def search_decisions(census_specs, banana_spec):
+    """The (first, second, mode) decisions of the families of
+    ``TestAgainstExhaustiveSearch``: census specifications and their
+    seed negations, banana chains against their moved copies, matrix
+    and seed misses, their relabeled copies, and the census and chain
+    variants."""
+    specs = list(census_specs) + [negate_seed(spec, pid)
+                                  for spec in census_specs
+                                  for pid in spec.piece_ids()]
+    pairs = list(itertools.product(specs, repeat=2))
+    for spec in census_specs:
+        family = ([spec]
+                  + [with_dehn(spec, piece.piece_id, v)
+                     for piece in spec.pieces for v in piece.vertices()]
+                  + [twisted_at(spec, n) for n in range(len(spec.matrices))])
+        pairs += itertools.product(family, repeat=2)
+    for a, b in pairs:
+        for mode in MODES:
+            yield a, b, mode
+    for k in (2, 3, 4, 5):
+        for cs in (list(range(2, 2 + 2 * k)), [2] * (2 * k)):
+            chain = banana_chain(banana_spec, cs)
+            relabeled = relabeled_chain(chain)
+            for mode in MODES:
+                copy = moved_chain(chain, mode, shift=1)
+                matrix_miss = ModelFlowSpec(
+                    copy.pieces, copy.pairing,
+                    (GluingMatrix(1, 0, 99, 1),) + copy.matrices[1:],
+                    copy.orientation_seed)
+                targets = [copy, matrix_miss, negate_seed(copy, "D0"),
+                           relabeled, negate_seed(relabeled, "C0")]
+                for target in targets:
+                    yield chain, target, mode
+                if k == 5:
+                    continue
+                variants = ([with_dehn(copy, pid, 0)
+                             for pid in copy.piece_ids()]
+                            + [twisted_at(copy, 0)]
+                            + [swapped(copy, 0, n) for n in range(1, 2 * k)])
+                for a, b in itertools.product(
+                        [chain, with_dehn(chain, "C0", 0)], variants):
+                    yield a, b, mode
+
+
+def summary_keys(spec, mode) -> dict[str, tuple]:
+    """The ``_summary`` key of each piece of ``spec``, by piece id."""
+    pieces = sorted(spec.pieces, key=lambda p: p.piece_id)
+    index = {p.piece_id: i for i, p in enumerate(pieces)}
+    forms = equivalence._matrix_forms(spec.matrices, mode)
+    _, _, keys = equivalence._summary(check_spec(spec), pieces, index, forms)
+    return {p.piece_id: key for p, key in zip(pieces, keys)}
+
+
+class TestSummaryKeys:
+    """The one piece key of ``_summary``, which the search compares
+    sorted before it lists an isomorphism and per piece pair after, is
+    kept by every witness."""
+
+    def test_witnesses_keep_every_piece_key(self, census_specs,
+                                            banana_spec):
+        found = collections.Counter()
+        for a, b, mode in search_decisions(census_specs, banana_spec):
+            keys_a, keys_b = summary_keys(a, mode), summary_keys(b, mode)
+            for allow_reflection in (False, True):
+                witness = spec_equivalent(a, b, mode, allow_reflection)
+                if witness is None:
+                    continue
+                found[allow_reflection] += 1
+                for pid, image in witness.piece_map.items():
+                    assert keys_a[pid] == keys_b[image], (pid, image, mode)
+        assert found[False] and found[True]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_self_pairs_leave_and_enter(self, banana_spec, mode):
+        """Both pairs of the banana piece glue it to itself, so each is
+        in its leaving and its entering forms; with one matrix twisted
+        the two forms differ except up to twists."""
+        for spec in (banana_spec, twisted_at(banana_spec, 0)):
+            forms = equivalence._matrix_forms(spec.matrices, mode)
+            [key] = summary_keys(spec, mode).values()
+            _, _, loops, leaving, entering = key
+            assert loops == len(spec.pairing) == 2
+            assert leaving == entering == tuple(sorted(forms))
+        assert ((len(set(forms)) == 1)
+                is (mode is EquivalenceMode.ISOTOPY_WITH_TWISTS))
 
 
 class TestExactKey:
