@@ -77,7 +77,7 @@ def normalize_matrix(matrix: GluingMatrix) -> GluingMatrix:
     The representative is the lexicographically least (c, a, d, b)
     with c > 0.
     """
-    if matrix.c == 0 or abs(matrix.det) != 1:
+    if not matrix.is_valid():
         raise InputError(f"not a gluing matrix: {matrix.rows()} "
                          "(need |det| = 1 and c != 0)")
     return GluingMatrix(*_twist_form(matrix))
@@ -181,7 +181,8 @@ def _match_matrices(m1: GluingMatrix, m2: GluingMatrix, mode: EquivalenceMode
 
     Returns (entrance signs, exit signs, (left twist, right twist)) or
     None.  The first solution in a fixed sign order is returned, so
-    witnesses are deterministic.
+    witnesses are deterministic.  Forms decide matches in the search,
+    which calls this only to write a witness's factors.
     """
     if mode is EquivalenceMode.EXACT:
         if (m1.a, m1.b, m1.c, m1.d) == (m2.a, m2.b, m2.c, m2.d):
@@ -363,13 +364,11 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     each surviving piece bijection a second depth-first search picks
     one dart bijection per piece, in the order
     ``iter_isomorphisms_tagged`` lists them, and checks each pair of s1
-    (its image must be a pair of s2 and its matrix must match under the
-    mode's moves, which it does exactly when the two forms are equal)
-    as soon as the later of its two pieces is placed.  Both searches
-    are one pruned walk, ``_choices``, over different lists and tests;
-    it keeps its own stack, so the number of pieces is not bounded by
-    Python's recursion limit.  Dart bijections with their face maps and matrix matches are
-    computed once per call and form the witness.
+    (its image must be a pair of s2 with an equal matrix form) as soon
+    as the later of its two pieces is placed.  Both searches are one
+    pruned walk, ``_choices``.  The search compares forms only; the
+    witness is its dart bijections with their face maps and the matrix
+    factors that ``_match_matrices`` solves afterwards, once per pair.
 
     Pruning only removes choices that cannot be completed, so the first
     witness is the one an exhaustive run over all piece permutations,
@@ -398,7 +397,7 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     ``_choices`` walks both levels: piece maps are its choices from k
     copies of ``range(k)``, pruned by ``piece_fits``, and the dart maps
     of a piece map are its first choice from the pieces' isomorphism
-    lists, pruned by the pairs each new piece completes.
+    lists, pruned by the image and form of each pair a new piece completes.
 
     The piece keys hold with or without reflection because reflection,
     as ``_piece_isomorphisms`` applies it, keeps Dehn coefficients,
@@ -440,9 +439,9 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
         i = len(perm)
         if j in perm or keys1[i] != keys2[j]:
             return False
-        row1, row2 = links1[i], links2[j]
-        for a, b in enumerate(perm + (j,)):
-            if row1[a] != row2[b] or links1[a][i] != links2[b][j]:
+        # equal keys hold equal self-gluing counts: links to placed pieces
+        for a, b in enumerate(perm):
+            if links1[i][a] != links2[j][b] or links1[a][i] != links2[b][j]:
                 return False
         return bool(isomorphisms(i, j))
 
@@ -451,35 +450,32 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     checks_at: list[list[int]] = [[] for _ in pieces1]
     for n, ((i, _), (j, _)) in enumerate(ends1):
         checks_at[max(i, j)].append(n)
-    matches: dict[tuple[int, int], Optional[tuple]] = {}
     piece_ids2, pair_of2 = [p.piece_id for p in pieces2], c2.pair_of
 
-    def pair_match(perm: tuple[int, ...], combo: tuple, n: int
-                   ) -> Optional[tuple]:
-        """Matrix factors from pair n of s1 to its image under ``perm``
-        and ``combo``, or None.  Face maps keep colors, so the image is
-        a pair of s2 exactly when its two tori have the same pair index
-        there."""
+    def pair_image(perm: tuple[int, ...], combo: tuple, n: int
+                   ) -> Optional[int]:
+        """The index of the image of pair n of s1 in s2, or None if the
+        image is no pair of s2 or has another form.  Face maps keep
+        colors, so the image is a pair of s2 exactly when its two tori
+        have the same pair index there."""
         (i, src), (j, dst) = ends1[n]
         k2 = pair_of2[(piece_ids2[perm[i]], combo[i][2][src])]
         if (pair_of2[(piece_ids2[perm[j]], combo[j][2][dst])] != k2
                 or forms1[n] != forms2[k2]):
             return None
-        if (n, k2) not in matches:
-            matches[(n, k2)] = _match_matrices(s1.matrices[n],
-                                               s2.matrices[k2], mode)
-        return matches[(n, k2)]
+        return k2
 
     k = len(pieces1)
     for perm in _choices([range(k)] * k, piece_fits):
         combo = next(_choices(
             [isomorphisms(i, j) for i, j in enumerate(perm)],
             lambda prefix, iso: all(
-                pair_match(perm, prefix + (iso,), n) is not None
+                pair_image(perm, prefix + (iso,), n) is not None
                 for n in checks_at[len(prefix)])), None)
         if combo is None:
             continue
-        found = [pair_match(perm, combo, n) for n in range(len(s1.pairing))]
+        found = [_match_matrices(m, s2.matrices[pair_image(perm, combo, n)],
+                                 mode) for n, m in enumerate(s1.matrices)]
         basis_signs: dict[str, tuple[int, int]] = {}
         for (src, dst), (signs_in, signs_out, _) in zip(s1.pairing, found):
             basis_signs[torus_label(dst)] = signs_in

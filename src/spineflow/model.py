@@ -80,6 +80,10 @@ class GluingMatrix:
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
+    def is_valid(self) -> bool:
+        """Unimodular, and does not map fibers to fibers."""
+        return abs(self.det) == 1 and self.c != 0
+
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
 
@@ -328,8 +332,7 @@ def _rules(spec: ModelFlowSpec, report: Optional[ValidationReport] = None
         return None
 
     for k, matrix in enumerate(spec.matrices):
-        # a gluing matrix is unimodular and does not map fibers to fibers
-        passed = abs(matrix.det) == 1 and matrix.c != 0
+        passed = matrix.is_valid()
         if report is not None:
             report.add(f"matrix {k}", passed,
                        f"det {matrix.det}" if passed

@@ -1,20 +1,17 @@
 import hashlib
-import itertools
 import json
 
 import pytest
 
 import spineflow.census as census
 import spineflow.equivalence as equivalence
+from census_keys import _candidates, _exact_key
 from spineflow import (ENTRANCE, EXIT, EquivalenceMode, FatGraph, GluingMatrix,
                        ModelFlowSpec, Spine, census_pieces, is_bipartite,
                        negate_seed, spec_census, spec_equivalent, spec_to_json,
                        spine_is_orientation_rigid, surface_invariants,
                        unsurgered_piece, validate_spec, verify_witness)
-from spineflow.census import STANDARD_GLUING
 from spineflow.errors import CapacityError
-from spineflow.model import CheckedSpec, check_spec
-from spineflow.walks import reachable
 
 #: SHA-256 of the sorted-key JSON list of ``spec_census(2, 4)``, recorded
 #: before the census compared checked specifications (the ``bases`` key
@@ -23,43 +20,6 @@ SPEC_CENSUS_2_4 = "94f4b15d87d86eb1c0c57afe1500ba60a6d4bb75d068ace3dc40ac5153165
 #: SHA-256 of the JSON list (keys in format order) of ``spec_census(2, 6)``,
 #: recorded when the census still compared candidates pairwise
 SPEC_CENSUS_2_6 = "43a19825359e1f527f7e249c0792e713b7249953645baad59fcdbf2a9479d2f3"
-
-
-def _candidates(max_pieces: int, max_edges: int) -> list[CheckedSpec]:
-    """The specifications of ``spec_census`` before deduplication: over
-    each census piece, then over each unordered pair of them, one per
-    pooled exit -> entrance bijection whose pairs join the pieces, each
-    checked once."""
-    if not 1 <= max_pieces <= 2:
-        raise CapacityError(f"max_pieces must be 1 or 2, got {max_pieces}")
-    spines = census_pieces(max_edges)
-    tuples = [(s,) for s in spines]
-    if max_pieces >= 2:
-        tuples += [(a, b) for i, a in enumerate(spines)
-                   for b in spines[i:]]
-    found = []
-    for spine_tuple in tuples:
-        pieces = tuple(unsurgered_piece(f"P{i}", spine)
-                       for i, spine in enumerate(spine_tuple))
-        exits = [t for piece in pieces for t in piece.exits()]
-        entrances = [t for piece in pieces for t in piece.entrances()]
-        if len(exits) != len(entrances) or not exits:
-            continue
-        for image in itertools.permutations(entrances):
-            pairing = tuple(zip(exits, image))
-            links = {piece.piece_id: [] for piece in pieces}
-            for (src, _), (dst, _) in pairing:
-                links[src].append(dst)
-                links[dst].append(src)
-            if len(reachable("P0", links)) < len(pieces):
-                continue  # a disconnected manifold
-            found.append(check_spec(ModelFlowSpec(
-                pieces=pieces,
-                pairing=pairing,
-                matrices=tuple(STANDARD_GLUING for _ in pairing),
-                orientation_seed={piece.piece_id: (0, 1) for piece in pieces},
-            )))
-    return found
 
 
 def genus_one_banana() -> Spine:
@@ -123,8 +83,6 @@ class TestSpecCensus:
     def test_matches_per_candidate_reference(self, max_pieces, max_edges):
         """The first candidate of each ``_exact_key``, every candidate
         validated on its own, in raw order."""
-        # imported here: test_equivalence imports this module
-        from test_equivalence import _exact_key
         reference: dict[tuple, ModelFlowSpec] = {}
         for checked in _candidates(max_pieces, max_edges):
             reference.setdefault(_exact_key(checked), checked.spec)

@@ -11,27 +11,17 @@ import pytest
 import oracles
 import spineflow.equivalence as equivalence
 import spineflow.fatgraph as fatgraph
+from census_keys import _candidates, _exact_key
 from chains import banana_chain, relabeled_chain, renamed_chain
 from spineflow import (DehnCoefficient, EquivalenceMode, EquivalenceWitness,
                        GluingMatrix, InputError, ModelFlowSpec, ModelPiece,
                        negate_seed, normalize_matrix, spec_equivalent,
                        verify_witness)
 from spineflow.fatgraph import ENTRANCE, EXIT, FatGraph, Spine
-from spineflow.model import (CheckedSpec, check_spec, seed_orientation,
-                             torus_label, validate_spec)
-from test_census import _candidates
+from spineflow.model import (check_spec, seed_orientation, torus_label,
+                             validate_spec)
 
 MODES = list(EquivalenceMode)
-
-
-def _exact_key(checked: CheckedSpec) -> tuple:
-    """Canonical key of a checked specification under EXACT equivalence
-    without reflection: two keys are equal exactly when ``_search(c1,
-    c2, EXACT, False)`` finds a witness.  It is the piece half of
-    ``_piece_labelings`` and the pair half of ``_least_pairs``."""
-    piece_keys, labelings = equivalence._piece_labelings(checked)
-    return piece_keys, equivalence._least_pairs(
-        labelings, checked.spec.pairing, checked.spec.matrices)
 
 
 def induced_face_map(g1: FatGraph, g2: FatGraph, sigma: dict[int, int],
@@ -909,6 +899,33 @@ def test_repeated_chain_decision_walks_nothing(banana_spec, monkeypatch):
     assert walks == []
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_matrices_are_matched_only_for_the_witness(banana_spec, monkeypatch,
+                                                   mode):
+    """The mode forms decide every matrix match of the search, and
+    ``_match_matrices`` only solves the factors of a witness: on a
+    6-piece chain with equal matrices, the seed negation of its renamed
+    copy exhausts the search without matching a matrix (120 matches
+    when the search matched each pair it completed), and the renamed
+    copy matches each of its 12 pairs once."""
+    calls = []
+    real = equivalence._match_matrices
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "_match_matrices", counting)
+    k = 6
+    chain = banana_chain(banana_spec, [2] * (2 * k))
+    renamed = renamed_chain(chain)
+    assert spec_equivalent(chain, negate_seed(renamed, "C0"), mode) is None
+    assert calls == []
+    found = spec_equivalent(chain, renamed, mode)
+    assert found is not None and verify_witness(chain, renamed, found, mode)
+    assert len(calls) == 2 * k
+
+
 def test_chain_search_is_pinned(banana_spec, monkeypatch):
     """Chains with k = 2..6 pieces, with distinct and with equal
     matrices, against a moved copy (pieces renamed cyclically), its
@@ -917,8 +934,10 @@ def test_chain_search_is_pinned(banana_spec, monkeypatch):
     when each level of the search had a walk of its own, and the counts
     of matrix matches, isomorphism listings and piece-pair filters are
     those with the mode forms and piece keys checked first (before
-    them: 3585, 180 and 2160) and the piece keys extended by the forms
-    of their pairs (before that: 1080 piece-pair filters)."""
+    them: 3585, 180 and 2160), the piece keys extended by the forms
+    of their pairs (before that: 1080 piece-pair filters) and the
+    matrices matched only to write a witness (before that: 1650
+    matrix matches)."""
     calls = collections.Counter()
     for name in ("_match_matrices", "iter_isomorphisms_tagged",
                  "_piece_isomorphisms"):
@@ -945,7 +964,7 @@ def test_chain_search_is_pinned(banana_spec, monkeypatch):
     assert sum(w is not None for w in witnesses) == 90
     assert digest == ("79b3f53e9f1a5e5a9d4b77a8389fdeb8"
                       "a154de18582f185d4ab356c96d9e9569")
-    assert calls == {"_match_matrices": 1650,
+    assert calls == {"_match_matrices": 720,
                      "iter_isomorphisms_tagged": 120,
                      "_piece_isomorphisms": 690}
 
