@@ -25,6 +25,7 @@ with the second, entry for entry.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -256,16 +257,14 @@ def _piece_isomorphisms(p1: ModelPiece, labels1: list, p2: ModelPiece,
 
 def _summary(checked: CheckedSpec, pieces: list[ModelPiece],
              index: dict[str, int], forms: list[Mat]
-             ) -> tuple[list[list], list[list[int]], list[tuple]]:
-    """The vertex labels, link counts and keys of ``pieces``, the pieces
-    of a checked specification in the order of ``index``, from one walk
-    over its pairing and one over its pieces; ``forms`` holds the mode
-    form of each pair's matrix.
+             ) -> tuple[list[list], list[tuple]]:
+    """The vertex labels and keys of ``pieces``, the pieces of a checked
+    specification in the order of ``index``, from one walk over its
+    pairing and one over its pieces; ``forms`` holds the mode form of
+    each pair's matrix.
 
     * labels[i]: the (Dehn p, q, propagated sign) of each vertex of
       piece i, in vertex order.
-    * links[i][j]: how many pairs glue an exit of piece i to an
-      entrance of piece j.
     * keys[i]: the colored boundary shape of piece i (the sorted
       (length, color) of its boundary cycles), its sorted per-vertex
       (valence, Dehn p, q, propagated sign), the number of pairs gluing
@@ -281,13 +280,13 @@ def _summary(checked: CheckedSpec, pieces: list[ModelPiece],
     "Practical graph isomorphism II", 2014, with the forms as the
     colors of the links.  If reflection ever changes coefficients or
     signs, these keys must change with it."""
-    links = [[0] * len(pieces) for _ in pieces]
+    self_pairs = [0] * len(pieces)
     leaving: list[list[Mat]] = [[] for _ in pieces]
     entering: list[list[Mat]] = [[] for _ in pieces]
     for ((src_piece, _), (dst_piece, _)), form in zip(checked.spec.pairing,
                                                       forms):
         i, j = index[src_piece], index[dst_piece]
-        links[i][j] += 1
+        self_pairs[i] += i == j
         leaving[i].append(form)
         entering[j].append(form)
     shapes: dict[int, tuple] = {}
@@ -302,37 +301,35 @@ def _summary(checked: CheckedSpec, pieces: list[ModelPiece],
                 [(len(cycle), spine.colors[f])
                  for f, cycle in enumerate(graph.boundary_cycles())]))
         vertices = sorted(zip(map(len, graph.vertices), labels[i]))
-        keys.append((shapes[id(spine)], tuple(vertices), links[i][i],
+        keys.append((shapes[id(spine)], tuple(vertices), self_pairs[i],
                      tuple(sorted(leaving[i])), tuple(sorted(entering[i]))))
-    return labels, links, keys
+    return labels, keys
 
 
-def _choices(options, fits):
-    """Every choice of one entry per list of ``options``, in
-    ``itertools.product`` order, skipping every extension of a prefix
-    by an entry that ``fits(prefix, entry)`` rejects.
+def _choices(depth: int, options):
+    """Every sequence of ``depth`` entries in which each entry is one of
+    ``options(prefix)``, the entries offered after the sequence so far,
+    in the order that ``options`` offers them.
 
-    The walk keeps its own stack, one iterator per list it has reached,
-    so the number of lists is not bounded by Python's recursion
-    limit."""
-    if not options:
+    The walk keeps its own stack, one iterator per level it has reached,
+    so the depth is not bounded by Python's recursion limit."""
+    if not depth:
         yield ()
         return
     prefix: tuple = ()
-    stack = [iter(options[0])]
+    stack = [iter(options(prefix))]
     while stack:
         for entry in stack[-1]:
-            if fits(prefix, entry):
-                break
+            break
         else:
             stack.pop()
             prefix = prefix[:-1]
             continue
-        if len(stack) == len(options):
+        if len(stack) == depth:
             yield prefix + (entry,)
         else:
             prefix += (entry,)
-            stack.append(iter(options[len(stack)]))
+            stack.append(iter(options(prefix)))
 
 
 def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
@@ -342,38 +339,33 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     """Search for an equivalence witness from s1 to s2.
 
     Before any search, each specification is summarized once: the mode
-    form of each matrix (``_matrix_forms``) and, in one pass over its
-    pieces and pairing (``_summary``), the key of each piece: colored
-    boundary shape, per-vertex valence, Dehn coefficient and sign, the
-    number of pairs gluing it to itself, and the sorted forms of the
-    pairs leaving and entering it.  A witness pairs matrices with equal
-    forms and pieces with equal keys, so the answer is None, and no
-    isomorphism is listed, when the sorted forms differ or, checked
-    next, the sorted keys differ.  Cheap invariants and one refinement
-    step come before the search, as in McKay & Piperno, "Practical
-    graph isomorphism II", 2014.
+    form of each matrix (``_matrix_forms``) and the key of each piece
+    (``_summary``), its colored boundary shape, vertex labels, self-gluing
+    count and the sorted forms of its pairs.  A witness pairs equal forms
+    and equal keys, so the answer is None, and no isomorphism is listed,
+    when the sorted forms or, checked next, the sorted keys differ: cheap
+    invariants and one refinement step first, as in McKay & Piperno,
+    "Practical graph isomorphism II", 2014.
 
-    Pieces are taken in sorted id order.  A depth-first search assigns
-    an image piece to each piece of s1 in turn, trying the pieces of s2
-    in id order, and drops a partial assignment as soon as the number
-    of pairs gluing two assigned pieces (in either direction, a piece
-    with itself included) differs from the number gluing their images,
-    or a piece and its image have no color-, coefficient- and
-    orientation-preserving dart bijection; a piece and an image with
-    unequal keys are dropped before their bijections are listed.  For
-    each surviving piece bijection a second depth-first search picks
-    one dart bijection per piece, in the order
-    ``iter_isomorphisms_tagged`` lists them, and checks each pair of s1
-    (its image must be a pair of s2 with an equal matrix form) as soon
-    as the later of its two pieces is placed.  Both searches are one
-    pruned walk, ``_choices``.  The search compares forms only; the
-    witness is its dart bijections with their face maps and the matrix
-    factors that ``_match_matrices`` solves afterwards, once per pair.
+    The search then places the pieces of s1 one at a time, in an order
+    read off s1 alone: the least unplaced piece (in sorted id order)
+    that a pair links to a placed piece, else the least unplaced piece,
+    which starts a new component.  The pairs from a linked piece to
+    placed pieces name, through the images of their placed ends and the
+    pairing of s2, its one possible image and the face that each of its
+    ends must reach; an unlinked piece tries every unused image with an
+    equal key, in id order.  Each image is tried with each color-,
+    coefficient- and orientation-preserving dart bijection, in the
+    order ``iter_isomorphisms_tagged`` lists them, and each pair of s1
+    must map to a pair of s2 with an equal form once the later of its
+    pieces is placed.  The witness is the search's dart bijections with
+    their face maps and the matrix factors that ``_match_matrices``
+    solves afterwards, once per pair.
 
-    Pruning only removes choices that cannot be completed, so the first
-    witness is the one an exhaustive run over all piece permutations,
-    each with the full product of its dart bijections, would find
-    first.
+    Pruning only removes choices that cannot be completed, so the
+    witness returned is the least one when each witness is written as
+    the (image index, position of the dart bijection in its list) of
+    every piece, in placement order.
     """
     return _search(check_spec(s1, "first specification"),
                    check_spec(s2, "second specification"),
@@ -389,20 +381,10 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     piece pair keeps the ones that also preserve its Dehn coefficients
     and orbit orientations.  Pieces with equal spines share one object
     after ``spec_from_json``, so a chain of k alike pieces lists one
-    spine pair instead of up to k^2 piece pairs.  The vertex labels,
-    link counts and keys of each piece come from one ``_summary`` per
-    specification, read by the one sorted key comparison and by every
-    piece pair.  Nothing is kept between calls.
-
-    ``_choices`` walks both levels: piece maps are its choices from k
-    copies of ``range(k)``, pruned by ``piece_fits``, and the dart maps
-    of a piece map are its first choice from the pieces' isomorphism
-    lists, pruned by the image and form of each pair a new piece completes.
-
-    The piece keys hold with or without reflection because reflection,
-    as ``_piece_isomorphisms`` applies it, keeps Dehn coefficients,
-    signs and colors; a reflection that changed them would need other
-    keys."""
+    spine pair instead of up to k^2 piece pairs.  One ``_choices`` walk
+    places the pieces: level n places the n-th piece of the placement
+    order by an entry (image index, dart bijection, reflection flag,
+    face map).  Nothing is kept between calls."""
     s1, s2 = c1.spec, c2.spec
     if len(s1.pieces) != len(s2.pieces):
         return None
@@ -415,15 +397,15 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     pieces2 = sorted(s2.pieces, key=lambda p: p.piece_id)
     index1 = {p.piece_id: i for i, p in enumerate(pieces1)}
     index2 = {p.piece_id: i for i, p in enumerate(pieces2)}
-    labels1, links1, keys1 = _summary(c1, pieces1, index1, forms1)
-    labels2, links2, keys2 = _summary(c2, pieces2, index2, forms2)
+    labels1, keys1 = _summary(c1, pieces1, index1, forms1)
+    labels2, keys2 = _summary(c2, pieces2, index2, forms2)
     if sorted(keys1) != sorted(keys2):
         return None
     by_spines: dict[tuple[int, int], list] = {}
     candidates: dict[tuple[int, int], list] = {}
 
     def isomorphisms(i: int, j: int) -> list:
-        """(sigma, reflect, boundary cycle -> boundary cycle) for the
+        """(j, sigma, reflect, boundary cycle -> boundary cycle) for the
         dart bijections pieces1[i] -> pieces2[j]."""
         if (i, j) not in candidates:
             p1, p2 = pieces1[i], pieces2[j]
@@ -431,66 +413,86 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
             if spines not in by_spines:
                 by_spines[spines] = list(iter_isomorphisms_tagged(
                     p1.spine, p2.spine, allow_reflection))
-            candidates[(i, j)] = _piece_isomorphisms(
-                p1, labels1[i], p2, labels2[j], by_spines[spines])
+            candidates[(i, j)] = [(j, *iso) for iso in _piece_isomorphisms(
+                p1, labels1[i], p2, labels2[j], by_spines[spines])]
         return candidates[(i, j)]
 
-    def piece_fits(perm: tuple[int, ...], j: int) -> bool:
-        i = len(perm)
-        if j in perm or keys1[i] != keys2[j]:
-            return False
-        # equal keys hold equal self-gluing counts: links to placed pieces
-        for a, b in enumerate(perm):
-            if links1[i][a] != links2[j][b] or links1[a][i] != links2[b][j]:
-                return False
-        return bool(isomorphisms(i, j))
-
-    ends1 = [[(index1[piece], face) for piece, face in pair]
-             for pair in s1.pairing]
-    checks_at: list[list[int]] = [[] for _ in pieces1]
-    for n, ((i, _), (j, _)) in enumerate(ends1):
-        checks_at[max(i, j)].append(n)
+    k = len(pieces1)
+    ends_at: list[list[tuple]] = [[] for _ in pieces1]
+    for n, ((src, out), (dst, into)) in enumerate(s1.pairing):
+        i, j = index1[src], index1[dst]
+        ends_at[i].append((n, 0, out, j, into))
+        ends_at[j].append((n, 1, into, i, out))
+    # steps[level]: the piece placed there, its (pair, side of its end,
+    # its face, level of the other end, face there) per pair to a piece
+    # placed before it, and its (pair, exit, entrance) per pair to itself
+    steps: list[tuple[int, list, list]] = []
+    level_of: list[Optional[int]] = [None] * k
+    linked: list[int] = []
+    for root in range(k):
+        heapq.heappush(linked, root)
+        while linked:
+            i = heapq.heappop(linked)
+            if level_of[i] is not None:
+                continue
+            level_of[i] = len(steps)
+            links, loops = [], []
+            for n, side, face, a, other in ends_at[i]:
+                if a == i:
+                    if not side:
+                        loops.append((n, face, other))
+                elif level_of[a] is None:
+                    heapq.heappush(linked, a)
+                else:
+                    links.append((n, side, face, level_of[a], other))
+            steps.append((i, links, loops))
     piece_ids2, pair_of2 = [p.piece_id for p in pieces2], c2.pair_of
 
-    def pair_image(perm: tuple[int, ...], combo: tuple, n: int
-                   ) -> Optional[int]:
-        """The index of the image of pair n of s1 in s2, or None if the
-        image is no pair of s2 or has another form.  Face maps keep
-        colors, so the image is a pair of s2 exactly when its two tori
-        have the same pair index there."""
-        (i, src), (j, dst) = ends1[n]
-        k2 = pair_of2[(piece_ids2[perm[i]], combo[i][2][src])]
-        if (pair_of2[(piece_ids2[perm[j]], combo[j][2][dst])] != k2
-                or forms1[n] != forms2[k2]):
-            return None
-        return k2
+    def options(prefix: tuple):
+        """The entries that place the piece of level ``len(prefix)``
+        after ``prefix`` and complete only pairs that fit."""
+        i, links, loops = steps[len(prefix)]
+        targets, image = {}, None
+        for n, side, face, level, other in links:
+            j, _, _, faces = prefix[level]
+            k2 = pair_of2[(piece_ids2[j], faces[other])]
+            piece, targets[face] = s2.pairing[k2][side]
+            if forms1[n] != forms2[k2] or image not in (None, piece):
+                return
+            image = piece
+        used = {entry[0] for entry in prefix}
+        for j in range(k) if image is None else (index2[image],):
+            if j in used or keys1[i] != keys2[j]:
+                continue
+            for entry in isomorphisms(i, j):
+                if targets.items() <= entry[3].items() and all(
+                        loop_fits(loop, entry) for loop in loops):
+                    yield entry
 
-    k = len(pieces1)
-    for perm in _choices([range(k)] * k, piece_fits):
-        combo = next(_choices(
-            [isomorphisms(i, j) for i, j in enumerate(perm)],
-            lambda prefix, iso: all(
-                pair_image(perm, prefix + (iso,), n) is not None
-                for n in checks_at[len(prefix)])), None)
-        if combo is None:
-            continue
-        found = [_match_matrices(m, s2.matrices[pair_image(perm, combo, n)],
-                                 mode) for n, m in enumerate(s1.matrices)]
-        basis_signs: dict[str, tuple[int, int]] = {}
-        for (src, dst), (signs_in, signs_out, _) in zip(s1.pairing, found):
-            basis_signs[torus_label(dst)] = signs_in
-            basis_signs[torus_label(src)] = signs_out
-        return EquivalenceWitness(
-            piece_map={p.piece_id: pieces2[j].piece_id
-                       for p, j in zip(pieces1, perm)},
-            dart_maps={p.piece_id: dict(sigma)
-                       for p, (sigma, _, _) in zip(pieces1, combo)},
-            basis_signs=basis_signs,
-            twists={n: twist for n, (_, _, twist) in enumerate(found)},
-            reflected={p.piece_id: reflect
-                       for p, (_, reflect, _) in zip(pieces1, combo)},
-        )
-    return None
+    def loop_fits(loop: tuple, entry: tuple) -> bool:
+        """Whether ``entry`` sends a self-gluing pair to an equal-form pair."""
+        n, src, dst = loop
+        image, faces = piece_ids2[entry[0]], entry[3]
+        k2 = pair_of2[(image, faces[src])]
+        return (pair_of2[(image, faces[dst])] == k2
+                and forms1[n] == forms2[k2])
+
+    combo = next(_choices(k, options), None)
+    if combo is None:
+        return None
+    piece_map, dart_maps, reflected = {}, {}, {}
+    for pid, level in zip(index1, level_of):
+        j, sigma, reflected[pid], _ = combo[level]
+        piece_map[pid], dart_maps[pid] = piece_ids2[j], dict(sigma)
+    basis_signs: dict[str, tuple[int, int]] = {}
+    twists: dict[int, tuple[int, int]] = {}
+    for n, (src, dst) in enumerate(s1.pairing):
+        j, _, _, faces = combo[level_of[index1[src[0]]]]
+        k2 = pair_of2[(piece_ids2[j], faces[src[1]])]
+        (basis_signs[torus_label(dst)], basis_signs[torus_label(src)],
+         twists[n]) = _match_matrices(s1.matrices[n], s2.matrices[k2], mode)
+    return EquivalenceWitness(piece_map, dart_maps, basis_signs, twists,
+                              reflected)
 
 
 # ----------------------------------------------------------------------
@@ -625,14 +627,12 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
             raise InputError(f"witness reflection names {quote(pid)}, no "
                              "piece of the first specification")
 
-    if mode is EquivalenceMode.EXACT:
-        if any(signs != (1, 1) for signs in witness.basis_signs.values()):
-            return False
-        if any(t != (0, 0) for t in witness.twists.values()):
-            return False
-    if mode is EquivalenceMode.ISOTOPY:
-        if any(t[0] != 0 or t[1] != 0 for t in witness.twists.values()):
-            return False
+    if mode is not EquivalenceMode.ISOTOPY_WITH_TWISTS and any(
+            t[0] != 0 or t[1] != 0 for t in witness.twists.values()):
+        return False
+    if mode is EquivalenceMode.EXACT and any(
+            s[0] != 1 or s[1] != 1 for s in witness.basis_signs.values()):
+        return False
 
     o1 = seed_orientation(s1)
     o2 = seed_orientation(s2)

@@ -26,7 +26,13 @@ def renamed_chain(chain):
     """``chain`` with its piece Ci renamed C(i + 1 mod k) everywhere:
     the same spines, pairs and matrices under new ids."""
     k = len(chain.pieces)
-    new_id = {f"C{i}": f"C{(i + 1) % k}" for i in range(k)}
+    return chain_with_ids(chain, [f"C{(i + 1) % k}" for i in range(k)])
+
+
+def chain_with_ids(chain, ids):
+    """``chain`` with its piece Ci renamed ``ids[i]`` everywhere: the
+    same spines, pairs and matrices under new ids."""
+    new_id = {f"C{i}": pid for i, pid in enumerate(ids)}
     return ModelFlowSpec(
         tuple(ModelPiece(new_id[p.piece_id], p.spine, p.dehn) for p in chain.pieces),
         tuple(((new_id[a], f), (new_id[b], g)) for (a, f), (b, g) in chain.pairing),

@@ -12,7 +12,8 @@ import oracles
 import spineflow.equivalence as equivalence
 import spineflow.fatgraph as fatgraph
 from census_keys import _candidates, _exact_key
-from chains import banana_chain, relabeled_chain, renamed_chain
+from chains import (banana_chain, chain_with_ids, relabeled_chain,
+                    renamed_chain)
 from spineflow import (DehnCoefficient, EquivalenceMode, EquivalenceWitness,
                        GluingMatrix, InputError, ModelFlowSpec, ModelPiece,
                        negate_seed, normalize_matrix, spec_equivalent,
@@ -92,11 +93,28 @@ def spine_bijections(a: Spine, b: Spine) -> list:
     return _BIJECTIONS[(id(a), id(b))][2]
 
 
+def placement_order(spec) -> list[str]:
+    """The piece ids of ``spec`` in the order the search places them:
+    the least unplaced id that a pair links to a placed piece, or the
+    least unplaced id when no pair does."""
+    ids = set(spec.piece_ids())
+    order: list[str] = []
+    while len(order) < len(ids):
+        placed = set(order)
+        linked = {x for (a, _), (b, _) in spec.pairing
+                  for x, y in ((a, b), (b, a)) if y in placed} - placed
+        order.append(min(linked or ids - placed))
+    return order
+
+
 def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
     """Reference search: every piece permutation in
     ``itertools.permutations`` order, each with the full
     ``itertools.product`` of its per-piece dart bijections, the pairing
-    and the matrices checked only on complete combinations.
+    and the matrices checked only on complete combinations.  Of the
+    combinations that fit, it returns the witness with the least key:
+    the (image index, position of the bijection in its piece's list) of
+    every piece, in ``placement_order``.
 
     The dart bijections of each spine pair are ``spine_bijections``;
     a piece pair keeps those that carry the (Dehn p, q, sign) of every
@@ -118,22 +136,32 @@ def exhaustive_spec_equivalent(s1, s2, mode, allow_reflection=False):
                 for d in cycle}
 
     pieces1 = sorted(s1.pieces, key=lambda p: p.piece_id)
+    images = sorted(s2.pieces, key=lambda p: p.piece_id)
     labels1 = [dart_labels(p, o1) for p in pieces1]
-    for pieces2 in itertools.permutations(
-            sorted(s2.pieces, key=lambda p: p.piece_id)):
+    labels2 = [dart_labels(p, o2) for p in images]
+    position = {p.piece_id: n for n, p in enumerate(pieces1)}
+    order = [position[pid] for pid in placement_order(s1)]
+    best = None
+    for perm in itertools.permutations(range(len(images))):
+        pieces2 = [images[j] for j in perm]
         per_piece = []
-        for p1, labels, p2 in zip(pieces1, labels1, pieces2):
-            labels2 = dart_labels(p2, o2)
+        for p1, labels, p2, j in zip(pieces1, labels1, pieces2, perm):
             per_piece.append([
                 (sigma, reflect, faces) for sigma, reflect, faces
                 in spine_bijections(p1.spine, p2.spine)
                 if (allow_reflection or not reflect)
-                and all(labels2[sigma[d]] == label for d, label in labels.items())])
-        for combo in itertools.product(*per_piece):
+                and all(labels2[j][sigma[d]] == label
+                        for d, label in labels.items())])
+        for picks in itertools.product(*(range(len(isos))
+                                         for isos in per_piece)):
+            key = [(perm[n], picks[n]) for n in order]
+            if best is not None and key > best[0]:
+                continue
+            combo = [isos[m] for isos, m in zip(per_piece, picks)]
             witness = assemble(s1, s2, pieces1, pieces2, combo, mode)
             if witness is not None:
-                return witness
-    return None
+                best = key, witness
+    return None if best is None else best[1]
 
 
 def assemble(s1, s2, pieces1, pieces2, combo, mode):
@@ -539,6 +567,19 @@ class TestVerifyWitness:
             verify_witness(banana_spec, banana_spec, bad,
                            EquivalenceMode.EXACT)
 
+    def test_list_values_replay_in_every_mode(self, banana_spec):
+        """Basis signs and twists given as lists, as code may build
+        them, replay as the tuples of ``from_json`` do, in every mode."""
+        witness = spec_equivalent(banana_spec, banana_spec,
+                                  EquivalenceMode.EXACT)
+        listed = dataclasses.replace(
+            witness,
+            basis_signs={label: list(signs) for label, signs
+                         in witness.basis_signs.items()},
+            twists={n: list(twist) for n, twist in witness.twists.items()})
+        assert [verify_witness(banana_spec, banana_spec, listed, mode)
+                for mode in MODES] == [True, True, True]
+
     def test_witness_json_round_trip(self, banana_spec, twisted_spec):
         witness = spec_equivalent(banana_spec, twisted_spec,
                                   EquivalenceMode.ISOTOPY_WITH_TWISTS)
@@ -698,8 +739,9 @@ class TestVerifyWitnessUnknownKeys:
 
 
 class TestAgainstExhaustiveSearch:
-    """The propagating search returns exactly the first witness of the
-    exhaustive permutation-times-product search, or None with it."""
+    """The propagating search returns exactly the least witness of the
+    exhaustive permutation-times-product search, by the key of
+    ``exhaustive_spec_equivalent``, or None with it."""
 
     @staticmethod
     def assert_same(s1, s2, mode, allow_reflection):
@@ -761,6 +803,63 @@ class TestAgainstExhaustiveSearch:
                     assert hit is not None
                     assert verify_witness(chain, copy, hit, mode)
                 assert self.assert_same(chain, seed_miss, mode, False) is None
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_every_id_order(self, banana_spec, k):
+        """Equal-matrix chains whose pieces carry the ids P0..P(k-1) in
+        every order along the chain, against the relabeled plain chain:
+        in most of them the placement order is not the id order."""
+        chain = banana_chain(banana_spec, [2] * (2 * k))
+        copy = relabeled_chain(chain)
+        for ids in itertools.permutations([f"P{i}" for i in range(k)]):
+            first = chain_with_ids(chain, ids)
+            for mode in MODES:
+                for allow_reflection in (False, True):
+                    hit = self.assert_same(first, copy, mode, allow_reflection)
+                    assert hit is not None
+
+    def test_least_witness_in_placement_order(self, banana_spec):
+        """A 5-piece equal-matrix chain with ids P3, P1, P2, P0, P4 in
+        chain order, with reflection allowed: the search places P0, P2,
+        P1, P3, P4 (each time the least piece next to a placed one) and
+        returns the least witness in that order.  It reflects no piece;
+        the first witness in permutation-then-product order reflects P2
+        and P4."""
+        chain = banana_chain(banana_spec, [2] * 10)
+        first = chain_with_ids(chain, ["P3", "P1", "P2", "P0", "P4"])
+        assert placement_order(first) == ["P0", "P2", "P1", "P3", "P4"]
+        for mode in MODES:
+            found = self.assert_same(first, relabeled_chain(chain), mode, True)
+            assert found is not None and not any(found.reflected.values())
+
+    def test_double_cover_and_braid(self, banana_spec):
+        """A 4-piece equal-matrix chain against two 2-piece chains, which
+        it covers twice, and against a braid, where the two exits of each
+        piece go to the next piece and to the one after.  Every piece key
+        agrees, and neither is equivalent to the chain: the search must
+        reject an image that is used already, and a piece whose pairs to
+        placed pieces name two images."""
+        chain = banana_chain(banana_spec, [2] * 8)
+        halves = [chain_with_ids(banana_chain(banana_spec, [2] * 4), ids)
+                  for ids in (["C0", "C1"], ["C2", "C3"])]
+        cover = ModelFlowSpec(
+            halves[0].pieces + halves[1].pieces,
+            halves[0].pairing + halves[1].pairing,
+            halves[0].matrices + halves[1].matrices,
+            {**halves[0].orientation_seed, **halves[1].orientation_seed})
+        spine = banana_spec.pieces[0].spine
+        exits, entrances = spine.boundary_ids(EXIT), spine.boundary_ids(ENTRANCE)
+        braid = ModelFlowSpec(
+            chain.pieces,
+            tuple(((f"C{i}", exits[n]), (f"C{(i + 1 + n) % 4}", entrances[n]))
+                  for i in range(4) for n in (0, 1)),
+            chain.matrices, chain.orientation_seed)
+        for other in (cover, braid):
+            for a, b in ((chain, other), (other, chain)):
+                for mode in MODES:
+                    for allow_reflection in (False, True):
+                        assert self.assert_same(a, b, mode,
+                                                allow_reflection) is None
 
     def test_census_variants(self, census_specs):
         """Each census spec against its Dehn-perturbed and twisted-matrix
@@ -926,6 +1025,36 @@ def test_matrices_are_matched_only_for_the_witness(banana_spec, monkeypatch,
     assert len(calls) == 2 * k
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_search_nodes_on_equal_matrix_chains(banana_spec, monkeypatch, mode):
+    """Each call of the ``options`` that ``_search`` hands to
+    ``_choices`` is one node of the search.  On a chain of k pieces
+    with equal matrices, its renamed copy takes exactly k nodes, one per
+    piece, and the copy's seed negation, which agrees in every key,
+    exhausts the search within 2k^2 nodes: each of the k root images
+    walks the chain at most twice.  The two-level search took about
+    k^4.7 steps there."""
+    nodes = []
+    real = equivalence._choices
+
+    def counting(depth, options):
+        def counted(prefix):
+            nodes.append(prefix)
+            return options(prefix)
+        return real(depth, counted)
+
+    monkeypatch.setattr(equivalence, "_choices", counting)
+    for k in (8, 16, 32, 64):
+        chain = banana_chain(banana_spec, [2] * (2 * k))
+        renamed = renamed_chain(chain)
+        nodes.clear()
+        assert spec_equivalent(chain, renamed, mode) is not None
+        assert len(nodes) == k
+        nodes.clear()
+        assert spec_equivalent(chain, negate_seed(renamed, "C0"), mode) is None
+        assert len(nodes) <= 2 * k * k
+
+
 def test_chain_search_is_pinned(banana_spec, monkeypatch):
     """Chains with k = 2..6 pieces, with distinct and with equal
     matrices, against a moved copy (pieces renamed cyclically), its
@@ -970,40 +1099,43 @@ def test_chain_search_is_pinned(banana_spec, monkeypatch):
 
 
 class TestChoices:
-    """``_choices`` is ``itertools.product`` filtered by a prefix-closed
-    predicate: same entries, same order."""
+    """``_choices(depth, options)`` is ``itertools.product`` over the
+    levels, each level's entries those that ``options`` offers after
+    the prefix: same entries, same order."""
 
     def test_matches_filtered_product(self):
         rng = random.Random(7)
         for _ in range(300):
-            options = [list(range(rng.randrange(4)))
-                       for _ in range(rng.randrange(5))]
+            lists = [list(range(rng.randrange(4)))
+                     for _ in range(rng.randrange(5))]
             verdicts: dict[tuple, bool] = {}
 
             def fits(prefix, entry):
                 return verdicts.setdefault(prefix + (entry,),
                                            rng.random() < 0.7)
 
-            found = list(equivalence._choices(options, fits))
-            expected = [t for t in itertools.product(*options)
+            def options(prefix):
+                return [e for e in lists[len(prefix)] if fits(prefix, e)]
+
+            found = list(equivalence._choices(len(lists), options))
+            expected = [t for t in itertools.product(*lists)
                         if all(fits(t[:m], t[m]) for m in range(len(t)))]
             assert found == expected
 
     def test_no_lists_yield_the_empty_choice_once(self):
-        only = list(equivalence._choices([], lambda prefix, entry: True))
-        assert only == [()]
+        asked = []
+        only = list(equivalence._choices(0, asked.append))
+        assert only == [()] and asked == []
 
     def test_an_empty_list_yields_nothing(self):
-        options = [[0, 1], [], [0, 1]]
-        assert list(equivalence._choices(options,
-                                         lambda prefix, entry: True)) == []
+        lists = [[0, 1], [], [0, 1]]
+        assert list(equivalence._choices(
+            3, lambda prefix: lists[len(prefix)])) == []
 
     def test_more_lists_than_the_recursion_limit(self):
-        """3,000 one-entry lists, three times Python's default recursion
+        """3,000 one-entry levels, three times Python's default recursion
         limit: one choice per piece of a 3,000-piece search."""
-        options = [[n] for n in range(3000)]
-        found = list(equivalence._choices(options,
-                                          lambda prefix, entry: True))
+        found = list(equivalence._choices(3000, lambda prefix: [len(prefix)]))
         assert found == [tuple(range(3000))]
 
     @pytest.mark.parametrize("mode", MODES)
@@ -1063,7 +1195,7 @@ def summary_keys(spec, mode) -> dict[str, tuple]:
     pieces = sorted(spec.pieces, key=lambda p: p.piece_id)
     index = {p.piece_id: i for i, p in enumerate(pieces)}
     forms = equivalence._matrix_forms(spec.matrices, mode)
-    _, _, keys = equivalence._summary(check_spec(spec), pieces, index, forms)
+    _, keys = equivalence._summary(check_spec(spec), pieces, index, forms)
     return {p.piece_id: key for p, key in zip(pieces, keys)}
 
 
