@@ -447,11 +447,15 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
                     links.append((n, side, face, level_of[a], other))
             steps.append((i, links, loops))
     piece_ids2, pair_of2 = [p.piece_id for p in pieces2], c2.pair_of
+    # offered_at[j]: the level that last offered image j; j is used by a
+    # prefix exactly when that level is in it and placed j there
+    offered_at = [k] * k
 
     def options(prefix: tuple):
         """The entries that place the piece of level ``len(prefix)``
         after ``prefix`` and complete only pairs that fit."""
-        i, links, loops = steps[len(prefix)]
+        depth = len(prefix)
+        i, links, loops = steps[depth]
         targets, image = {}, None
         for n, side, face, level, other in links:
             j, _, _, faces = prefix[level]
@@ -460,10 +464,11 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
             if forms1[n] != forms2[k2] or image not in (None, piece):
                 return
             image = piece
-        used = {entry[0] for entry in prefix}
         for j in range(k) if image is None else (index2[image],):
-            if j in used or keys1[i] != keys2[j]:
+            level = offered_at[j]
+            if level < depth and prefix[level][0] == j or keys1[i] != keys2[j]:
                 continue
+            offered_at[j] = depth
             for entry in isomorphisms(i, j):
                 if targets.items() <= entry[3].items() and all(
                         loop_fits(loop, entry) for loop in loops):

@@ -1,5 +1,5 @@
 """Exception classes shared by all spineflow modules, and ``conform``,
-the one shape walk that every JSON reader runs before it builds
+the one shape check that every JSON reader runs before it builds
 anything.  Shapes:
 
 * ``int``, ``str`` and ``bool`` match only that exact JSON type
@@ -11,18 +11,22 @@ anything.  Shapes:
   ``s``; ``int`` keys must be canonical decimal indices (``read_index``);
 * ``None`` is any value, left to the reader's semantic checks.
 
-The first wrong value raises ``InputError`` naming its JSON pointer,
-the deepest wrong value: a string among a spine's edge pairs is
-reported at the entry, not at the array; its keys are escaped by
-``pointer_token`` and its value quoted by ``quote``.  The walk tests
-each value once, entry by entry, skipping only a pair of two right
-leaves and an object member that is a right leaf.  Readers then build
-their objects with no type tests, so shape errors come first.
+``conform`` compiles each shape once, on its first use, into a checker
+of nested closures, one per array, pair, table or object, and keeps the
+checker with the shape; a shape is not changed after it is used.  Each
+container's own loop tests its leaf entries by type, with no call per
+value.  The first wrong value raises ``InputError`` naming its JSON
+pointer, the deepest wrong value: a string among a spine's edge pairs
+is reported at the entry, not at the array; its keys are escaped by
+``pointer_token`` and its value quoted by ``quote``.  The members of an
+object are checked for presence, in the shape's order, before their
+values.  Each value is tested once, so readers then build their objects
+with no type tests, and shape errors come first.
 """
 
 import reprlib
-from itertools import chain, count, islice, repeat
-from typing import NamedTuple
+from itertools import chain, islice
+from typing import Callable, NamedTuple, Optional
 
 
 class SpineflowError(Exception):
@@ -148,7 +152,7 @@ class Table(NamedTuple):
 
 class _Mismatch(Exception):
     """A value of the wrong shape.  ``keys`` gathers its JSON pointer,
-    innermost key first, as the walk unwinds, so no pointer is built
+    innermost key first, as the checkers unwind, so no pointer is built
     unless a value is wrong."""
 
     def __init__(self, problem: str, *keys):
@@ -162,59 +166,165 @@ class _Mismatch(Exception):
 
 _EXPECTED = {int: "an integer", str: "a string", bool: "true or false"}
 
+#: an absent member, which no JSON value is
+_ABSENT = object()
+#: keys that ``_index`` reads without a doubt: the canonical decimal
+#: texts of the indices below 1024
+_SHORT_INDICES = frozenset(map(str, range(1024)))
+#: each shape's checker by ``id(shape)``, kept with the shape so that
+#: no other shape takes its id while the checker is kept
+_CHECKERS: dict[int, tuple[object, Callable]] = {}
+#: the shapes kept at once; past that the table starts again, so
+#: shapes built per call are not kept forever
+_MAX_CHECKERS = 256
+
 
 def conform(value, shape, path: str = "") -> None:
     """Raise ``InputError`` at ``path`` plus the JSON pointer of the
-    first value in ``value`` that does not have ``shape``."""
+    first value in ``value`` that does not have ``shape``.  The checker
+    of ``shape`` is compiled on its first use and kept with it."""
+    entry = _CHECKERS.get(id(shape))
+    if entry is None:
+        if len(_CHECKERS) >= _MAX_CHECKERS:
+            _CHECKERS.clear()
+        entry = _CHECKERS[id(shape)] = (shape, _compile(shape))
     try:
-        _walk(value, shape)
+        entry[1](value)
     except _Mismatch as wrong:
         raise wrong.at(path) from None
 
 
-def _walk(value, shape) -> None:
+def _compile(shape) -> Callable:
+    """The checker of ``shape``: a function that raises ``_Mismatch``
+    at the first value that does not have it, one closure per array,
+    pair, table or object."""
     if shape is None:
-        return
+        return _anything
     kind = type(shape)
     if kind is type:
-        if type(value) is not shape:
-            raise _Mismatch(f"expected {_EXPECTED[shape]}, got {quote(value)}")
-        return
+        return _leaf(shape)
     if kind is tuple:
+        return _pair(shape)
+    if kind is list:
+        return _array(shape[0])
+    if kind is Table:
+        return _table(shape)
+    return _object(shape)
+
+
+def _anything(value) -> None:
+    pass
+
+
+def _leaf(leaf: type) -> Callable:
+    expected = _EXPECTED[leaf]
+
+    def check(value):
+        if type(value) is not leaf:
+            raise _Mismatch(f"expected {expected}, got {quote(value)}")
+    return check
+
+
+def _entry(shape) -> tuple[Optional[type], Callable]:
+    """How a container tests an entry of ``shape``: a leaf type that
+    passes it with no call, or None, and the checker to call when its
+    type is not that leaf type.  ``type(x) is not None`` always holds."""
+    return (shape if type(shape) is type else None), _compile(shape)
+
+
+def _pair(shape) -> Callable:
+    (leaf0, check0), (leaf1, check1) = map(_entry, shape)
+
+    def check(value):
         if type(value) is not list or len(value) != 2:
             raise _Mismatch(f"expected an array of two entries, got {quote(value)}")
-        if type(value[0]) is shape[0] and type(value[1]) is shape[1]:
-            return  # two right leaves
-        entries = ((0, value[0], shape[0]), (1, value[1], shape[1]))
-    elif kind is list:
+        first, second = value
+        key = 0
+        try:
+            if type(first) is not leaf0:
+                check0(first)
+            key = 1
+            if type(second) is not leaf1:
+                check1(second)
+        except _Mismatch as wrong:
+            wrong.keys.append(key)
+            raise
+    return check
+
+
+def _array(inner) -> Callable:
+    leaf, check_entry = _entry(inner)
+
+    def check(value):
         if type(value) is not list:
             raise _Mismatch("expected an array")
-        entries = zip(count(), value, repeat(shape[0]))
-    elif type(value) is not dict:
-        raise _Mismatch("expected an object")
-    elif kind is Table:
-        if shape.keys is int:
+        for item in value:
+            if type(item) is not leaf:
+                try:
+                    check_entry(item)
+                except _Mismatch as wrong:
+                    wrong.keys.append(_position(value, item))
+                    raise
+    return check
+
+
+def _position(value: list, item) -> int:
+    """The index of ``item`` in ``value``, the first by identity: a
+    checker gives the same verdict each time it sees one object, so the
+    first place that holds the wrong entry is where the walk stopped."""
+    return next(i for i, entry in enumerate(value) if entry is item)
+
+
+def _table(shape: Table) -> Callable:
+    index_keys = shape.keys is int
+    leaf, check_entry = _entry(shape.values)
+
+    def check(value):
+        if type(value) is not dict:
+            raise _Mismatch("expected an object")
+        if index_keys:
             for key in value:
-                _index(key, key)
-        entries = zip(value, value.values(), repeat(shape.values))
-    else:
-        entries = []
-        for key, member in shape.items():
-            if type(member) is Opt:
-                if key not in value or (member.null and value[key] is None):
-                    continue
-                member = member.shape
-            elif key not in value:
+                if key not in _SHORT_INDICES:
+                    _index(key, key)
+        for key, item in value.items():
+            if type(item) is not leaf:
+                try:
+                    check_entry(item)
+                except _Mismatch as wrong:
+                    wrong.keys.append(key)
+                    raise
+    return check
+
+
+def _object(shape: dict) -> Callable:
+    """Members are checked for presence, in the shape's order, before
+    any value is; a member of shape None is only checked for presence."""
+    required = tuple(key for key, member in shape.items() if type(member) is not Opt)
+    members = []
+    for key, member in shape.items():
+        null = False
+        if type(member) is Opt:
+            member, null = member
+        if member is not None:
+            members.append((key, null, *_entry(member)))
+
+    def check(value):
+        if type(value) is not dict:
+            raise _Mismatch("expected an object")
+        for key in required:
+            if key not in value:
                 raise _Mismatch("missing", key)
-            if member is not None and type(value[key]) is not member:
-                entries.append((key, value[key], member))  # not a right leaf
-    key = None
-    try:
-        for key, item, inner in entries:
-            _walk(item, inner)
-    except _Mismatch as wrong:
-        wrong.keys.append(key)
-        raise
+        for key, null, leaf, check_member in members:
+            item = value.get(key, _ABSENT)
+            if type(item) is not leaf and item is not _ABSENT and not (
+                    null and item is None):
+                try:
+                    check_member(item)
+                except _Mismatch as wrong:
+                    wrong.keys.append(key)
+                    raise
+    return check
+
 
 
 def _index(value, *keys) -> int:

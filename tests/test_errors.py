@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import random
 import sys
@@ -6,13 +7,15 @@ from itertools import count, repeat
 
 import pytest
 
-from spineflow import EquivalenceMode, FatGraph, InputError
+from spineflow import EquivalenceMode, FatGraph, InputError, spec_equivalent
 from spineflow.errors import (_EXPECTED, _QUOTE, Opt, Table, _index, _Mismatch,
                               _within_limits, conform, pointer_token, quote,
                               read_index)
+from spineflow.equivalence import WITNESS_SHAPE
 from spineflow.fatgraph import SPINE_SHAPE, PairingError
-from spineflow.model import SPEC_SHAPE
-from test_fuzz import MUTANTS, SEED, SPECS, at, mutate, paths
+from spineflow.flowgraph import WORD_SHAPE
+from spineflow.model import MATRIX_SHAPE, SPEC_SHAPE, spec_from_json
+from test_fuzz import FIXTURES, MUTANTS, SEED, SPECS, at, mutate, paths
 
 
 class TestReadIndex:
@@ -342,3 +345,89 @@ def test_specification_mutants_match_the_walk():
             spine = piece.get("spine") if isinstance(piece, dict) else piece
             assert (_outcome(conform, spine, SPINE_SHAPE)
                     == _outcome(_reference_conform, spine, SPINE_SHAPE)), n
+
+
+def _fixture(name: str):
+    return json.loads((FIXTURES / name).read_text())
+
+
+def _shape_values():
+    """A value of each shape constant that a reader conforms: a word
+    both with its orbits absent and with them null."""
+    spec = _fixture("banana_spec.json")
+    twisted = _fixture("banana_spec_twisted.json")
+    witness = spec_equivalent(spec_from_json(spec), spec_from_json(twisted),
+                              EquivalenceMode.ISOTOPY_WITH_TWISTS, True)
+    return {
+        "specification": (SPEC_SHAPE, spec),
+        "spine": (SPINE_SHAPE, spec["pieces"][0]["spine"]),
+        "matrix": (MATRIX_SHAPE, _fixture("matrix.json")),
+        "word": (WORD_SHAPE, {"body": ["T0", "T1", "T0"]}),
+        "word with null orbits": (WORD_SHAPE, {"body": ["T0"], "head_orbit": None,
+                                               "tail_orbit": None}),
+        "witness": (WITNESS_SHAPE, witness.to_json()),
+    }
+
+
+def _objects_at(value):
+    """The paths of the objects in ``value``, the root first."""
+    return [path for path in paths(value) if isinstance(at(value, path), dict)]
+
+
+def _replace_at(value, path, new):
+    if not path:
+        return new
+    at(value, path[:-1])[path[-1]] = new
+    return value
+
+
+def _nested_key_mutant(rng, value):
+    """``value`` with one of its objects, at any depth, replaced by its
+    ``_key_mutant``."""
+    value = copy.deepcopy(value)
+    path = rng.choice(_objects_at(value))
+    return _replace_at(value, path, _key_mutant(rng, at(value, path)))
+
+
+def _members_mutant(rng, value):
+    """``value`` with one of its objects, at any depth, keeping a random
+    subset of its members in a random order, so that several members
+    can be missing at once."""
+    value = copy.deepcopy(value)
+    path = rng.choice(_objects_at(value))
+    items = [item for item in at(value, path).items() if rng.random() < 0.6]
+    rng.shuffle(items)
+    return _replace_at(value, path, dict(items))
+
+
+@pytest.mark.parametrize("name", list(_shape_values()))
+def test_shape_constants_match_the_walk(name):
+    """Seeded mutants of a value of each shape constant: ``conform``
+    gives the reference walk's text, or no error where it gives none,
+    object members, null orbits and missing members included."""
+    shape, value = _shape_values()[name]
+    rng = random.Random(f"shapes:{name}")
+    verdicts = []
+    for n in range(400):
+        mutants = [value, _leaf_mutant(rng, value), mutate(rng, value)]
+        if isinstance(value, dict):
+            mutants += [_nested_key_mutant(rng, value), _members_mutant(rng, value)]
+        for mutant in mutants:
+            expected = _outcome(_reference_conform, mutant, shape)
+            assert _outcome(conform, mutant, shape) == expected, (name, n, mutant)
+            verdicts.append(expected is None)
+    assert True in verdicts and False in verdicts
+
+
+def test_a_checker_never_outlives_its_shape():
+    """Fresh shapes, each dropped after one use: a checker kept by the
+    identity of a shape must never answer for a later shape that takes
+    the same identity."""
+    table = {"0": "EXIT", "1": "ENTRANCE"}
+    for n in range(300):
+        shape = Table(int, str) if n % 2 else Table(int, int)
+        verdict = _outcome(conform, table, shape)
+        assert verdict == _outcome(_reference_conform, table, shape), n
+        assert (verdict is None) == (n % 2 == 1), n
+        del shape
+        gc.collect()
