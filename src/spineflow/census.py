@@ -62,12 +62,11 @@ def spine_is_orientation_rigid(spine: Spine) -> bool:
     if not is_bipartite(graph):
         return True
     side = [sides[v] for v, (sides, _) in enumerate(graph.vertex_sides)]
-    for sigma, _, faces in iter_isomorphisms_tagged(spine, spine):
-        if (all(f == g for f, g in faces.items())
-                and all(side[graph.vertex_of[sigma[cycle[0]]]] != side[v]
-                        for v, cycle in enumerate(graph.vertices))):
-            return False
-    return True
+    # the automorphisms that send each vertex to the other side
+    swaps = iter_isomorphisms_tagged(spine, spine, False,
+                                     (side, [1 - s for s in side]))
+    return not any(all(f == g for f, g in faces.items())
+                   for _, _, faces in swaps)
 
 
 def census_pieces(max_edges: int) -> list[Spine]:

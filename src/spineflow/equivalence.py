@@ -241,30 +241,16 @@ def _sign_form(m: GluingMatrix) -> Mat:
 # search
 # ----------------------------------------------------------------------
 
-def _piece_isomorphisms(p1: ModelPiece, labels1: list, p2: ModelPiece,
-                        labels2: list, listed: list
-                        ) -> list[tuple[dict[int, int], bool, dict[int, int]]]:
-    """The entries of ``listed``, the ``iter_isomorphisms_tagged`` list
-    for the two spines, whose dart bijections p1 -> p2 also preserve
-    Dehn coefficients and orbit orientations: the vertex labels of p2
-    (see ``_summary``) at the images of the vertices of p1 must be
-    ``labels1``, vertex for vertex."""
-    starts = [cycle[0] for cycle in p1.spine.graph.vertices]
-    vertex_of2 = p2.spine.graph.vertex_of
-    return [iso for iso in listed
-            if [labels2[vertex_of2[iso[0][d]]] for d in starts] == labels1]
-
-
 def _summary(checked: CheckedSpec, pieces: list[ModelPiece],
              index: dict[str, int], forms: list[Mat]
-             ) -> tuple[list[list], list[tuple]]:
+             ) -> tuple[list[tuple], list[tuple]]:
     """The vertex labels and keys of ``pieces``, the pieces of a checked
     specification in the order of ``index``, from one walk over its
     pairing and one over its pieces; ``forms`` holds the mode form of
     each pair's matrix.
 
     * labels[i]: the (Dehn p, q, propagated sign) of each vertex of
-      piece i, in vertex order.
+      piece i, in vertex order, as a tuple.
     * keys[i]: the colored boundary shape of piece i (the sorted
       (length, color) of its boundary cycles), its sorted per-vertex
       (valence, Dehn p, q, propagated sign), the number of pairs gluing
@@ -272,9 +258,9 @@ def _summary(checked: CheckedSpec, pieces: list[ModelPiece],
       the pairs entering it; a pair from a piece to itself is in both.
 
     Every piece pair the search accepts has equal keys, with or without
-    reflection: ``iter_isomorphisms_tagged`` keeps valences and the
-    colored shape, ``_piece_isomorphisms`` keeps coefficients and
-    signs, and a witness keeps colors, so it sends the exits of a piece
+    reflection: ``iter_isomorphisms_tagged`` keeps valences, the
+    colored shape and, given these labels, coefficients and signs, and
+    a witness keeps colors, so it sends the exits of a piece
     to exits of its image and each pair to a pair of equal form.  The
     pair forms make the key one refinement step of McKay & Piperno,
     "Practical graph isomorphism II", 2014, with the forms as the
@@ -294,8 +280,8 @@ def _summary(checked: CheckedSpec, pieces: list[ModelPiece],
     for i, piece in enumerate(pieces):
         spine, graph, dehn = piece.spine, piece.spine.graph, piece.dehn
         signs = checked.signs[piece.piece_id]
-        labels.append([(dehn[v].p, dehn[v].q, signs[v])
-                       for v in piece.vertices()])
+        labels.append(tuple((dehn[v].p, dehn[v].q, signs[v])
+                            for v in piece.vertices()))
         if id(spine) not in shapes:
             shapes[id(spine)] = tuple(sorted(
                 [(len(cycle), spine.colors[f])
@@ -376,12 +362,12 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
             allow_reflection: bool) -> Optional[EquivalenceWitness]:
     """``spec_equivalent`` on checked specifications.
 
-    The color-preserving isomorphisms of two spines are listed once per
-    pair of ``Spine`` objects, when the pair is first reached, and each
-    piece pair keeps the ones that also preserve its Dehn coefficients
-    and orbit orientations.  Pieces with equal spines share one object
-    after ``spec_from_json``, so a chain of k alike pieces lists one
-    spine pair instead of up to k^2 piece pairs.  One ``_choices`` walk
+    The isomorphisms that preserve colors, Dehn coefficients and orbit
+    orientations are listed once per pair of ``Spine`` objects and pair
+    of vertex labels (``_summary``), when the pair is first reached.
+    Pieces with equal spines share one object after ``spec_from_json``,
+    so a chain of k alike pieces lists one pair per pair of labels
+    instead of up to k^2 piece pairs.  One ``_choices`` walk
     places the pieces: level n places the n-th piece of the placement
     order by an entry (image index, dart bijection, reflection flag,
     face map).  Nothing is kept between calls."""
@@ -401,21 +387,17 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
     labels2, keys2 = _summary(c2, pieces2, index2, forms2)
     if sorted(keys1) != sorted(keys2):
         return None
-    by_spines: dict[tuple[int, int], list] = {}
-    candidates: dict[tuple[int, int], list] = {}
+    listed: dict[tuple, list] = {}
 
     def isomorphisms(i: int, j: int) -> list:
-        """(j, sigma, reflect, boundary cycle -> boundary cycle) for the
+        """(sigma, reflect, boundary cycle -> boundary cycle) for the
         dart bijections pieces1[i] -> pieces2[j]."""
-        if (i, j) not in candidates:
-            p1, p2 = pieces1[i], pieces2[j]
-            spines = (id(p1.spine), id(p2.spine))
-            if spines not in by_spines:
-                by_spines[spines] = list(iter_isomorphisms_tagged(
-                    p1.spine, p2.spine, allow_reflection))
-            candidates[(i, j)] = [(j, *iso) for iso in _piece_isomorphisms(
-                p1, labels1[i], p2, labels2[j], by_spines[spines])]
-        return candidates[(i, j)]
+        spine1, spine2 = pieces1[i].spine, pieces2[j].spine
+        key = (id(spine1), id(spine2), labels1[i], labels2[j])
+        if key not in listed:
+            listed[key] = list(iter_isomorphisms_tagged(
+                spine1, spine2, allow_reflection, (labels1[i], labels2[j])))
+        return listed[key]
 
     k = len(pieces1)
     ends_at: list[list[tuple]] = [[] for _ in pieces1]
@@ -469,15 +451,15 @@ def _search(c1: CheckedSpec, c2: CheckedSpec, mode: EquivalenceMode,
             if level < depth and prefix[level][0] == j or keys1[i] != keys2[j]:
                 continue
             offered_at[j] = depth
-            for entry in isomorphisms(i, j):
-                if targets.items() <= entry[3].items() and all(
-                        loop_fits(loop, entry) for loop in loops):
-                    yield entry
+            for sigma, reflect, faces in isomorphisms(i, j):
+                if targets.items() <= faces.items() and all(
+                        loop_fits(loop, j, faces) for loop in loops):
+                    yield j, sigma, reflect, faces
 
-    def loop_fits(loop: tuple, entry: tuple) -> bool:
-        """Whether ``entry`` sends a self-gluing pair to an equal-form pair."""
+    def loop_fits(loop: tuple, j: int, faces: dict[int, int]) -> bool:
+        """Whether ``faces`` sends a self-gluing pair to an equal-form pair."""
         n, src, dst = loop
-        image, faces = piece_ids2[entry[0]], entry[3]
+        image = piece_ids2[j]
         k2 = pair_of2[(image, faces[src])]
         return (pair_of2[(image, faces[dst])] == k2
                 and forms1[n] == forms2[k2])
@@ -607,11 +589,12 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
     even in the loosest mode.
     """
     ids1 = set(s1.piece_ids())
-    ids2 = set(s2.piece_ids())
+    # the first piece of each id, as ``ModelFlowSpec.piece`` finds it
+    pieces2 = {p.piece_id: p for p in reversed(s2.pieces)}
     if set(witness.piece_map) != ids1:
         raise InputError("witness piece map must cover exactly the pieces "
                          "of the first specification")
-    if sorted(witness.piece_map.values()) != sorted(ids2):
+    if sorted(witness.piece_map.values()) != sorted(pieces2):
         raise InputError("witness piece map is not a bijection onto the "
                          "pieces of the second specification")
     if set(witness.dart_maps) != ids1:
@@ -643,7 +626,7 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
     o2 = seed_orientation(s2)
     torus_map: dict[TorusId, TorusId] = {}
     for p1 in s1.pieces:
-        p2 = s2.piece(witness.piece_map[p1.piece_id])
+        p2 = pieces2[witness.piece_map[p1.piece_id]]
         sigma = witness.dart_maps[p1.piece_id]
         g1, g2 = p1.spine.graph, p2.spine.graph
         if sorted(sigma) != list(g1.darts):

@@ -22,7 +22,7 @@ cycles by ``ENTRANCE`` / ``EXIT``.  The spine conditions are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (CapacityError, InputError, OrientabilityError,
                      StructureError, Table, conform, quote)
@@ -436,13 +436,17 @@ def induced_face_map(g1: FatGraph, g2: FatGraph, sigma: dict[int, int],
             for f, c in enumerate(g1.boundary_cycles())}
 
 
-def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = False
+def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = False,
+                             labels: Optional[tuple[Sequence, Sequence]] = None
                              ) -> Iterator[tuple[dict[int, int], bool,
                                                  dict[int, int]]]:
     """All color-preserving dart bijections from s1 to s2, each with its
     reflection flag and its boundary-cycle map (``induced_face_map``),
     in a fixed deterministic order: by ascending image of the least
-    dart of s1, reflections last when enabled.
+    dart of s1, reflections last when enabled.  ``labels``, when given,
+    holds one label per vertex of s1 and one per vertex of s2, in
+    vertex order, and only the bijections that send each vertex to a
+    vertex of equal label are listed, in the same order.
 
     An isomorphism of connected maps is fixed by the image of one dart,
     so the image dart ``t`` extends to one exactly when the walk of s2
@@ -451,11 +455,13 @@ def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = Fals
     each dart and its image in the same place.  It keeps colors exactly
     when the colors along the two walks agree too, so the code of s1
     and its colors along that walk are looked up in the cached
-    ``Spine.walk_table`` of s2, and every entry found is yielded:
-    repeated searches on the same spines walk nothing again, and no
-    candidate is built to be dropped.  Graphs of different dart
-    counts, valences or boundary lengths have no equal codes.  A graph
-    that is not connected raises ``InputError``, whatever the other.
+    ``Spine.walk_table`` of s2.  An entry is yielded when the labels
+    along its walk are those along the walk of s1, as McKay & Piperno
+    treat vertex colors ("Practical graph isomorphism II", 2014), so
+    repeated searches walk nothing again and no face map is built to
+    be dropped.  Graphs of different dart counts, valences or boundary
+    lengths have no equal codes.  A graph that is not connected raises
+    ``InputError``, whatever the other.
     """
     g1, g2 = s1.graph, s2.graph
     code1, order1 = g1.least_walk
@@ -463,9 +469,16 @@ def iter_isomorphisms_tagged(s1: Spine, s2: Spine, allow_reflection: bool = Fals
         raise InputError("isomorphism search expects connected fat graphs")
     face1 = g1.face_of()
     key1 = (code1, tuple(s1.colors[face1[d]] for d in order1))
+    if labels is not None:
+        labels1, labels2 = labels
+        vertex_of1, vertex_of2 = g1.vertex_of, g2.vertex_of
+        along1 = [labels1[vertex_of1[d]] for d in order1]
     reflections = (False, True) if allow_reflection else (False,)
     for reflect in reflections:
         for order2 in s2.walk_table(reflect).get(key1, ()):
+            if labels is not None and [labels2[vertex_of2[d]]
+                                       for d in order2] != along1:
+                continue
             sigma = dict(zip(order1, order2))
             yield sigma, reflect, induced_face_map(g1, g2, sigma, reflect)
 

@@ -498,6 +498,23 @@ class TestVerifyWitness:
                 witness = spec_equivalent(spec, spec, mode)
                 assert verify_witness(spec, spec, witness, mode)
 
+    def test_replay_reads_each_image_piece_once(self, banana_spec,
+                                                 monkeypatch):
+        """Replay takes the image pieces from one table of the second
+        specification, not from ``ModelFlowSpec.piece``, which scans
+        every piece: a scan per piece made replay quadratic in k."""
+        chain = banana_chain(banana_spec, [2] * 24)
+        renamed = renamed_chain(chain)
+        witnesses = {mode: spec_equivalent(chain, renamed, mode)
+                     for mode in MODES}
+
+        def scanning(spec, piece_id):
+            raise AssertionError(f"piece {piece_id} looked up by a scan")
+
+        monkeypatch.setattr(ModelFlowSpec, "piece", scanning)
+        for mode, witness in witnesses.items():
+            assert verify_witness(chain, renamed, witness, mode)
+
     def test_wrong_twist_exponent_fails(self, banana_spec, twisted_spec):
         mode = EquivalenceMode.ISOTOPY_WITH_TWISTS
         witness = spec_equivalent(banana_spec, twisted_spec, mode)
@@ -893,18 +910,28 @@ class TestAgainstExhaustiveSearch:
                         self.assert_same(a, b, mode, allow_reflection)
 
 
+def count_listings(monkeypatch) -> collections.Counter:
+    """The search's ``iter_isomorphisms_tagged`` calls, counted by spine
+    pair (as object ids), reflection flag and label pair."""
+    listings = collections.Counter()
+    real = equivalence.iter_isomorphisms_tagged
+
+    def counting(s1, s2, allow_reflection=False, labels=None):
+        listings[(id(s1), id(s2), allow_reflection, labels)] += 1
+        return real(s1, s2, allow_reflection, labels)
+
+    monkeypatch.setattr(equivalence, "iter_isomorphisms_tagged", counting)
+    return listings
+
+
 def test_chain_miss_builds_each_candidate_list_once(banana_spec, monkeypatch):
     """An inequivalent 7-piece chain builds the candidate dart
-    bijections of each piece pair at most once: at most k^2 candidate
-    lists, where trying every piece permutation made about k! * k."""
-    calls = []
-    real = equivalence._piece_isomorphisms
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(equivalence, "_piece_isomorphisms", counting)
+    bijections of each spine pair and label pair once: its pieces share
+    one spine and one labeling, and the negated seed gives one piece of
+    the copy another, so 2 listings, where filtering per piece pair
+    made up to k^2 candidate lists and trying every piece permutation
+    about k! * k."""
+    listings = count_listings(monkeypatch)
     k = 7
     chain = banana_chain(banana_spec, [2] * (2 * k))
     copy = moved_chain(chain, EquivalenceMode.ISOTOPY, shift=3)
@@ -912,53 +939,44 @@ def test_chain_miss_builds_each_candidate_list_once(banana_spec, monkeypatch):
     # extended piece keys included, so the search runs and exhausts
     miss = negate_seed(copy, "D0")
     assert spec_equivalent(chain, miss, EquivalenceMode.ISOTOPY) is None
-    assert 0 < len(calls) <= k * k
+    assert list(listings.values()) == [1, 1]
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_distinct_matrix_chain_tries_one_piece_map(banana_spec, monkeypatch,
                                                    mode):
     """With distinct matrices every piece of a chain has its own
-    extended key, so a decision on an 8-piece chain builds the
-    candidate list of one image per piece, 8 in all, with and without
-    reflection.  With the plain keys, the renamed copy built 16 and its
+    extended key, so a decision on an 8-piece chain tries one image per
+    piece.  The pieces share one spine and one labeling, so the renamed
+    copy lists the candidates of one spine pair and label pair, and its
+    seed negation, whose piece C0 has labels of its own, of two, with
+    and without reflection.  Filtering per piece pair built 8 candidate
+    lists here; with the plain keys, the renamed copy built 16 and its
     seed negation 64.  Under reflection the seed negation comes out
     equivalent, through the banana piece's mirror automorphism."""
-    calls = []
-    real = equivalence._piece_isomorphisms
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(equivalence, "_piece_isomorphisms", counting)
+    listings = count_listings(monkeypatch)
     k = 8
     chain = banana_chain(banana_spec, list(range(2, 2 + 2 * k)))
     renamed = renamed_chain(chain)
     for target, hit in ((renamed, True), (negate_seed(renamed, "C0"), False)):
         for allow_reflection in (False, True):
-            calls.clear()
+            listings.clear()
             found = spec_equivalent(chain, target, mode, allow_reflection)
             assert (found is not None) is (hit or allow_reflection)
             assert found is None or verify_witness(chain, target, found, mode)
-            assert len(calls) == k
+            assert list(listings.values()) == [1] * (1 if hit else 2)
 
 
 @pytest.mark.parametrize("target", ["hit", "miss", "seed"])
 def test_alike_chain_lists_one_spine_pair(banana_spec, monkeypatch, target):
-    """The pieces of a 7-piece chain share one spine, and so do those of
-    its moved copy: one decision lists the isomorphisms of that one
-    spine pair once, where it listed them once per piece pair.  A
-    changed matrix fails the mode forms and lists nothing; a negated
-    seed keeps every invariant and is rejected by the search."""
-    calls = []
-    real = equivalence.iter_isomorphisms_tagged
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(equivalence, "iter_isomorphisms_tagged", counting)
+    """The pieces of a 7-piece chain share one spine and one labeling,
+    and so do those of its moved copy: one decision lists the
+    isomorphisms of that one spine pair once, where it listed them once
+    per piece pair.  A changed matrix fails the mode forms and lists
+    nothing; a negated seed keeps every invariant, gives one piece of
+    the copy labels of its own, so the one spine pair is listed under
+    two label pairs, and is rejected by the search."""
+    listings = count_listings(monkeypatch)
     k = 7
     chain = banana_chain(banana_spec, list(range(2, 2 + 2 * k)))
     copy = moved_chain(chain, EquivalenceMode.ISOTOPY, shift=3)
@@ -971,10 +989,10 @@ def test_alike_chain_lists_one_spine_pair(banana_spec, monkeypatch, target):
     assert len({id(p.spine) for p in chain.pieces + copy.pieces}) == 2
     found = spec_equivalent(chain, copy, EquivalenceMode.ISOTOPY)
     assert (found is None) == (target != "hit")
-    if target == "miss":
-        assert calls == []
-    else:
-        assert calls == [(chain.pieces[0].spine, copy.pieces[0].spine, False)]
+    spines = (id(chain.pieces[0].spine), id(copy.pieces[0].spine), False)
+    assert all(key[:3] == spines for key in listings)
+    assert list(listings.values()) == {"hit": [1], "miss": [],
+                                       "seed": [1, 1]}[target]
 
 
 def test_repeated_chain_decision_walks_nothing(banana_spec, monkeypatch):
@@ -1060,20 +1078,25 @@ def test_chain_search_is_pinned(banana_spec, monkeypatch):
     matrices, against a moved copy (pieces renamed cyclically), its
     seed negation and the copy with one changed matrix, in every mode
     with and without reflection: the witnesses are the ones recorded
-    when each level of the search had a walk of its own, and the counts
-    of matrix matches, isomorphism listings and piece-pair filters are
-    those with the mode forms and piece keys checked first (before
-    them: 3585, 180 and 2160), the piece keys extended by the forms
-    of their pairs (before that: 1080 piece-pair filters) and the
-    matrices matched only to write a witness (before that: 1650
-    matrix matches)."""
+    when each level of the search had a walk of its own, and the count
+    of matrix matches is the one with the mode forms and piece keys
+    checked first (before them: 3585), the piece keys extended by the
+    forms of their pairs and the matrices matched only to write a
+    witness (before that: 1650 matrix matches).  The isomorphisms are
+    listed once per spine pair and label pair of a decision: 180
+    listings, where listing once per spine pair made 120 and the
+    piece-pair filters of those lists 690 calls (2160 before the mode
+    forms and piece keys, 1080 before the extended keys)."""
     calls = collections.Counter()
-    for name in ("_match_matrices", "iter_isomorphisms_tagged",
-                 "_piece_isomorphisms"):
-        def counting(*args, real=getattr(equivalence, name), name=name):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(equivalence, name, counting)
+    real = equivalence._match_matrices
+
+    def counting(*args):
+        calls["_match_matrices"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "_match_matrices", counting)
+    listings = count_listings(monkeypatch)
+    listed = 0
     witnesses = []
     for k in range(2, 7):
         for cs in (list(range(2, 2 + 2 * k)), [2] * (2 * k)):
@@ -1086,16 +1109,18 @@ def test_chain_search_is_pinned(banana_spec, monkeypatch):
                     copy.orientation_seed)
                 for target in (copy, negate_seed(copy, "D0"), changed):
                     for allow_reflection in (False, True):
+                        listings.clear()
                         found = spec_equivalent(chain, target, mode,
                                                 allow_reflection)
                         witnesses.append(found and found.to_json())
+                        assert set(listings.values()) <= {1}
+                        listed += len(listings)
     digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
     assert sum(w is not None for w in witnesses) == 90
     assert digest == ("79b3f53e9f1a5e5a9d4b77a8389fdeb8"
                       "a154de18582f185d4ab356c96d9e9569")
-    assert calls == {"_match_matrices": 720,
-                     "iter_isomorphisms_tagged": 120,
-                     "_piece_isomorphisms": 690}
+    assert calls == {"_match_matrices": 720}
+    assert listed == 180
 
 
 class TestChoices:

@@ -12,7 +12,8 @@ import oracles
 from spineflow import (ENTRANCE, EXIT, FatGraph, InputError, OrientabilityError,
                        Spine, StructureError, enumerate_spines,
                        fatgraph_isomorphic, is_bipartite, spine_from_json,
-                       spine_to_json, surface_invariants, trace_boundary_cycles,
+                       spine_is_orientation_rigid, spine_to_json,
+                       surface_invariants, trace_boundary_cycles,
                        validate_spine)
 from spineflow import fatgraph
 from spineflow.errors import CapacityError
@@ -290,6 +291,11 @@ class TestConstruction:
         graph = FatGraph([[1, 3], [2, 4]], [[1, 2], [3, 4]])
         with pytest.raises(InputError, match=message):
             graph.relabeled(mapping)
+
+    def test_repr_lists_vertices_and_edge_count(self):
+        assert repr(banana_spine().graph) == "FatGraph((1,3,5,7)(2,8,6,4), 4 edges)"
+        graph = FatGraph([[4, 1], [3, 2]], [[1, 2], [3, 4]])
+        assert repr(graph) == "FatGraph((1,4)(2,3), 2 edges)"
 
 
 class TestBoundaryCycles:
@@ -851,6 +857,92 @@ class TestWalkCache:
                 s1, s2, allow_reflection=True)))
         assert len(calls) == yielded
         assert 0 < yielded < same_code
+
+
+def labels_kept(s1: Spine, s2: Spine, sigma: dict[int, int],
+                labels: tuple[list, list]) -> bool:
+    """Whether ``sigma`` sends every dart's vertex to a vertex of equal
+    label: the filter that callers ran on the unlabeled listing."""
+    labels1, labels2 = labels
+    g1, g2 = s1.graph, s2.graph
+    return all(labels2[g2.vertex_of[sigma[d]]] == labels1[g1.vertex_of[d]]
+               for d in g1.darts)
+
+
+def random_labels(spines, seed: int) -> dict[int, list[int]]:
+    """Two seeded labels per vertex set, by spine id: few enough that
+    labeled listings keep some bijections and skip others."""
+    rng = random.Random(seed)
+    return {id(spine): [rng.randrange(2) for _ in spine.graph.vertices]
+            for spine in spines}
+
+
+def post_filter_rigid(spine: Spine) -> bool:
+    """``spine_is_orientation_rigid`` as it filtered the unlabeled
+    listing of automorphisms on sides and fixed boundary cycles."""
+    graph = spine.graph
+    if not is_bipartite(graph):
+        return True
+    side = [sides[v] for v, (sides, _) in enumerate(graph.vertex_sides)]
+    for sigma, _, faces in fatgraph.iter_isomorphisms_tagged(spine, spine):
+        if (all(f == g for f, g in faces.items())
+                and all(side[graph.vertex_of[sigma[cycle[0]]]] != side[v]
+                        for v, cycle in enumerate(graph.vertices))):
+            return False
+    return True
+
+
+class TestLabeledListing:
+    """Vertex labels make the lister skip the walks whose labels differ
+    from those along the least walk of the first spine: the labeled
+    listing is the unlabeled one filtered, in the same order, and no
+    face map is built for what it skips."""
+
+    def test_labeled_listing_is_the_filtered_listing(self):
+        spines = list(enumerate_spines(6))
+        labels = random_labels(spines, seed=7)
+        kept = skipped = 0
+        for s1, s2 in itertools.product(spines, repeat=2):
+            pair = (labels[id(s1)], labels[id(s2)])
+            for allow_reflection in (False, True):
+                listed = list(fatgraph.iter_isomorphisms_tagged(
+                    s1, s2, allow_reflection))
+                expected = [iso for iso in listed
+                            if labels_kept(s1, s2, iso[0], pair)]
+                assert list(fatgraph.iter_isomorphisms_tagged(
+                    s1, s2, allow_reflection, pair)) == expected
+                kept += len(expected)
+                skipped += len(listed) - len(expected)
+        assert kept and skipped
+
+    def test_one_face_map_per_yielded_bijection(self, census_spines,
+                                                 monkeypatch):
+        unlabeled = sum(len(list(fatgraph.iter_isomorphisms_tagged(
+            s1, s2, allow_reflection=True)))
+            for s1, s2 in itertools.product(census_spines, repeat=2))
+        calls = []
+        real = fatgraph.induced_face_map
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fatgraph, "induced_face_map", counting)
+        labels = random_labels(census_spines, seed=3)
+        yielded = 0
+        for s1, s2 in itertools.product(census_spines, repeat=2):
+            yielded += len(list(fatgraph.iter_isomorphisms_tagged(
+                s1, s2, True, (labels[id(s1)], labels[id(s2)]))))
+        assert len(calls) == yielded
+        assert 0 < yielded < unlabeled
+
+    def test_rigidity_agrees_with_the_post_filter(self):
+        verdicts = collections.Counter()
+        for spine in enumerate_spines(8):
+            rigid = spine_is_orientation_rigid(spine)
+            assert rigid is post_filter_rigid(spine), spine_to_json(spine)
+            verdicts[rigid] += 1
+        assert verdicts[True] and verdicts[False]
 
 
 class TestIsomorphism:

@@ -252,6 +252,10 @@ class TestPeriodicWords:
     def test_public_constructor_normalizes(self):
         assert PeriodicWord(("P.e2", "P.e0")).cycle == ("P.e0", "P.e2")
 
+    def test_least_rotation_of_nothing_is_empty(self):
+        assert least_rotation(()) == ()
+        assert least_rotation(iter([])) == ()
+
     def test_words_are_not_normalized_again(self, banana_spec, monkeypatch):
         # the necklace rule emits every class as its least rotation, so
         # no word is rotated after it is found

@@ -495,6 +495,10 @@ def test_long_piece_ids_are_quoted_short(banana_spec, call):
         make("R")
 
 
+def test_piece_is_found_by_id(banana_spec):
+    assert banana_spec.piece("P") is banana_spec.pieces[0]
+
+
 class TestSerialization:
     def test_fixture_round_trip(self, banana_spec):
         assert spec_from_json(spec_to_json(banana_spec)) == banana_spec
