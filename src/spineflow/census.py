@@ -97,10 +97,12 @@ def spec_census(max_pieces: int, max_edges: int) -> list[ModelFlowSpec]:
     specification is built only when its key is new, so each class
     keeps its first pairing in ``itertools.permutations`` order and no
     pairwise search runs.  ``spec_census(2, 6)`` validates 83 tuples
-    and keeps 928 of 2,167 pairings in about 0.1 s.
+    and keeps 928 of 2,167 pairings in about 0.1 s.  ``max_pieces`` is
+    the ``int`` 1 or 2 and ``max_edges`` a cap of ``enumerate_spines``;
+    anything else raises ``CapacityError``.
     """
-    if not 1 <= max_pieces <= 2:
-        raise CapacityError(f"max_pieces must be 1 or 2, got {max_pieces}")
+    if type(max_pieces) is not int or not 1 <= max_pieces <= 2:
+        raise CapacityError(f"max_pieces must be 1 or 2, got {quote(max_pieces)}")
     spines = census_pieces(max_edges)
     tuples = [(s,) for s in spines]
     if max_pieces >= 2:

@@ -196,7 +196,8 @@ def _dispatch(args) -> int:
         count, reps = orientation_classes(_load_spec(args.spec))
         payload = {"count": count, "classes": [rep.to_json() for rep in reps]}
         _emit(payload, lambda: [f"count: {count}"] + [
-            " ".join(f"{pid}.v{v}={s:+d}" for (pid, v), s in sorted(rep.signs.items()))
+            " ".join(f"{pid}.v{v}={s:+d}" for pid, table in sorted(rep.signs.items())
+                     for v, s in sorted(table.items()))
             for rep in reps], args.format)
         return 0
 

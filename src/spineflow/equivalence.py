@@ -44,14 +44,6 @@ def _mul(m: Mat, n: Mat) -> Mat:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _upper(signs: tuple[int, int], twist: int, twist_first: bool) -> Mat:
-    """diag(signs) . U(twist) or U(twist) . diag(signs)."""
-    sv, sh = signs
-    if twist_first:
-        return _mul((1, twist, 0, 1), (sv, 0, 0, sh))
-    return _mul((sv, 0, 0, sh), (1, twist, 0, 1))
-
-
 class EquivalenceMode(enum.Enum):
     EXACT = "exact"
     ISOTOPY = "isotopy"
@@ -64,6 +56,14 @@ class EquivalenceMode(enum.Enum):
                 return mode
         raise InputError(f"unknown mode {quote(text)}; expected one of "
                          + ", ".join(m.value for m in cls))
+
+
+def _check_mode(mode) -> None:
+    """``InputError`` unless ``mode`` is an ``EquivalenceMode`` member:
+    its value text is not read as the mode."""
+    if type(mode) is not EquivalenceMode:
+        raise InputError("mode must be an EquivalenceMode member, got "
+                         + quote(mode))
 
 
 def normalize_matrix(matrix: GluingMatrix) -> GluingMatrix:
@@ -89,11 +89,12 @@ _SIGN_PAIRS = tuple(itertools.product((1, -1), repeat=2))
 
 def _twist_form(matrix: GluingMatrix) -> Mat:
     """The entries of ``normalize_matrix`` for a gluing matrix."""
-    c, det = abs(matrix.c), matrix.det
+    a0, b0, c0, d0 = matrix
+    c, det = abs(c0), a0 * d0 - b0 * c0
     best: Optional[tuple[int, int, int]] = None
     for s, t in _SIGN_PAIRS:
-        a = (s * matrix.a) % c
-        d = (t * matrix.d) % c
+        a = (s * a0) % c
+        d = (t * d0) % c
         b = (a * d - s * t * det) // c
         if best is None or (a, d, b) < best:
             best = (a, d, b)
@@ -140,11 +141,12 @@ class EquivalenceWitness:
         return self._factor(torus_label(exit_torus), pair_index, left=False)
 
     def _factor(self, label: str, pair_index: int, left: bool) -> Mat:
-        """The left factor of a pair at its entrance, or the right one
-        at its exit, by the torus's label."""
-        signs = self.basis_signs.get(label, (1, 1))
+        """The left factor of a pair at its entrance, diag(signs) . U(t)
+        for its left twist t, or the right one at its exit,
+        U(t) . diag(signs) for its right twist, by the torus's label."""
+        sv, sh = self.basis_signs.get(label, (1, 1))
         twist = self.twists.get(pair_index, (0, 0))[0 if left else 1]
-        return _upper(signs, twist, twist_first=not left)
+        return sv, (sv if left else sh) * twist, 0, sh
 
     def to_json(self) -> dict:
         return {
@@ -186,7 +188,7 @@ def _match_matrices(m1: GluingMatrix, m2: GluingMatrix, mode: EquivalenceMode
     which calls this only to write a witness's factors.
     """
     if mode is EquivalenceMode.EXACT:
-        if (m1.a, m1.b, m1.c, m1.d) == (m2.a, m2.b, m2.c, m2.d):
+        if m1 == m2:
             return (1, 1), (1, 1), (0, 0)
         return None
     if abs(m1.c) != abs(m2.c):
@@ -206,8 +208,7 @@ def _match_matrices(m1: GluingMatrix, m2: GluingMatrix, mode: EquivalenceMode
             y = num_y // (f1 * m1.c)
         left: Mat = (e1, x, 0, f1)
         right: Mat = (e2, y, 0, f2)
-        product = _mul(_mul(left, (m1.a, m1.b, m1.c, m1.d)), right)
-        if product == (m2.a, m2.b, m2.c, m2.d):
+        if _mul(_mul(left, m1), right) == m2:
             # left = diag(e1, f1) . U(e1 * x), right = U(f2 * y) . diag(e2, f2)
             return (e1, f1), (e2, f2), (e1 * x, f2 * y)
     return None
@@ -217,14 +218,14 @@ def _matrix_forms(matrices, mode: EquivalenceMode) -> list[Mat]:
     """The mode form of each gluing matrix: two forms are equal exactly
     when ``_match_matrices`` matches the matrices.
 
-    EXACT keeps the entries.  ISOTOPY moves a matrix to
+    EXACT keeps the matrices themselves.  ISOTOPY moves a matrix to
     (e1e2 a, e1f2 b, f1e2 c, f1f2 d): any signs on a, b and c, and on d
     the product of those three.  The form makes a, b and c
     non-negative; that fixes the sign of d, unless one of them is 0 and
     d is made non-negative too.  ISOTOPY_WITH_TWISTS takes the entries
     of ``normalize_matrix``."""
     if mode is EquivalenceMode.EXACT:
-        return [(m.a, m.b, m.c, m.d) for m in matrices]
+        return list(matrices)
     if mode is EquivalenceMode.ISOTOPY:
         return [_sign_form(m) for m in matrices]
     return [_twist_form(m) for m in matrices]
@@ -232,9 +233,10 @@ def _matrix_forms(matrices, mode: EquivalenceMode) -> list[Mat]:
 
 def _sign_form(m: GluingMatrix) -> Mat:
     """The ISOTOPY form of ``_matrix_forms``."""
-    signs = m.a * m.b * m.c
-    d = abs(m.d) if signs == 0 else m.d if signs > 0 else -m.d
-    return abs(m.a), abs(m.b), abs(m.c), d
+    a, b, c, d = m
+    signs = a * b * c
+    d = abs(d) if signs == 0 else d if signs > 0 else -d
+    return abs(a), abs(b), abs(c), d
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +282,7 @@ def _summary(checked: CheckedSpec, pieces: list[ModelPiece],
     for i, piece in enumerate(pieces):
         spine, graph, dehn = piece.spine, piece.spine.graph, piece.dehn
         signs = checked.signs[piece.piece_id]
-        labels.append(tuple((dehn[v].p, dehn[v].q, signs[v])
-                            for v in piece.vertices()))
+        labels.append(tuple((*dehn[v], signs[v]) for v in piece.vertices()))
         if id(spine) not in shapes:
             shapes[id(spine)] = tuple(sorted(
                 [(len(cycle), spine.colors[f])
@@ -351,8 +352,14 @@ def spec_equivalent(s1: ModelFlowSpec, s2: ModelFlowSpec,
     Pruning only removes choices that cannot be completed, so the
     witness returned is the least one when each witness is written as
     the (image index, position of the dart bijection in its list) of
-    every piece, in placement order.
+    every piece, in placement order.  ``mode`` must be an
+    ``EquivalenceMode`` member and ``allow_reflection`` a ``bool``;
+    anything else raises ``InputError`` before any check.
     """
+    _check_mode(mode)
+    if type(allow_reflection) is not bool:
+        raise InputError("allow_reflection must be True or False, got "
+                         + quote(allow_reflection))
     return _search(check_spec(s1, "first specification"),
                    check_spec(s2, "second specification"),
                    mode, allow_reflection)
@@ -509,8 +516,8 @@ def _piece_key(piece: ModelPiece, signs: dict[int, int]
     least: Optional[tuple] = None
     orders: list[list[int]] = []
     for order in table[key]:
-        decoration = tuple((dehn[vertex_of[d]].p, dehn[vertex_of[d]].q,
-                            signs[vertex_of[d]]) for d in order)
+        decoration = tuple((*dehn[vertex_of[d]], signs[vertex_of[d]])
+                           for d in order)
         if least is None or decoration < least:
             least, orders = decoration, [order]
         elif decoration == least:
@@ -559,12 +566,11 @@ def _piece_labelings(checked: CheckedSpec) -> tuple[tuple, list[dict]]:
 
 def _least_pairs(labelings: list[dict], pairing, matrices) -> tuple:
     """The half of the census key that reads the pairing: each pair
-    written as the labels of its exit and entrance and its matrix
-    entries, and the least sorted list of them over ``labelings``."""
-    pairs = [(src, dst, (m.a, m.b, m.c, m.d))
-             for (src, dst), m in zip(pairing, matrices)]
-    return tuple(min(sorted((rank[src], rank[dst], entries)
-                            for src, dst, entries in pairs)
+    written as the labels of its exit and entrance and its matrix, and
+    the least sorted list of them over ``labelings``."""
+    pairs = list(zip(pairing, matrices))
+    return tuple(min(sorted((rank[src], rank[dst], m)
+                            for (src, dst), m in pairs)
                      for rank in labelings))
 
 
@@ -586,8 +592,10 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
     torus map is then read off the first darts (``induced_face_map``).
     The matrix comparison applies the witness factors and then demands
     equality entry for entry, so a wrong twist exponent or sign fails
-    even in the loosest mode.
+    even in the loosest mode.  A ``mode`` that is not an
+    ``EquivalenceMode`` member raises ``InputError`` first.
     """
+    _check_mode(mode)
     ids1 = set(s1.piece_ids())
     # the first piece of each id, as ``ModelFlowSpec.piece`` finds it
     pieces2 = {p.piece_id: p for p in reversed(s2.pieces)}
@@ -660,11 +668,9 @@ def verify_witness(s1: ModelFlowSpec, s2: ModelFlowSpec,
         k2 = pair_index2.get(image)
         if k2 is None:
             return False
-        m1 = s1.matrices[k]
-        m2 = s2.matrices[k2]
         product = _mul(_mul(witness._factor(dst_label, k, left=True),
-                            (m1.a, m1.b, m1.c, m1.d)),
+                            s1.matrices[k]),
                        witness._factor(src_label, k, left=False))
-        if product != (m2.a, m2.b, m2.c, m2.d):
+        if product != s2.matrices[k2]:
             return False
     return True

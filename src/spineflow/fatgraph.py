@@ -489,7 +489,12 @@ def fatgraph_isomorphic(s1: Spine, s2: Spine,
 
     "Least" compares the tuple of images of the darts of s1 in sorted
     order, so the answer is independent of search order.
+    ``allow_reflection`` must be a ``bool``; anything else raises
+    ``InputError``.
     """
+    if type(allow_reflection) is not bool:
+        raise InputError("allow_reflection must be True or False, got "
+                         + quote(allow_reflection))
     return min((sigma for sigma, _, _
                 in iter_isomorphisms_tagged(s1, s2, allow_reflection)),
                default=None,
@@ -679,15 +684,16 @@ def enumerate_spines(max_edges: int) -> Iterator[Spine]:
     comes first with the cycle through dart 1 ENTRANCE, then swapped
     when (y, x) is another class.
 
-    ``max_edges`` is capped at ``MAX_CENSUS_EDGES`` = 9 (E = 9 is odd
-    and costs nothing).  E = 8 grows 23,797 rooted pairs and yields
-    3,090 spines in about 0.6 s; E = 10 would grow 2,180,461 and yield
-    218,608 spines in about 55 s (Python 3.11, one core of a shared
-    two-core container).
+    ``max_edges`` is an ``int`` (not a ``bool``) capped at
+    ``MAX_CENSUS_EDGES`` = 9 (E = 9 is odd and costs nothing); anything
+    else raises ``CapacityError`` at the first step.  E = 8 grows
+    23,797 rooted pairs and yields 3,090 spines in about 0.6 s; E = 10
+    would grow 2,180,461 and yield 218,608 spines in about 55 s
+    (Python 3.11, one core of a shared two-core container).
     """
-    if not 1 <= max_edges <= MAX_CENSUS_EDGES:
-        raise CapacityError(
-            f"max_edges must be between 1 and {MAX_CENSUS_EDGES}, got {max_edges}")
+    if type(max_edges) is not int or not 1 <= max_edges <= MAX_CENSUS_EDGES:
+        raise CapacityError(f"max_edges must be between 1 and {MAX_CENSUS_EDGES}, "
+                            f"got {quote(max_edges)}")
     for e in range(2, max_edges + 1, 2):
         classes: dict[tuple, int] = {}
         involution = [d ^ 1 for d in range(2 * e)]

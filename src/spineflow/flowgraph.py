@@ -264,11 +264,13 @@ def periodic_words(graph: FlowGraph, max_len: int) -> list[PeriodicWord]:
 
     The rank walks are sorted by (length, ranks), which is the label
     order since ranks follow it, and each is mapped to labels and made
-    a ``PeriodicWord`` once, without normalizing it again.
+    a ``PeriodicWord`` once, without normalizing it again.  ``max_len``
+    is an ``int`` (not a ``bool``) from 1 to ``MAX_WORD_LENGTH`` = 12;
+    anything else raises ``CapacityError``.
     """
-    if not 1 <= max_len <= MAX_WORD_LENGTH:
+    if type(max_len) is not int or not 1 <= max_len <= MAX_WORD_LENGTH:
         raise CapacityError(
-            f"max_len must be between 1 and {MAX_WORD_LENGTH}, got {max_len}")
+            f"max_len must be between 1 and {MAX_WORD_LENGTH}, got {quote(max_len)}")
     ranked = sorted(graph.edges, key=lambda e: e.label)
     labels = tuple(e.label for e in ranked)
     if len(set(labels)) < len(labels):

@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import (CapacityError, InputError, Opt, OrientationConflictError,
                      Table, conform, pointer_token, quote, read_index, shorten)
@@ -47,16 +48,16 @@ def parse_torus_label(label: str, path: str = "") -> TorusId:
     return head, read_index(tail, path)
 
 
-@dataclass(frozen=True)
-class DehnCoefficient:
+class DehnCoefficient(NamedTuple):
     """Filling slope p * meridian + q * fiber, meridian taken in the
-    preferred section.  (1, 0) refills trivially (no surgery)."""
+    preferred section.  (1, 0) refills trivially (no surgery).  A
+    coefficient is the tuple (p, q) and compares equal to it."""
 
     p: int
     q: int
 
     def is_valid(self) -> bool:
-        return (self.p, self.q) != (0, 0) and math.gcd(self.p, self.q) == 1
+        return self != (0, 0) and math.gcd(*self) == 1
 
 
 UNSURGERED = DehnCoefficient(1, 0)
@@ -66,10 +67,10 @@ UNSURGERED = DehnCoefficient(1, 0)
 MATRIX_SHAPE = ((int, int), (int, int))
 
 
-@dataclass(frozen=True)
-class GluingMatrix:
+class GluingMatrix(NamedTuple):
     """Rows [[a, b], [c, d]] in the (vertical, horizontal) bases of the
-    source exit torus and the target entrance torus."""
+    source exit torus and the target entrance torus.  A matrix is the
+    row-major tuple (a, b, c, d) and compares equal to it."""
 
     a: int
     b: int
@@ -78,11 +79,13 @@ class GluingMatrix:
 
     @property
     def det(self) -> int:
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self
+        return a * d - b * c
 
     def is_valid(self) -> bool:
         """Unimodular, and does not map fibers to fibers."""
-        return abs(self.det) == 1 and self.c != 0
+        a, b, c, d = self
+        return abs(a * d - b * c) == 1 and c != 0
 
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
@@ -148,18 +151,19 @@ class ModelFlowSpec:
 @dataclass(frozen=True)
 class OrientationAssignment:
     """Direction of every vertical orbit relative to the fixed fiber
-    orientation of its piece: (piece id, vertex) -> +-1."""
+    orientation of its piece: ``signs[piece id][vertex]`` is +-1, the
+    layout of ``CheckedSpec.signs``.  The per-piece tables that
+    ``orientation_classes`` shares between assignments are read-only
+    views."""
 
-    signs: dict[tuple[str, int], int]
+    signs: dict[str, Mapping[int, int]]
 
     def sign(self, piece_id: str, vertex: int) -> int:
-        return self.signs[(piece_id, vertex)]
+        return self.signs[piece_id][vertex]
 
     def to_json(self) -> dict:
-        out: dict[str, dict[str, int]] = {}
-        for (pid, v), s in sorted(self.signs.items()):
-            out.setdefault(pid, {})[str(v)] = s
-        return out
+        return {pid: {str(v): s for v, s in sorted(table.items())}
+                for pid, table in sorted(self.signs.items())}
 
 
 # ----------------------------------------------------------------------
@@ -220,13 +224,12 @@ def propagate_orientations(piece: ModelPiece,
 
 def seed_orientation(spec: ModelFlowSpec) -> OrientationAssignment:
     """Assignment obtained by propagating every piece's recorded seed."""
-    signs: dict[tuple[str, int], int] = {}
+    signs: dict[str, dict[int, int]] = {}
     for piece in spec.pieces:
         if piece.piece_id not in spec.orientation_seed:
             raise InputError(f"no orientation seed for piece {quote(piece.piece_id)}")
-        seed = spec.orientation_seed[piece.piece_id]
-        signs.update(((piece.piece_id, v), s) for v, s
-                     in propagate_orientations(piece, seed).items())
+        signs[piece.piece_id] = propagate_orientations(
+            piece, spec.orientation_seed[piece.piece_id])
     return OrientationAssignment(signs)
 
 
@@ -236,10 +239,12 @@ def orientation_classes(spec: ModelFlowSpec
 
     Representatives are produced by independently negating each piece's
     propagated assignment; pieces are taken in sorted id order with the
-    unnegated choice first, so the list order is deterministic.  An
-    invalid specification raises ``InputError``.  More than
-    ``MAX_ORIENTATION_PIECES`` = 16 pieces raise ``CapacityError``
-    before the specification is checked or any class is built.
+    unnegated choice first, so the list order is deterministic.  Each
+    piece's table and its negation are built once, as read-only views,
+    and every class refers to one of the two.  An invalid specification raises
+    ``InputError``.  More than ``MAX_ORIENTATION_PIECES`` = 16 pieces
+    raise ``CapacityError`` before the specification is checked or any
+    class is built.
     """
     if len(spec.pieces) > MAX_ORIENTATION_PIECES:
         raise CapacityError(
@@ -247,10 +252,10 @@ def orientation_classes(spec: ModelFlowSpec
             f"pieces, got {len(spec.pieces)}")
     signs = check_spec(spec).signs
     ids = sorted(signs)
-    reps = [OrientationAssignment({(pid, v): -s if flip else s
-                                   for pid, flip in zip(ids, flips)
-                                   for v, s in signs[pid].items()})
-            for flips in itertools.product((False, True), repeat=len(ids))]
+    tables = [(MappingProxyType(signs[pid]),
+               MappingProxyType({v: -s for v, s in signs[pid].items()})) for pid in ids]
+    reps = [OrientationAssignment(dict(zip(ids, choice)))
+            for choice in itertools.product(*tables)]
     return 2 ** len(ids), reps
 
 
@@ -439,8 +444,7 @@ def spec_to_json(spec: ModelFlowSpec) -> dict:
             {
                 "id": piece.piece_id,
                 "spine": spine_to_json(piece.spine),
-                "dehn": {str(v): [piece.dehn[v].p, piece.dehn[v].q]
-                         for v in sorted(piece.dehn)},
+                "dehn": {str(v): list(piece.dehn[v]) for v in sorted(piece.dehn)},
             }
             for piece in spec.pieces
         ],

@@ -111,6 +111,15 @@ class TestSpecCensus:
         with pytest.raises(CapacityError):
             spec_census(max_pieces=3, max_edges=4)
 
+    def test_piece_cap_is_not_a_bool(self):
+        with pytest.raises(CapacityError, match="max_pieces must be 1 or 2, got True"):
+            spec_census(True, 4)
+
+    def test_edge_cap_is_an_int(self):
+        with pytest.raises(CapacityError,
+                           match="max_edges must be between 1 and 9, got 4.5"):
+            spec_census(2, 4.5)
+
 
 class TestOrientationRigidity:
     """The genus-one banana documents why the rigidity filter exists:

@@ -379,6 +379,80 @@ class TestNormalizeMatrix:
         with pytest.raises(InputError):
             normalize_matrix(GluingMatrix(2, 1, 2, 1))
 
+    def test_returns_a_gluing_matrix(self):
+        normal = normalize_matrix(GluingMatrix(1, 3, 5, 16))
+        assert type(normal) is GluingMatrix
+        assert normal == (1, 0, 5, 1)
+
+
+class TestMatrixTuples:
+    """Gluing matrices and Dehn coefficients are the tuples that the
+    algebra reads."""
+
+    def test_compare_and_hash_like_tuples(self):
+        m, dehn = GluingMatrix(1, 3, 5, 16), DehnCoefficient(2, 3)
+        assert isinstance(m, tuple) and isinstance(dehn, tuple)
+        assert m == (1, 3, 5, 16) and (1, 3, 5, 16) == m
+        assert dehn == (2, 3) and (2, 3) == dehn
+        assert hash(m) == hash((1, 3, 5, 16)) and hash(dehn) == hash((2, 3))
+        assert {(1, 3, 5, 16): "m", (2, 3): "dehn"}[m] == "m"
+        assert sorted([GluingMatrix(1, 0, 2, 1), (0, 1, 1, 0)]) == [
+            (0, 1, 1, 0), (1, 0, 2, 1)]
+        assert (m.a, m.b, m.c, m.d, m.det) == (1, 3, 5, 16, 1)
+        assert (dehn.p, dehn.q) == (2, 3)
+        assert GluingMatrix.from_rows([[1, 3], [5, 16]]) == m
+        assert m.rows() == [[1, 3], [5, 16]]
+
+    def test_exact_forms_are_the_matrices(self, banana_spec):
+        chain = banana_chain(banana_spec, [2, 3, 4, 5])
+        forms = equivalence._matrix_forms(chain.matrices, EquivalenceMode.EXACT)
+        assert len(forms) == len(chain.matrices)
+        assert all(form is m for form, m in zip(forms, chain.matrices))
+
+    @pytest.mark.parametrize("left", [True, False])
+    def test_factor_closed_form(self, left):
+        for (sv, sh), t in itertools.product(
+                itertools.product((1, -1), repeat=2), range(-3, 4)):
+            witness = EquivalenceWitness({}, {}, {"P.c0": (sv, sh)}, {0: (t, -t)})
+            twist = t if left else -t
+            diag, upper = (sv, 0, 0, sh), (1, twist, 0, 1)
+            expected = (equivalence._mul(diag, upper) if left
+                        else equivalence._mul(upper, diag))
+            assert witness._factor("P.c0", 0, left) == expected
+            # an unnamed torus and pair index take the identity factor
+            assert witness._factor("P.c1", 1, left) == (1, 0, 0, 1)
+
+
+class TestArgumentTypes:
+    """Arguments are never coerced: a mode that is not an
+    ``EquivalenceMode`` member and a reflection flag that is not a
+    ``bool`` raise ``InputError``."""
+
+    def test_mode_text_is_not_a_mode(self, banana_spec, twisted_spec):
+        assert spec_equivalent(banana_spec, twisted_spec,
+                               EquivalenceMode.EXACT) is None
+        with pytest.raises(InputError, match="mode must be an EquivalenceMode "
+                                             "member, got 'exact'"):
+            spec_equivalent(banana_spec, twisted_spec, "exact")
+
+    def test_unknown_mode(self, banana_spec, twisted_spec):
+        with pytest.raises(InputError, match="got 'bogus'"):
+            spec_equivalent(banana_spec, twisted_spec, "bogus")
+
+    def test_verify_witness_mode(self, banana_spec, twisted_spec):
+        witness = spec_equivalent(banana_spec, twisted_spec)
+        assert verify_witness(banana_spec, twisted_spec, witness)
+        for mode in ("exact", "isotopy-with-twists", None):
+            with pytest.raises(InputError, match="mode must be an EquivalenceMode"):
+                verify_witness(banana_spec, twisted_spec, witness, mode)
+
+    def test_allow_reflection_is_a_bool(self, banana_spec):
+        for flag in ("no", 0, 1, None):
+            with pytest.raises(InputError, match="allow_reflection must be "
+                                                 "True or False"):
+                spec_equivalent(banana_spec, banana_spec,
+                                EquivalenceMode.EXACT, flag)
+
 
 class TestSpecEquivalent:
     def test_self_equivalence_identity_witness(self, banana_spec):

@@ -433,6 +433,18 @@ class TestEnumerateSpines:
         for spine in census_spines:
             assert validate_spine(spine.graph, spine.colors).passed
 
+    def test_capacity_is_an_int(self):
+        with pytest.raises(CapacityError,
+                           match="max_edges must be between 1 and 9, got 4.0"):
+            list(enumerate_spines(4.0))
+
+    def test_reflection_flag_is_a_bool(self, census_spines):
+        spine = census_spines[0]
+        assert fatgraph_isomorphic(spine, spine, True) is not None
+        with pytest.raises(InputError, match="allow_reflection must be True or "
+                                             "False, got 'no'"):
+            fatgraph_isomorphic(spine, spine, "no")
+
     def test_capacity_bounds(self, eight_edge_spines):
         with pytest.raises(CapacityError):
             list(enumerate_spines(0))

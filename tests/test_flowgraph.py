@@ -287,6 +287,19 @@ class TestPeriodicWords:
         with pytest.raises(CapacityError):
             periodic_words(graph, 13)
 
+    def test_capacity_is_an_int(self, banana_spec):
+        graph = build_flow_graph(banana_spec)
+        assert len(periodic_words(graph, 3)) < len(periodic_words(graph, 4))
+        with pytest.raises(CapacityError,
+                           match="max_len must be between 1 and 12, got 3.5"):
+            periodic_words(graph, 3.5)
+
+    def test_capacity_is_not_a_bool(self, banana_spec):
+        graph = build_flow_graph(banana_spec)
+        with pytest.raises(CapacityError,
+                           match="max_len must be between 1 and 12, got True"):
+            periodic_words(graph, True)
+
     def test_duplicate_labels_rejected(self):
         # two loops both labelled "X.e0": a word ("X.e0",) could be
         # either, and the label table keeps only one of them

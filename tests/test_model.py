@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import tracemalloc
 from typing import Iterator
 
 import pytest
@@ -271,7 +273,8 @@ class TestOrientationClasses:
         count, reps = orientation_classes(banana_spec)
         assert count == 2
         assert len(reps) == 2
-        assert reps[1].signs == {k: -s for k, s in reps[0].signs.items()}
+        assert reps[1].signs == {pid: {v: -s for v, s in table.items()}
+                                 for pid, table in reps[0].signs.items()}
 
     def test_two_pieces_give_four(self, necklace_spec):
         count, reps = orientation_classes(necklace_spec)
@@ -289,6 +292,15 @@ class TestOrientationClasses:
         _, reps = orientation_classes(banana_spec)
         assert reps[0].signs == seed_orientation(banana_spec).signs
 
+    def test_shared_tables_are_read_only(self, necklace_spec):
+        _, reps = orientation_classes(necklace_spec)
+        pid = min(reps[0].signs)
+        v = min(reps[0].signs[pid])
+        with pytest.raises(TypeError):
+            reps[0].signs[pid][v] = -reps[0].signs[pid][v]
+        assert [rep.to_json() for rep in reps] == [
+            rep.to_json() for rep in orientation_classes(necklace_spec)[1]]
+
     def test_piece_cap_raises_before_any_check(self, banana_spec, monkeypatch):
         assert model.MAX_ORIENTATION_PIECES == 16
         chain = banana_chain(banana_spec, [2] * 34)
@@ -300,6 +312,62 @@ class TestOrientationClasses:
         monkeypatch.setattr(model, "check_spec", unreachable)
         with pytest.raises(CapacityError, match="at most 16 pieces, got 17"):
             orientation_classes(chain)
+
+    @staticmethod
+    def flat_classes(spec) -> list[tuple[dict, str]]:
+        """The JSON and ``orient --format text`` line of each class,
+        written from a flat (piece id, vertex) -> sign table: each
+        piece's seed propagated, negated per (piece, vertex), then
+        regrouped by piece."""
+        seeded = {piece.piece_id: propagate_orientations(
+            piece, spec.orientation_seed[piece.piece_id]) for piece in spec.pieces}
+        ids = sorted(seeded)
+        out = []
+        for flips in itertools.product((False, True), repeat=len(ids)):
+            flat = {(pid, v): -s if flip else s
+                    for pid, flip in zip(ids, flips) for v, s in seeded[pid].items()}
+            grouped: dict[str, dict[str, int]] = {}
+            for (pid, v), s in sorted(flat.items()):
+                grouped.setdefault(pid, {})[str(v)] = s
+            out.append((grouped, " ".join(f"{pid}.v{v}={s:+d}"
+                                          for (pid, v), s in sorted(flat.items()))))
+        return out
+
+    def test_classes_match_the_flat_layout(self, census_specs, banana_spec,
+                                           tmp_path, capsys):
+        from spineflow.cli import run
+        specs = list(census_specs) + [
+            banana_chain(banana_spec, list(range(2, 2 + 2 * k))) for k in range(1, 7)]
+        assert len(specs) == 15
+        path = tmp_path / "spec.json"
+        for spec in specs:
+            count, reps = orientation_classes(spec)
+            expected = self.flat_classes(spec)
+            assert count == len(reps) == len(expected)
+            path.write_text(json.dumps(spec_to_json(spec)))
+            assert run(["orient", str(path), "--format", "text"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == f"count: {count}"
+            for rep, line, (grouped, flat_line) in zip(reps, lines[1:], expected):
+                # the same dict, written in the same key order
+                assert json.dumps(rep.to_json()) == json.dumps(grouped)
+                assert line == flat_line
+            # each class refers to one of each piece's two tables
+            for pid in spec.piece_ids():
+                tables = {id(rep.signs[pid]): rep.signs[pid] for rep in reps}
+                assert len(tables) == 2
+
+    def test_cap_allocation(self, banana_spec):
+        chain = banana_chain(banana_spec, [2] * 32)
+        model.check_spec(chain)  # the spine's cached tables are not counted
+        tracemalloc.start()
+        try:
+            count, reps = orientation_classes(chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == len(reps) == 2 ** 16
+        assert peak < 64 * 2 ** 20, peak
 
 
 class TestValidateSpec:
